@@ -228,10 +228,6 @@ class FeatureExtractor:
         return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
 
 
-def model_backward(model: FeatureExtractor, cache: dict, output_grads: dict) -> dict:
-    return model.backward(cache, output_grads)
-
-
 def extract_hidden_weights(model: FeatureExtractor, epoch_tag: int = 0) -> WeightBundle:
     """Deep-copied snapshot of the hidden layers (conv blocks + hidden dense,
     with BN running stats riding along). The classifier never leaves the user."""
@@ -284,7 +280,3 @@ def load_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> Featur
 def clone_model(model: FeatureExtractor) -> FeatureExtractor:
     """Independent deep copy (used to spawn a teacher from a student)."""
     return copy.deepcopy(model)
-
-
-def predict(model: FeatureExtractor, x: np.ndarray) -> np.ndarray:
-    return model.predict(x)

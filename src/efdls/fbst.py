@@ -35,7 +35,6 @@ class FBSTConfig:
     epsilon: float = 0.9
     local_epochs_per_round: int = 1
     batch_size: int = 16
-    kd_reduction: str = "batch_mean_sum_features"
     # "batch": the teacher normalizes with the statistics of the batch at
     # hand (no side effects), so a teacher holding the student's own weights
     # reproduces the student's trace exactly. "running": the teacher uses the
@@ -49,8 +48,6 @@ class FBSTConfig:
             raise ConfigError("local_epochs_per_round must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.kd_reduction != "batch_mean_sum_features":
-            raise ConfigError(f"unknown kd_reduction policy '{self.kd_reduction}'")
         if self.teacher_bn_mode not in ("batch", "running"):
             raise ConfigError(f"teacher_bn_mode must be 'batch' or 'running', got '{self.teacher_bn_mode}'")
 

@@ -21,6 +21,7 @@ run's ledger total exactly 2 * bundle_bytes * FLEs * N_conn.
 
 from __future__ import annotations
 
+import numbers
 import socket
 import struct
 import threading
@@ -204,6 +205,9 @@ _KEY_TO_TAG = {key: tag for tag, key in enumerate(ext.BUNDLE_KEYS)}
 def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) -> bytes:
     """Serialize a bundle: magic, version, epoch/user ids, then one block per
     array (tag byte, dim count, little-endian u32 dims, float32 payload)."""
+    for name, value in (("epoch", epoch), ("user_id", user_id)):
+        if not isinstance(value, numbers.Integral) or not 0 <= value < 2 ** 32:
+            raise ValueError(f"{name} must be an integer in [0, 2**32), got {value!r}")
     parts = [MESSAGE_MAGIC, bytes([MESSAGE_VERSION]),
              struct.pack("<II", epoch, user_id), bytes([len(bundle.arrays)])]
     for key, arr in bundle.arrays.items():

@@ -143,6 +143,20 @@ class TestWeightMessageCodec:
             except MalformedMessageError:
                 pass  # structured failure is acceptable; crashing is not
 
+    @pytest.mark.parametrize("field,value", [
+        ("epoch", -1), ("epoch", 2 ** 32), ("user_id", -1), ("user_id", 2 ** 32),
+        ("epoch", 1.5),
+    ])
+    def test_header_ids_outside_u32_rejected(self, field, value):
+        ids = {"epoch": 0, "user_id": 0, field: value}
+        with pytest.raises(ValueError, match=rf"{field} .*got {value}$"):
+            encode_weight_message(random_bundle(np.random.default_rng(10)), **ids)
+
+    def test_header_ids_at_u32_bounds_round_trip(self):
+        bundle = random_bundle(np.random.default_rng(11))
+        _, epoch, uid = decode_weight_message(encode_weight_message(bundle, 0, 2 ** 32 - 1))
+        assert (epoch, uid) == (0, 2 ** 32 - 1)
+
     def test_nonfinite_payload_rejected(self):
         bundle = random_bundle(np.random.default_rng(9))
         bundle.arrays["dense.bias"][0] = np.nan
