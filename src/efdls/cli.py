@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from . import extractor, fbst, federation, metrics, nncore
+from . import extractor, fbst, federation, metrics, nncore, strategies
 
 DATA_DIR_ENV = "EFDLS_DATA_DIR"
 GRADCHECK_TOLERANCE = 1e-4
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON config file")
             p.add_argument("--out", help="output directory (overrides config output_dir)")
             p.add_argument("--seed", type=int, help="override the run seed")
-            p.add_argument("--strategy", choices=("baseline", "fedavg", "fkd", "efdls"),
+            p.add_argument("--strategy", choices=strategies.STRATEGY_TAGS,
                            help="override the aggregation strategy")
             p.add_argument("--ratio", type=float, help="override conn_ratio")
             p.add_argument("--epsilon", type=float, help="override the loss-mixing epsilon")

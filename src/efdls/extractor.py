@@ -121,21 +121,12 @@ class FeatureExtractor:
     # -- parameter access ---------------------------------------------------
 
     def parameters(self) -> dict:
-        """Live views of every learnable array, hidden layers first."""
-        params = {}
-        for i, (conv, bn) in enumerate(zip(self.convs, self.bns), start=1):
-            params[f"conv{i}.kernel"] = conv.kernel
-            params[f"conv{i}.bias"] = conv.bias
-            params[f"bn{i}.alpha"] = bn.alpha
-            params[f"bn{i}.beta"] = bn.beta
-        params["dense.weight"] = self.hidden.weight
-        params["dense.bias"] = self.hidden.bias
+        """Live views of every learnable array: the learnable hidden arrays in
+        BUNDLE_KEYS order, then the classifier."""
+        params = {k: v for k, v in hidden_arrays(self).items() if is_learnable_key(k)}
         params["classifier.weight"] = self.classifier.weight
         params["classifier.bias"] = self.classifier.bias
         return params
-
-    def hidden_parameter_count(self) -> int:
-        return sum(v.size for k, v in self.parameters().items() if not k.startswith("classifier."))
 
     # -- forward / backward -------------------------------------------------
 
@@ -228,20 +219,27 @@ class FeatureExtractor:
         return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
 
 
+def hidden_arrays(model: FeatureExtractor) -> dict:
+    """Live views of the model's hidden-layer arrays (conv blocks, batch-norm
+    running statistics included, and the hidden dense layer), keyed and
+    ordered as BUNDLE_KEYS. This is the one place that names them; it is
+    rebuilt on every call because a training-mode batch-norm forward rebinds
+    the running-statistic arrays."""
+    layers = {"dense": model.hidden}
+    for i, (conv, bn) in enumerate(zip(model.convs, model.bns), start=1):
+        layers[f"conv{i}"] = conv
+        layers[f"bn{i}"] = bn
+    arrays = {}
+    for key in BUNDLE_KEYS:
+        layer, leaf = key.split(".")
+        arrays[key] = getattr(layers[layer], leaf)
+    return arrays
+
+
 def extract_hidden_weights(model: FeatureExtractor, epoch_tag: int = 0) -> WeightBundle:
     """Deep-copied snapshot of the hidden layers (conv blocks + hidden dense,
     with BN running stats riding along). The classifier never leaves the user."""
-    arrays = {}
-    for i, (conv, bn) in enumerate(zip(model.convs, model.bns), start=1):
-        arrays[f"conv{i}.kernel"] = conv.kernel.copy()
-        arrays[f"conv{i}.bias"] = conv.bias.copy()
-        arrays[f"bn{i}.alpha"] = bn.alpha.copy()
-        arrays[f"bn{i}.beta"] = bn.beta.copy()
-        arrays[f"bn{i}.running_mean"] = bn.running_mean.copy()
-        arrays[f"bn{i}.running_var"] = bn.running_var.copy()
-    arrays["dense.weight"] = model.hidden.weight.copy()
-    arrays["dense.bias"] = model.hidden.bias.copy()
-    assert tuple(arrays.keys()) == BUNDLE_KEYS
+    arrays = {k: v.copy() for k, v in hidden_arrays(model).items()}
     return WeightBundle(arrays=arrays, epoch_tag=epoch_tag)
 
 
@@ -252,16 +250,7 @@ class IncompatibleBundleError(ShapeError):
 def load_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> FeatureExtractor:
     """Overwrite the model's hidden layers with the bundle's values (copied,
     cast to the model dtype). The classifier is untouched."""
-    targets = {}
-    for i, (conv, bn) in enumerate(zip(model.convs, model.bns), start=1):
-        targets[f"conv{i}.kernel"] = conv.kernel
-        targets[f"conv{i}.bias"] = conv.bias
-        targets[f"bn{i}.alpha"] = bn.alpha
-        targets[f"bn{i}.beta"] = bn.beta
-        targets[f"bn{i}.running_mean"] = bn.running_mean
-        targets[f"bn{i}.running_var"] = bn.running_var
-    targets["dense.weight"] = model.hidden.weight
-    targets["dense.bias"] = model.hidden.bias
+    targets = hidden_arrays(model)
     if set(bundle.arrays.keys()) != set(targets.keys()):
         raise IncompatibleBundleError(
             f"bundle keys {sorted(bundle.arrays)} do not match model hidden layers"

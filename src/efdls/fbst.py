@@ -218,15 +218,14 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
                     teacher_trace = pair.teacher.forward(xb, training=False)
                 kd = kd_loss(trace, teacher_trace)
                 loss = total_loss(sup, kd, config.epsilon)
-                out_grads = kd_loss_grads(trace, teacher_trace, scale=1.0 - config.epsilon)
-                out_grads["logits"] = sup_loss_logit_grad(trace.probs, yb, scale=config.epsilon)
+                objective = DistillationLoss(teacher_trace, yb, config.epsilon)
             else:
                 kd = 0.0
                 loss = sup
-                out_grads = {"logits": sup_loss_logit_grad(trace.probs, yb)}
+                objective = SupervisedLoss(yb)
             if not np.isfinite(loss):
                 raise nncore.NumericError(f"non-finite training loss at federated epoch {k}")
-            grads = pair.student.backward(cache, out_grads)
+            grads = pair.student.backward(cache, objective.output_grads(trace))
             nncore.adam_step(params, grads, adam)
             kd_sum += kd
             sup_sum += sup

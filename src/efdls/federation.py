@@ -25,7 +25,7 @@ import numbers
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .fbst import ConfigError
 
 MESSAGE_MAGIC = b"EFDL"
 MESSAGE_VERSION = 1
+# Most dims a block may declare: every supported numpy build can hold an
+# array of this rank (numpy 1.x caps it at 32, 2.x at 64).
+MAX_WIRE_NDIM = 32
 
 
 # ---------------------------------------------------------------------------
@@ -96,29 +99,10 @@ class FederationConfig:
                                teacher_bn_mode=self.teacher_bn_mode)
 
     def to_dict(self) -> dict:
-        return {
-            "n_tot": self.n_tot,
-            "datasets": [{"name": n, "path": p} for n, p in self.datasets],
-            "conn_ratio": self.conn_ratio,
-            "fles": self.fles,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "epsilon": self.epsilon,
-            "batch_size": self.batch_size,
-            "local_epochs": self.local_epochs,
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "bn_paper_literal": self.bn_paper_literal,
-            "teacher_bn_mode": self.teacher_bn_mode,
-            "blocks": [list(b) for b in self.blocks],
-            "hidden_dim": self.hidden_dim,
-            "normalize": self.normalize,
-            "conn_resample": self.conn_resample,
-            "transport": self.transport,
-            "port": self.port,
-            "workers": self.workers,
-            "output_dir": self.output_dir,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["datasets"] = [{"name": n, "path": p} for n, p in self.datasets]
+        d["blocks"] = [list(b) for b in self.blocks]
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "FederationConfig":
@@ -204,7 +188,8 @@ _KEY_TO_TAG = {key: tag for tag, key in enumerate(ext.BUNDLE_KEYS)}
 
 def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) -> bytes:
     """Serialize a bundle: magic, version, epoch/user ids, then one block per
-    array (tag byte, dim count, little-endian u32 dims, float32 payload)."""
+    array (tag byte, dim count, little-endian u32 dims, float32 payload).
+    Arrays need at most MAX_WIRE_NDIM dims, each in [1, 2**32)."""
     for name, value in (("epoch", epoch), ("user_id", user_id)):
         if not isinstance(value, numbers.Integral) or not 0 <= value < 2 ** 32:
             raise ValueError(f"{name} must be an integer in [0, 2**32), got {value!r}")
@@ -213,7 +198,7 @@ def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) ->
     for key, arr in bundle.arrays.items():
         if key not in _KEY_TO_TAG:
             raise ValueError(f"bundle array '{key}' has no wire tag")
-        if arr.ndim > 255 or any(d >= 2 ** 32 for d in arr.shape):
+        if arr.ndim > MAX_WIRE_NDIM or any(not 0 < d < 2 ** 32 for d in arr.shape):
             raise ValueError(f"bundle array '{key}' has dims outside the wire format range")
         parts.append(bytes([_KEY_TO_TAG[key], arr.ndim]))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
@@ -224,8 +209,9 @@ def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) ->
 def decode_weight_message(data: bytes) -> tuple:
     """Parse an encoded message back into (bundle, epoch, user_id).
 
-    Validation is strict: magic and version are checked, every byte must be
-    accounted for, and payload values must be finite."""
+    Validation is strict: magic and version are checked, block shapes must
+    be ones the encoder writes, every byte must be accounted for, and payload
+    values must be finite."""
     offset = 0
 
     def take(n: int, what: str) -> bytes:
@@ -253,7 +239,12 @@ def decode_weight_message(data: bytes) -> tuple:
         key = ext.BUNDLE_KEYS[tag]
         if key in arrays:
             raise MalformedMessageError(f"duplicate block tag {tag}", tag_offset)
+        if ndim > MAX_WIRE_NDIM:
+            raise MalformedMessageError(
+                f"block {b} declares {ndim} dims, more than {MAX_WIRE_NDIM}", tag_offset)
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"block {b} dims"))
+        if 0 in dims:
+            raise MalformedMessageError(f"block {b} has a zero dim in {dims}", tag_offset)
         numel = 1
         for d in dims:
             numel *= d
@@ -445,6 +436,17 @@ class Federation:
             raise nncore.NumericError(
                 f"user {user.user_id} failed at federated epoch {k}: {exc}") from exc
 
+    def _round_trip(self, direction: str, bundle: ext.WeightBundle, k: int,
+                    user_id: int) -> tuple:
+        """Encode one message, carry it over the transport's ``direction``
+        ("upload" or "download"), record its size in the ledger, and return
+        the decoded (user_id, bundle)."""
+        data = encode_weight_message(bundle, epoch=k, user_id=user_id)
+        received = getattr(self.transport, direction)(user_id, data)
+        self.ledger.record(k, user_id, direction, len(data))
+        decoded, _, uid = decode_weight_message(received)
+        return uid, decoded
+
     def _run_epoch(self, k: int, on_epoch=None) -> None:
         config = self.config
         if config.conn_resample and k > 1:
@@ -467,11 +469,7 @@ class Federation:
             if on_epoch is not None:
                 on_epoch(user.user_id, k, report)
             if user.connected and self.strategy.communicates:
-                data = encode_weight_message(bundle, epoch=k, user_id=user.user_id)
-                received = self.transport.upload(user.user_id, data)
-                self.ledger.record(k, user.user_id, "upload", len(data))
-                decoded, _, uid = decode_weight_message(received)
-                uploads.append((uid, decoded))
+                uploads.append(self._round_trip("upload", bundle, k, user.user_id))
 
         if self.strategy.communicates and connected_users:
             if len(uploads) != len(connected_users):
@@ -480,10 +478,7 @@ class Federation:
                     f"{len(connected_users)} connected users expected")
             table = dbwm.WeightTable(entries=uploads, epoch=k)
             for ins in strategies.apply_round(self.strategy, table):
-                data = encode_weight_message(ins.bundle, epoch=k, user_id=ins.user_id)
-                received = self.transport.download(ins.user_id, data)
-                self.ledger.record(k, ins.user_id, "download", len(data))
-                bundle, _, uid = decode_weight_message(received)
+                uid, bundle = self._round_trip("download", ins.bundle, k, ins.user_id)
                 self._pending_loads[uid] = (ins.target, bundle)
 
     def run(self, on_epoch=None):

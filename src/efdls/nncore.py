@@ -31,11 +31,6 @@ class GradientStateError(RuntimeError):
     """A backward pass was requested without a matching cached forward."""
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericError(f"non-finite values in {what}")
-
-
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
@@ -188,50 +183,54 @@ def conv1d_backward(gout: np.ndarray, layer: ConvLayer, cache):
     return g_input, g_kernel, g_bias
 
 
+_BN_REDUCE_AXES = (0, 2)
+
+
+def _per_channel(v: np.ndarray) -> np.ndarray:
+    """Broadcast a per-channel vector [C] against [B, C, L]."""
+    return v[None, :, None]
+
+
+def _require_3d(x: np.ndarray, what: str) -> None:
+    if x.ndim != 3:
+        raise ShapeError(f"{what} must be [batch, channel, length], got shape {x.shape}")
+
+
 def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
                       update_running: bool | None = None, want_cache: bool = False):
-    """Normalize per channel. Training mode uses batch statistics (and by
-    default folds them into the running statistics); inference mode uses the
-    running statistics only.
-
-    Accepts [B, C, L] or [B, C] input; statistics reduce over every axis but
-    the channel axis.
+    """Normalize per channel over the batch and length axes of [B, C, L]
+    input. Training mode uses batch statistics (and by default folds them
+    into the running statistics); inference mode uses the running statistics
+    only.
     """
-    if x.ndim == 2:
-        reduce_axes = (0,)
-        expand = (slice(None), slice(None))
-    elif x.ndim == 3:
-        reduce_axes = (0, 2)
-        expand = (None, slice(None), None)
-    else:
-        raise ShapeError(f"batchnorm input must be 2-D or 3-D, got shape {x.shape}")
+    _require_3d(x, "batchnorm input")
     if x.shape[0] < 1 and training:
         raise ShapeError("batchnorm training mode requires a non-empty batch")
     if update_running is None:
         update_running = training
 
-    alpha = layer.alpha[expand] if x.ndim == 3 else layer.alpha[None, :]
-    beta = layer.beta[expand] if x.ndim == 3 else layer.beta[None, :]
+    alpha = _per_channel(layer.alpha)
+    beta = _per_channel(layer.beta)
 
     if training:
-        n = x.shape[0] * (x.shape[2] if x.ndim == 3 else 1)
+        n = x.shape[0] * x.shape[2]
         # overflow here is converted into NumericError by the finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
-            mu = x.mean(axis=reduce_axes)
+            mu = x.mean(axis=_BN_REDUCE_AXES)
             if not np.isfinite(mu).all():
                 raise NumericError("non-finite batch statistics in batchnorm")
-            centered = x - (mu[expand] if x.ndim == 3 else mu[None, :])
+            centered = x - _per_channel(mu)
             if layer.literal_form:
-                sumsq = np.sum(centered * centered, axis=reduce_axes)
+                sumsq = np.sum(centered * centered, axis=_BN_REDUCE_AXES)
                 delta = np.sqrt(sumsq)
                 denom = delta + layer.zeta
-                out = alpha * centered / (denom[expand] if x.ndim == 3 else denom[None, :]) + beta
+                out = alpha * centered / _per_channel(denom) + beta
                 stat = sumsq
                 cache = ("literal", centered, delta, denom, n)
             else:
-                var = np.mean(centered * centered, axis=reduce_axes)
+                var = np.mean(centered * centered, axis=_BN_REDUCE_AXES)
                 inv = 1.0 / np.sqrt(var + layer.zeta)
-                xhat = centered * (inv[expand] if x.ndim == 3 else inv[None, :])
+                xhat = centered * _per_channel(inv)
                 out = alpha * xhat + beta
                 stat = var
                 cache = ("standard", xhat, inv, n)
@@ -248,8 +247,8 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
         else:
             denom = np.sqrt(layer.running_var + layer.zeta)
         scale = 1.0 / denom
-        centered = x - (mu[expand] if x.ndim == 3 else mu[None, :])
-        out = alpha * centered * (scale[expand] if x.ndim == 3 else scale[None, :]) + beta
+        centered = x - _per_channel(mu)
+        out = alpha * centered * _per_channel(scale) + beta
         cache = ("inference", centered, scale)
 
     if want_cache:
@@ -270,37 +269,27 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache):
     """
     if cache is None:
         raise GradientStateError("batchnorm_backward called without a cached forward")
+    _require_3d(gout, "batchnorm upstream gradient")
     kind = cache[0]
-    if gout.ndim == 3:
-        reduce_axes = (0, 2)
-        ex = (None, slice(None), None)
-
-        def bc(v):
-            return v[ex]
-    else:
-        reduce_axes = (0,)
-
-        def bc(v):
-            return v[None, :]
-
-    alpha = bc(layer.alpha)
-    g_beta = gout.sum(axis=reduce_axes)
+    alpha = _per_channel(layer.alpha)
+    g_beta = gout.sum(axis=_BN_REDUCE_AXES)
     if kind == "standard":
         _, xhat, inv, n = cache
-        g_alpha = np.sum(gout * xhat, axis=reduce_axes)
+        g_alpha = np.sum(gout * xhat, axis=_BN_REDUCE_AXES)
         gh = gout * alpha
-        mean_gh = gh.mean(axis=reduce_axes)
-        mean_gh_xhat = np.mean(gh * xhat, axis=reduce_axes)
-        g_input = bc(inv) * (gh - bc(mean_gh) - xhat * bc(mean_gh_xhat))
+        mean_gh = gh.mean(axis=_BN_REDUCE_AXES)
+        mean_gh_xhat = np.mean(gh * xhat, axis=_BN_REDUCE_AXES)
+        g_input = _per_channel(inv) * (gh - _per_channel(mean_gh)
+                                       - xhat * _per_channel(mean_gh_xhat))
     elif kind == "literal":
         _, centered, delta, denom, n = cache
-        g_alpha = np.sum(gout * centered, axis=reduce_axes) / denom
-        mean_g = gout.mean(axis=reduce_axes)
-        s_gc = np.sum(gout * centered, axis=reduce_axes)
+        g_alpha = np.sum(gout * centered, axis=_BN_REDUCE_AXES) / denom
+        mean_g = gout.mean(axis=_BN_REDUCE_AXES)
+        s_gc = np.sum(gout * centered, axis=_BN_REDUCE_AXES)
         delta_safe = np.maximum(delta, np.finfo(gout.dtype).tiny)
         g_input = alpha * (
-            (gout - bc(mean_g)) / bc(denom)
-            - centered * bc(s_gc / (delta_safe * denom * denom))
+            (gout - _per_channel(mean_g)) / _per_channel(denom)
+            - centered * _per_channel(s_gc / (delta_safe * denom * denom))
         )
     else:
         raise GradientStateError("batchnorm_backward needs a training-mode cache")
@@ -315,15 +304,10 @@ def batchnorm_inference_backward(gout: np.ndarray, layer: BatchNormLayer, cache)
     kind, centered, scale = cache
     if kind != "inference":
         raise GradientStateError("inference backward needs an inference-mode cache")
-    if gout.ndim == 3:
-        reduce_axes = (0, 2)
-        g_input = gout * (layer.alpha * scale)[None, :, None]
-        g_alpha = np.sum(gout * centered * scale[None, :, None], axis=reduce_axes)
-    else:
-        reduce_axes = (0,)
-        g_input = gout * (layer.alpha * scale)[None, :]
-        g_alpha = np.sum(gout * centered * scale[None, :], axis=reduce_axes)
-    g_beta = gout.sum(axis=reduce_axes)
+    _require_3d(gout, "batchnorm upstream gradient")
+    g_input = gout * _per_channel(layer.alpha * scale)
+    g_alpha = np.sum(gout * centered * _per_channel(scale), axis=_BN_REDUCE_AXES)
+    g_beta = gout.sum(axis=_BN_REDUCE_AXES)
     return g_input, g_alpha, g_beta
 
 
@@ -442,6 +426,18 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
+def _central_diff_entry(model, x, loss, param: np.ndarray, flat_index: int,
+                        epsilon: float) -> float:
+    flat = param.reshape(-1)
+    orig = flat[flat_index]
+    flat[flat_index] = orig + epsilon
+    plus = loss.value(model.forward(x, training=True, update_running=False))
+    flat[flat_index] = orig - epsilon
+    minus = loss.value(model.forward(x, training=True, update_running=False))
+    flat[flat_index] = orig
+    return (plus - minus) / (2.0 * epsilon)
+
+
 def finite_diff_grads(model, x: np.ndarray, loss, epsilon: float = 1e-5,
                       max_entries_per_param: int | None = None,
                       rng: np.random.Generator | None = None) -> dict:
@@ -462,21 +458,14 @@ def finite_diff_grads(model, x: np.ndarray, loss, epsilon: float = 1e-5,
     out = {}
     for name, p in model.parameters().items():
         g = np.full_like(p, np.nan)
-        flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
-        idx = np.arange(flat_p.size)
-        if max_entries_per_param is not None and flat_p.size > max_entries_per_param:
+        idx = np.arange(p.size)
+        if max_entries_per_param is not None and p.size > max_entries_per_param:
             if rng is None:
                 rng = np.random.default_rng(0)
-            idx = rng.choice(flat_p.size, size=max_entries_per_param, replace=False)
+            idx = rng.choice(p.size, size=max_entries_per_param, replace=False)
         for i in idx:
-            orig = flat_p[i]
-            flat_p[i] = orig + epsilon
-            plus = loss.value(model.forward(x, training=True, update_running=False))
-            flat_p[i] = orig - epsilon
-            minus = loss.value(model.forward(x, training=True, update_running=False))
-            flat_p[i] = orig
-            flat_g[i] = (plus - minus) / (2.0 * epsilon)
+            flat_g[i] = _central_diff_entry(model, x, loss, p, i, epsilon)
         out[name] = g
     return out
 
@@ -504,18 +493,6 @@ def max_relative_error(analytic: dict, numeric: dict, denom_floor: float = 1e-5)
         denom = np.maximum(np.maximum(np.abs(av), np.abs(nv)), denom_floor)
         worst = max(worst, float(np.max(np.abs(av - nv) / denom)))
     return worst
-
-
-def _central_diff_entry(model, x, loss, param: np.ndarray, flat_index: int,
-                        epsilon: float) -> float:
-    flat = param.reshape(-1)
-    orig = flat[flat_index]
-    flat[flat_index] = orig + epsilon
-    plus = loss.value(model.forward(x, training=True, update_running=False))
-    flat[flat_index] = orig - epsilon
-    minus = loss.value(model.forward(x, training=True, update_running=False))
-    flat[flat_index] = orig
-    return (plus - minus) / (2.0 * epsilon)
 
 
 def finite_diff_gradcheck(model, x: np.ndarray, loss, epsilon: float = 1e-5,

@@ -210,3 +210,34 @@ class TestPredict:
         probs = m.forward(x).probs
         expected = [int(max(range(4), key=lambda c: probs[b, c])) for b in range(5)]
         assert np.array_equal(m.predict(x), expected)
+
+
+class TestHiddenArrays:
+    def test_keys_are_bundle_keys_in_order(self):
+        assert tuple(extractor.hidden_arrays(mini_model(seed=50))) == BUNDLE_KEYS
+
+    def test_writes_through_views_change_the_model(self):
+        m = mini_model(seed=51)
+        arrays = extractor.hidden_arrays(m)
+        arrays["conv2.kernel"][0, 0, 0] = 7.0
+        arrays["bn3.running_var"][1] = 5.0
+        arrays["dense.bias"][:] = -1.0
+        assert m.convs[1].kernel[0, 0, 0] == 7.0
+        assert m.bns[2].running_var[1] == 5.0
+        assert (m.hidden.bias == -1.0).all()
+
+    def test_sees_running_stats_rebound_by_training(self):
+        m = mini_model(seed=52)
+        before = extractor.hidden_arrays(m)["bn1.running_mean"]
+        m.forward(np.random.default_rng(53).standard_normal((4, 1, 9)), training=True)
+        after = extractor.hidden_arrays(m)["bn1.running_mean"]
+        assert after is m.bns[0].running_mean
+        assert after is not before
+
+    def test_parameters_are_learnable_bundle_keys_then_classifier(self):
+        m = mini_model(seed=54)
+        expected = [k for k in BUNDLE_KEYS if extractor.is_learnable_key(k)]
+        assert list(m.parameters()) == expected + ["classifier.weight", "classifier.bias"]
+        hidden = extractor.hidden_arrays(m)
+        for key in expected:
+            assert m.parameters()[key] is hidden[key]

@@ -1,3 +1,6 @@
+import struct
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import MINI_BLOCKS, MINI_HIDDEN, random_bundle
 from efdls import federation
+from efdls.extractor import WeightBundle
 from efdls.fbst import ConfigError
 from efdls.federation import (
     CommLedger, Federation, FederationConfig, MalformedMessageError, SocketTransport,
@@ -369,3 +373,55 @@ class TestRunFederation:
         with pytest.raises(ConfigError, match="unknown"):
             FederationConfig.from_dict({"n_tot": 1, "datasets": [["a", "synthetic"]],
                                         "bogus_key": 1})
+
+
+def _single_block_message(ndim: int, dims, payload: bytes = b"") -> bytes:
+    """A header for one block (tag 0) followed by that block; the block
+    starts at byte 14."""
+    return (federation.MESSAGE_MAGIC + bytes([federation.MESSAGE_VERSION])
+            + struct.pack("<II", 0, 0) + bytes([1]) + bytes([0, ndim])
+            + struct.pack(f"<{len(dims)}I", *dims) + payload)
+
+
+class TestBlockShapeLimits:
+    @pytest.mark.parametrize("ndim,dims,payload", [
+        (65, (1,) * 65, bytes(4)),  # more dims than numpy can hold
+        (40, (1,) * 40, bytes(4)),  # more than the wire limit
+        (18, (0,) + (2 ** 32 - 1,) * 17, b""),  # size 0, other dims overflow
+        (3, (2 ** 32 - 1, 0, 2 ** 32 - 1), b""),  # "array is too big"
+        (2, (0, 3), b""),  # an empty array
+    ])
+    def test_crafted_block_shape_is_malformed_at_block_offset(self, ndim, dims, payload):
+        with pytest.raises(MalformedMessageError) as err:
+            decode_weight_message(_single_block_message(ndim, dims, payload))
+        assert err.value.offset == 14
+
+    def test_wire_limit_round_trips(self):
+        arr = np.full((1,) * federation.MAX_WIRE_NDIM, 2.5, dtype=np.float32)
+        data = encode_weight_message(WeightBundle({"conv1.kernel": arr}), 0, 0)
+        assert decode_weight_message(data)[0].arrays["conv1.kernel"].shape == arr.shape
+
+    def test_every_first_block_ndim_byte_decodes_or_is_malformed(self):
+        # a zero payload reads back as zero dims wherever ndim runs past the
+        # real dims, which is what reaches numpy's reshape limits
+        bundle = random_bundle(np.random.default_rng(12))
+        for arr in bundle.arrays.values():
+            arr[...] = 0.0
+        data = encode_weight_message(bundle, 0, 0)
+        for value in range(256):
+            buf = bytearray(data)
+            buf[15] = value
+            try:
+                decode_weight_message(bytes(buf))
+            except MalformedMessageError:
+                pass
+
+    @pytest.mark.parametrize("shape", [(1,) * (federation.MAX_WIRE_NDIM + 1), (0, 3)])
+    def test_encoder_refuses_what_the_decoder_rejects(self, shape):
+        bundle = WeightBundle({"conv1.kernel": np.zeros(shape, dtype=np.float32)})
+        with pytest.raises(ValueError, match="wire format range"):
+            encode_weight_message(bundle, 0, 0)
+
+
+def test_config_to_dict_keys_are_the_dataclass_fields_in_order():
+    assert list(toy_config().to_dict()) == [f.name for f in fields(FederationConfig)]

@@ -406,3 +406,21 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             finite_diff_grads(_LinearModel(), np.zeros((1, 4)), _LinearLoss(np.zeros((1, 3))),
                               epsilon=0.0)
+
+
+class TestBatchNormRank:
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 2, 3, 1), (2,)])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_forward_rejects_non_3d_input(self, shape, training):
+        with pytest.raises(ShapeError, match=r"\[batch, channel, length\]"):
+            batchnorm_forward(np.ones(shape), init_batchnorm(2), training=training)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_backward_rejects_non_3d_gradient(self, training):
+        layer = init_batchnorm(2)
+        x = np.random.default_rng(60).standard_normal((4, 2, 3))
+        _, cache = batchnorm_forward(x, layer, training=training, update_running=False,
+                                     want_cache=True)
+        backward = batchnorm_backward if training else nncore.batchnorm_inference_backward
+        with pytest.raises(ShapeError, match=r"\[batch, channel, length\]"):
+            backward(np.ones((4, 2)), layer, cache)
