@@ -30,6 +30,12 @@ class ConfigError(ValueError):
     pass
 
 
+def check_epsilon(epsilon: float) -> None:
+    """The supervised weight must lie strictly inside (0, 1)."""
+    if not 0.0 < epsilon < 1.0:
+        raise ConfigError(f"epsilon must lie strictly inside (0,1), got {epsilon}")
+
+
 @dataclass
 class FBSTConfig:
     epsilon: float = 0.9
@@ -42,8 +48,7 @@ class FBSTConfig:
     teacher_bn_mode: str = "batch"
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError(f"epsilon must lie strictly inside (0,1), got {self.epsilon}")
+        check_epsilon(self.epsilon)
         if self.local_epochs_per_round < 1:
             raise ConfigError("local_epochs_per_round must be >= 1")
         if self.batch_size < 1:
@@ -141,8 +146,7 @@ def sup_loss_logit_grad(probs: np.ndarray, labels: np.ndarray, scale: float = 1.
 
 def total_loss(sup: float, kd: float, epsilon: float) -> float:
     """epsilon-weighted combination of the supervised and KD terms."""
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"epsilon must lie strictly inside (0,1), got {epsilon}")
+    check_epsilon(epsilon)
     return epsilon * sup + (1.0 - epsilon) * kd
 
 
@@ -165,8 +169,7 @@ class DistillationLoss:
     outputs."""
 
     def __init__(self, teacher_trace: ext.ForwardTrace, labels: np.ndarray, epsilon: float):
-        if not 0.0 < epsilon < 1.0:
-            raise ConfigError(f"epsilon must lie strictly inside (0,1), got {epsilon}")
+        check_epsilon(epsilon)
         self.teacher_trace = teacher_trace
         self.labels = np.asarray(labels)
         self.epsilon = epsilon

@@ -4,13 +4,15 @@ One run owns ``n_tot`` users, each holding a student/teacher pair and a
 private dataset; a subset of ``n_conn`` users is connected to the server for
 the whole run. Every federated epoch:
 
-  1. users load whatever the server dispatched at the end of the previous
-     epoch (teachers for efdls/fkd, students for fedavg; nothing at epoch 1);
-  2. every user trains locally (supervised-only until it has a teacher;
+  1. every user trains locally (supervised-only until it has a teacher;
      disconnected users are supervised-only for the whole run);
-  3. connected users upload their hidden-layer bundles;
-  4. once ALL connected uploads for the epoch are in (hard barrier), the
-     server applies the strategy and dispatches one bundle back per user.
+  2. each connected user uploads its hidden-layer bundle as soon as it has
+     trained, and the float64 bundle is released;
+  3. once ALL connected uploads for the epoch are in (hard barrier), the
+     server applies the strategy and dispatches one bundle back per user;
+  4. each download is loaded as soon as it is decoded (teachers for
+     efdls/fkd, students for fedavg). The last epoch's downloads are
+     carried and recorded but never loaded.
 
 Uploads and downloads travel as encoded weight messages (float32 on the
 wire) even in-process, so ledger byte counts are real message sizes and the
@@ -25,6 +27,7 @@ import numbers
 import socket
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -419,15 +422,8 @@ class Federation:
         self.ledger = CommLedger()
         self._own_transport = transport is None
         self.transport = make_transport(config) if transport is None else transport
-        self._pending_loads: dict = {}
 
     def _train_one(self, user: UserState, k: int):
-        if user.user_id in self._pending_loads:
-            target, bundle = self._pending_loads.pop(user.user_id)
-            if target == "teacher":
-                user.pair.load_teacher(bundle)
-            else:
-                user.pair.load_student(bundle)
         try:
             return fbst.local_train_epoch(
                 user.pair, user.dataset.train_tensor(), user.dataset.y_train,
@@ -456,20 +452,28 @@ class Federation:
                 user.connected = user.user_id in resampled
         connected_users = [u for u in self.users if u.connected]
 
-        if config.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(lambda u: self._train_one(u, k), self.users))
-        else:
-            results = [self._train_one(u, k) for u in self.users]
+        def train(user):
+            return self._train_one(user, k)
 
+        pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
+        trained = pool.map(train, self.users) if pool else map(train, self.users)
         uploads = []
-        for user, (report, bundle) in zip(self.users, results):
-            user.last_report = report
-            if on_epoch is not None:
-                on_epoch(user.user_id, k, report)
-            if user.connected and self.strategy.communicates:
-                uploads.append(self._round_trip("upload", bundle, k, user.user_id))
+        try:
+            # Results are taken lazily in user order; each bundle is uploaded
+            # and released before the next one is taken, so with one worker
+            # at most one extracted bundle is alive (zip() would keep the
+            # previous result while taking the next).
+            for user in self.users:
+                report, bundle = next(trained)
+                user.last_report = report
+                if on_epoch is not None:
+                    on_epoch(user.user_id, k, report)
+                if user.connected and self.strategy.communicates:
+                    uploads.append(self._round_trip("upload", bundle, k, user.user_id))
+                del bundle
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
         if self.strategy.communicates and connected_users:
             if len(uploads) != len(connected_users):
@@ -479,7 +483,14 @@ class Federation:
             table = dbwm.WeightTable(entries=uploads, epoch=k)
             for ins in strategies.apply_round(self.strategy, table):
                 uid, bundle = self._round_trip("download", ins.bundle, k, ins.user_id)
-                self._pending_loads[uid] = (ins.target, bundle)
+                # The last epoch's downloads are carried and recorded but
+                # never loaded: training is over.
+                if k < config.fles:
+                    pair = self.users[uid].pair
+                    if ins.target == "teacher":
+                        pair.load_teacher(bundle)
+                    else:
+                        pair.load_student(bundle)
 
     def run(self, on_epoch=None):
         config = self.config

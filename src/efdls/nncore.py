@@ -213,7 +213,6 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
     beta = _per_channel(layer.beta)
 
     if training:
-        n = x.shape[0] * x.shape[2]
         # overflow here is converted into NumericError by the finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
             mu = x.mean(axis=_BN_REDUCE_AXES)
@@ -226,14 +225,14 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
                 denom = delta + layer.zeta
                 out = alpha * centered / _per_channel(denom) + beta
                 stat = sumsq
-                cache = ("literal", centered, delta, denom, n)
+                cache = ("literal", centered, delta, denom)
             else:
                 var = np.mean(centered * centered, axis=_BN_REDUCE_AXES)
                 inv = 1.0 / np.sqrt(var + layer.zeta)
                 xhat = centered * _per_channel(inv)
                 out = alpha * xhat + beta
                 stat = var
-                cache = ("standard", xhat, inv, n)
+                cache = ("standard", xhat, inv)
         if not np.isfinite(stat).all():
             raise NumericError("non-finite batch statistics in batchnorm")
         if update_running:
@@ -274,7 +273,7 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache):
     alpha = _per_channel(layer.alpha)
     g_beta = gout.sum(axis=_BN_REDUCE_AXES)
     if kind == "standard":
-        _, xhat, inv, n = cache
+        _, xhat, inv = cache
         g_alpha = np.sum(gout * xhat, axis=_BN_REDUCE_AXES)
         gh = gout * alpha
         mean_gh = gh.mean(axis=_BN_REDUCE_AXES)
@@ -282,7 +281,7 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache):
         g_input = _per_channel(inv) * (gh - _per_channel(mean_gh)
                                        - xhat * _per_channel(mean_gh_xhat))
     elif kind == "literal":
-        _, centered, delta, denom, n = cache
+        _, centered, delta, denom = cache
         g_alpha = np.sum(gout * centered, axis=_BN_REDUCE_AXES) / denom
         mean_g = gout.mean(axis=_BN_REDUCE_AXES)
         s_gc = np.sum(gout * centered, axis=_BN_REDUCE_AXES)

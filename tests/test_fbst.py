@@ -126,6 +126,11 @@ class TestTotalLoss:
         with pytest.raises(ConfigError):
             FBSTConfig(epsilon=eps)
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, 1.5])
+    def test_distillation_loss_rejects_epsilon_outside_open_interval(self, eps):
+        with pytest.raises(ConfigError, match="strictly inside"):
+            fbst.DistillationLoss(teacher_trace=None, labels=np.zeros(2), epsilon=eps)
+
 
 def small_problem(seed=0, n=12, length=16, num_classes=2):
     rng = np.random.default_rng(seed)

@@ -1,4 +1,6 @@
 import struct
+import threading
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MINI_BLOCKS, MINI_HIDDEN, random_bundle
-from efdls import federation
+from efdls import extractor, fbst, federation, nncore
 from efdls.extractor import WeightBundle
 from efdls.fbst import ConfigError
 from efdls.federation import (
@@ -66,6 +68,17 @@ class TestCommOverhead:
     def test_positive_required(self):
         with pytest.raises(ValueError):
             comm_overhead(0, 1, 1)
+
+
+def _zero_mini_message() -> bytes:
+    """An encoded mini bundle whose payload values are all zero."""
+    bundle = random_bundle(np.random.default_rng(13))
+    for arr in bundle.arrays.values():
+        arr[...] = 0.0
+    return encode_weight_message(bundle, epoch=3, user_id=4)
+
+
+ZERO_MESSAGE = _zero_mini_message()
 
 
 class TestWeightMessageCodec:
@@ -167,6 +180,35 @@ class TestWeightMessageCodec:
         data = encode_weight_message(bundle, 0, 0)
         with pytest.raises(MalformedMessageError, match="non-finite"):
             decode_weight_message(data)
+
+    @given(mutation=st.one_of(
+        st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, len(ZERO_MESSAGE) - 1),
+                                                        st.integers(1, 255)),
+                                              min_size=1, max_size=3)),
+        st.tuples(st.just("truncate"), st.integers(0, len(ZERO_MESSAGE) - 1)),
+        st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_zero_bundle_mutations_round_trip_or_are_malformed(self, mutation):
+        # zero payloads read back as zero dims wherever a corrupted header
+        # runs into them, which is what reaches numpy's reshape limits;
+        # random payloads read as huge dims and stop at the truncation check
+        data = ZERO_MESSAGE
+        mode, arg = mutation
+        if mode == "flip":
+            buf = bytearray(data)
+            for pos, mask in arg:
+                buf[pos] ^= mask
+            mutated = bytes(buf)
+        elif mode == "truncate":
+            mutated = data[:arg]
+        else:
+            mutated = data + arg
+        try:
+            bundle, epoch, uid = decode_weight_message(mutated)
+        except MalformedMessageError:
+            return
+        assert encode_weight_message(bundle, epoch, uid) == mutated
 
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -373,6 +415,112 @@ class TestRunFederation:
         with pytest.raises(ConfigError, match="unknown"):
             FederationConfig.from_dict({"n_tot": 1, "datasets": [["a", "synthetic"]],
                                         "bogus_key": 1})
+
+
+class TestStreamedRound:
+    """Each bundle is uploaded as its user finishes training, and each
+    download is loaded as soon as it is decoded."""
+
+    def test_each_bundle_is_released_before_the_next_user_trains(self, monkeypatch):
+        real = fbst.local_train_epoch
+        refs = []
+
+        def tracking(*args, **kwargs):
+            assert all(ref() is None for ref in refs), "an earlier user's bundle is alive"
+            report, bundle = real(*args, **kwargs)
+            refs.append(weakref.ref(bundle))
+            return report, bundle
+
+        monkeypatch.setattr(fbst, "local_train_epoch", tracking)
+        datasets = [(f"w{i}", "synthetic") for i in range(4)]
+        config = toy_config(n_tot=4, conn_ratio=0.75, fles=2, datasets=datasets)
+        _, ledger = run_federation(config)
+        assert len(refs) == 8
+        assert len(ledger) == 2 * 3 * 2
+
+    @pytest.mark.parametrize("strategy,load", [("efdls", "load_teacher"),
+                                               ("fkd", "load_teacher"),
+                                               ("fedavg", "load_student")])
+    def test_each_download_is_loaded_on_arrival(self, monkeypatch, strategy, load):
+        events = []
+
+        class RecordingTransport(federation.InProcTransport):
+            def download(self, user_id, data):
+                events.append(("download", user_id))
+                return data
+
+        datasets = [(f"w{i}", "synthetic") for i in range(3)]
+        fed = Federation(toy_config(n_tot=3, fles=3, strategy=strategy, datasets=datasets),
+                         transport=RecordingTransport())
+        owner = {id(u.pair): u.user_id for u in fed.users}
+        real_train = fbst.local_train_epoch
+
+        def train(pair, *args, **kwargs):
+            events.append(("train", owner[id(pair)]))
+            return real_train(pair, *args, **kwargs)
+
+        monkeypatch.setattr(fbst, "local_train_epoch", train)
+        for name in ("load_teacher", "load_student"):
+            def loading(pair, bundle, name=name, real=getattr(fbst.FBSTPair, name)):
+                events.append((name, owner[id(pair)]))
+                real(pair, bundle)
+            monkeypatch.setattr(fbst.FBSTPair, name, loading)
+        fed.run()
+
+        expected = []
+        for k in range(1, 4):
+            expected += [("train", uid) for uid in range(3)]
+            for uid in range(3):
+                expected.append(("download", uid))
+                if k < 3:  # the last epoch's downloads are never loaded
+                    expected.append((load, uid))
+        assert events == expected
+
+    def test_last_epoch_downloads_are_recorded_but_never_loaded(self):
+        last = {}
+
+        class RecordingTransport(federation.InProcTransport):
+            def download(self, user_id, data):
+                last[user_id] = data
+                return data
+
+        datasets = [(f"w{i}", "synthetic") for i in range(3)]
+        fed = Federation(toy_config(n_tot=3, fles=2, strategy="fedavg", datasets=datasets),
+                         transport=RecordingTransport())
+        _, ledger = fed.run()
+        assert sorted(e.user_id for e in ledger.entries
+                      if e.epoch == 2 and e.direction == "download") == [0, 1, 2]
+        mean, epoch, _ = decode_weight_message(last[0])
+        assert epoch == 2
+        for user in fed.users:
+            hidden = extractor.hidden_arrays(user.pair.student)
+            assert not all(np.array_equal(hidden[key].astype(np.float32), arr)
+                           for key, arr in mean.arrays.items()), user.user_id
+
+    def test_worker_failure_names_user_and_epoch_and_closes_sockets(self, monkeypatch):
+        datasets = [(f"w{i}", "synthetic") for i in range(4)]
+        fed = Federation(toy_config(n_tot=4, fles=2, datasets=datasets, workers=3,
+                                    transport="socket"))
+        failing = fed.users[2].pair
+        real = fbst.local_train_epoch
+
+        def train(pair, *args, **kwargs):
+            if pair is failing:
+                raise nncore.NumericError("injected non-finite loss")
+            return real(pair, *args, **kwargs)
+
+        monkeypatch.setattr(fbst, "local_train_epoch", train)
+        threads_before = threading.active_count()
+        with pytest.raises(nncore.NumericError,
+                           match=r"^user 2 failed at federated epoch 1: injected"):
+            fed.run()
+        transport = fed.transport
+        sockets = [transport._listener, *transport._user_side.values(),
+                   *transport._server_side.values()]
+        assert len(sockets) == 1 + 2 * 4
+        assert all(s.fileno() == -1 for s in sockets)
+        assert threading.active_count() == threads_before  # the pool has shut down
+        assert [e.user_id for e in fed.ledger.entries] == [0, 1]  # uploads before user 2
 
 
 def _single_block_message(ndim: int, dims, payload: bytes = b"") -> bytes:
