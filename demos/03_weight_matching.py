@@ -7,7 +7,7 @@ similar weights, i.e. similar expertise, end up teaching each other.
 """
 import numpy as np
 
-from efdls import dbwm, extractor
+from efdls import dbwm, extractor, federation
 
 rng = np.random.default_rng(7)
 
@@ -26,19 +26,23 @@ table = dbwm.WeightTable(entries=list(enumerate(bundles)), epoch=1)
 
 d = dbwm.pairwise_distances(table)
 print("pairwise squared distances (diagonal undefined):")
-print(np.array2string(d.values, precision=2))
+print(np.array2string(d, precision=2))
 
-assignment = dbwm.match_partners(d)
-print("\npartners:", {i: assignment.ids[i] for i in range(5)})
+partners = dbwm.match_partners(d)
+print("\npartners:", dict(enumerate(partners)))
 # the first three users pair among themselves, the last two with each other
 
-dispatched = dbwm.dispatch_matched(table, assignment)
+dispatched = dbwm.dispatch_matched(table, partners)
 uid, received = dispatched[0]
-print(f"\nuser {uid} receives a copy of user {assignment.ids[0]}'s bundle "
+print(f"\nuser {uid} receives user {partners[0]}'s bundle "
       f"({received.num_learnable_params()} learnable parameters)")
 
-# Copies are independent: mutating what a user received leaves the table alone.
-received.arrays["dense.bias"][:] = 1e9
-print("table untouched by mutation:",
-      not np.array_equal(bundles[assignment.ids[0]].arrays["dense.bias"],
-                         received.arrays["dense.bias"]))
+# The server hands over the uploaded bundle itself, so users who share a
+# partner share one bundle. Each download is encoded for the wire and decoded
+# on arrival, and the decode gives every user its own copy.
+print("server hands over the upload itself:", received is bundles[partners[0]])
+own, _, _ = federation.decode_weight_message(
+    federation.encode_weight_message(received, epoch=1, user_id=uid))
+own.arrays["dense.bias"][:] = 1e9
+print("upload untouched by a change to the user's copy:",
+      not np.array_equal(bundles[partners[0]].arrays["dense.bias"], own.arrays["dense.bias"]))

@@ -8,8 +8,7 @@ machinery.
 """
 
 from .dataio import DATASET_REGISTRY, TimeSeriesDataset, load_ucr_tsv, make_synthetic_waves
-from .dbwm import DistanceMatrix, MatchAssignment, WeightTable, bundle_distance, \
-    match_partners, pairwise_distances
+from .dbwm import WeightTable, bundle_distance, match_partners, pairwise_distances
 from .extractor import FeatureExtractor, ForwardTrace, WeightBundle, \
     extract_hidden_weights, load_hidden_weights
 from .fbst import FBSTConfig, FBSTPair, LossReport, kd_loss, local_train_epoch, \
@@ -18,14 +17,13 @@ from .federation import CommLedger, FederationConfig, comm_overhead, \
     decode_weight_message, encode_weight_message, run_federation, select_connected
 from .metrics import AccuracyTable, MetricReport, avg_rank, load_reference_table, \
     mean_acc, top1_accuracy, win_tie_lose_best
-from .strategies import StrategyKind, apply_round, fedavg_aggregate
+from .strategies import apply_round, fedavg_aggregate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DATASET_REGISTRY", "TimeSeriesDataset", "load_ucr_tsv", "make_synthetic_waves",
-    "DistanceMatrix", "MatchAssignment", "WeightTable", "bundle_distance",
-    "match_partners", "pairwise_distances",
+    "WeightTable", "bundle_distance", "match_partners", "pairwise_distances",
     "FeatureExtractor", "ForwardTrace", "WeightBundle",
     "extract_hidden_weights", "load_hidden_weights",
     "FBSTConfig", "FBSTPair", "LossReport", "kd_loss", "local_train_epoch",
@@ -34,6 +32,6 @@ __all__ = [
     "decode_weight_message", "encode_weight_message", "run_federation", "select_connected",
     "AccuracyTable", "MetricReport", "avg_rank", "load_reference_table",
     "mean_acc", "top1_accuracy", "win_tie_lose_best",
-    "StrategyKind", "apply_round", "fedavg_aggregate",
+    "apply_round", "fedavg_aggregate",
     "__version__",
 ]

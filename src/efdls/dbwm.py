@@ -3,8 +3,8 @@
 Every federated epoch the server collects one hidden-layer bundle per
 connected user, computes all pairwise squared L2 distances over the learnable
 parameters, gives each user the index of its nearest other user (lowest index
-wins ties), and dispatches a copy of that partner's bundle back. Matching is
-not forced symmetric and many users may share one partner.
+wins ties), and dispatches that partner's bundle back. Matching is not
+forced symmetric and many users may share one partner.
 
 Distances come from a Gram screen followed by an exact recheck:
 
@@ -69,21 +69,6 @@ class WeightTable:
         return [b for _, b in self.entries]
 
 
-@dataclass
-class DistanceMatrix:
-    """Symmetric pairwise squared distances; the diagonal is undefined and
-    stored as NaN."""
-
-    values: np.ndarray
-
-
-@dataclass
-class MatchAssignment:
-    """ids[i] is the table index of user i's partner (never i itself)."""
-
-    ids: list
-
-
 def bundle_distance(a: WeightBundle, b: WeightBundle) -> float:
     """Squared L2 distance over learnable parameters only; running statistics
     are carried in bundles but never measured. Accumulates in float64."""
@@ -112,9 +97,10 @@ def _gram_matrix(bundles: list) -> np.ndarray:
     return np.triu(gram) + np.triu(gram, 1).T
 
 
-def pairwise_distances(table: WeightTable) -> DistanceMatrix:
-    """All-pairs distances: a Gram screen, then an exact ``bundle_distance``
-    for every entry that could be its row's minimum (see the module notes)."""
+def pairwise_distances(table: WeightTable) -> np.ndarray:
+    """Symmetric all-pairs squared distances with a NaN diagonal: a Gram
+    screen, then an exact ``bundle_distance`` for every entry that could be
+    its row's minimum (see the module notes)."""
     n = len(table)
     if n < 2:
         raise InsufficientUsersError(
@@ -140,34 +126,28 @@ def pairwise_distances(table: WeightTable) -> DistanceMatrix:
     maybe_min = ~(values - slack > upper.min(axis=1, keepdims=True))
     for i, j in zip(*np.nonzero(np.triu(maybe_min | maybe_min.T, 1))):
         values[i, j] = values[j, i] = bundle_distance(bundles[i], bundles[j])
-    return DistanceMatrix(values)
+    return values
 
 
-def match_partners(d: DistanceMatrix) -> MatchAssignment:
+def match_partners(distances: np.ndarray) -> list:
     """Row-wise argmin over the off-diagonal entries; ties break to the
-    lowest index."""
-    values = d.values.copy()
+    lowest index. Entry i is the table index of user i's partner, never i."""
+    values = distances.copy()
     if values.shape[0] < 2:
         raise InsufficientUsersError("matching needs at least 2 users")
     np.fill_diagonal(values, np.inf)
-    return MatchAssignment(np.argmin(values, axis=1).tolist())
+    return np.argmin(values, axis=1).tolist()
 
 
-def dispatch_matched(table: WeightTable, assignment: MatchAssignment) -> list:
-    """Per user, an independent copy of the partner's bundle:
-    returns [(user_id, partner_bundle_copy), ...] in table order."""
-    if len(assignment.ids) != len(table):
-        raise ValueError(
-            f"assignment covers {len(assignment.ids)} users, table has {len(table)}"
-        )
-    out = []
+def dispatch_matched(table: WeightTable, partners: list) -> list:
+    """Per user, the partner's uploaded bundle itself (not a copy):
+    returns [(user_id, partner_bundle), ...] in table order."""
+    if len(partners) != len(table):
+        raise ValueError(f"assignment covers {len(partners)} users, table has {len(table)}")
     bundles = table.bundles()
-    for i, (uid, _) in enumerate(table.entries):
-        j = assignment.ids[i]
-        out.append((uid, bundles[j].copy(epoch_tag=table.epoch)))
-    return out
+    return [(uid, bundles[j]) for uid, j in zip(table.user_ids(), partners)]
 
 
 def match_table(table: WeightTable) -> list:
-    """Full pipeline: distances -> argmin -> dispatched copies."""
+    """Full pipeline: distances -> argmin -> partner bundles."""
     return dispatch_matched(table, match_partners(pairwise_distances(table)))

@@ -58,11 +58,9 @@ class WeightBundle:
     def num_learnable_params(self) -> int:
         return sum(v.size for _, v in self.learnable_items())
 
-    def copy(self, epoch_tag: int | None = None) -> "WeightBundle":
-        return WeightBundle(
-            arrays={k: v.copy() for k, v in self.arrays.items()},
-            epoch_tag=self.epoch_tag if epoch_tag is None else epoch_tag,
-        )
+    def copy(self) -> "WeightBundle":
+        return WeightBundle(arrays={k: v.copy() for k, v in self.arrays.items()},
+                            epoch_tag=self.epoch_tag)
 
     def same_shapes(self, other: "WeightBundle") -> bool:
         if self.arrays.keys() != other.arrays.keys():

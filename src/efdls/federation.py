@@ -9,10 +9,11 @@ the whole run. Every federated epoch:
   2. each connected user uploads its hidden-layer bundle as soon as it has
      trained, and the float64 bundle is released;
   3. once ALL connected uploads for the epoch are in (hard barrier), the
-     server applies the strategy and dispatches one bundle back per user;
-  4. each download is loaded as soon as it is decoded (teachers for
-     efdls/fkd, students for fedavg). The last epoch's downloads are
-     carried and recorded but never loaded.
+     server applies the strategy's row of ``strategies.ROUNDS`` and
+     dispatches one bundle back per user;
+  4. each download is loaded as soon as it is decoded, by the row's
+     ``FBSTPair`` method (teachers for efdls/fkd, students for fedavg). The
+     last epoch's downloads are carried and recorded but never loaded.
 
 Uploads and downloads travel as encoded weight messages (float32 on the
 wire) even in-process, so ledger byte counts are real message sizes and the
@@ -86,10 +87,13 @@ class FederationConfig:
             raise ConfigError("at least one dataset assignment is required")
         if self.transport not in ("inproc", "socket"):
             raise ConfigError(f"transport must be 'inproc' or 'socket', got '{self.transport}'")
-        strategies.StrategyKind(self.strategy)  # validates the tag
+        if self.strategy not in strategies.ROUNDS:
+            raise ConfigError(f"unknown strategy '{self.strategy}', "
+                              f"expected one of {strategies.STRATEGY_TAGS}")
         self.blocks = tuple((int(k), int(c)) for k, c in self.blocks)
         self.datasets = [tuple(d) if not isinstance(d, dict) else (d["name"], d["path"])
                          for d in self.datasets]
+        self.fbst_config()  # validates the local-training fields
 
     @property
     def n_conn(self) -> int:
@@ -217,13 +221,16 @@ def decode_weight_message(data: bytes) -> tuple:
     values must be finite."""
     offset = 0
 
-    def take(n: int, what: str) -> bytes:
+    def skip(n: int, what: str) -> int:
+        """Move past the next n bytes; returns where they start."""
         nonlocal offset
         if offset + n > len(data):
             raise MalformedMessageError(f"message truncated while reading {what}", len(data))
-        chunk = data[offset:offset + n]
         offset += n
-        return chunk
+        return offset - n
+
+    def take(n: int, what: str) -> bytes:
+        return data[skip(n, what):offset]
 
     magic = take(4, "magic")
     if magic != MESSAGE_MAGIC:
@@ -251,9 +258,11 @@ def decode_weight_message(data: bytes) -> tuple:
         numel = 1
         for d in dims:
             numel *= d
-        payload_offset = offset
-        payload = take(4 * numel, f"block {b} payload")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        payload_offset = skip(4 * numel, f"block {b} payload")
+        # read in place and copied once; the temporary view is gone before
+        # any error below, so ``data`` is never left exported
+        arr = np.frombuffer(data, dtype="<f4", count=numel,
+                            offset=payload_offset).reshape(dims).copy()
         if not np.isfinite(arr).all():
             raise MalformedMessageError(f"non-finite values in block {b}", payload_offset)
         arrays[key] = arr
@@ -417,7 +426,7 @@ class Federation:
 
     def __init__(self, config: FederationConfig, transport=None):
         self.config = config
-        self.strategy = strategies.StrategyKind(config.strategy)
+        self.round = strategies.ROUNDS[config.strategy]
         self.users = build_users(config)
         self.ledger = CommLedger()
         self._own_transport = transport is None
@@ -468,33 +477,32 @@ class Federation:
                 user.last_report = report
                 if on_epoch is not None:
                     on_epoch(user.user_id, k, report)
-                if user.connected and self.strategy.communicates:
+                if user.connected and self.round is not None:
                     uploads.append(self._round_trip("upload", bundle, k, user.user_id))
                 del bundle
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-        if self.strategy.communicates and connected_users:
+        if self.round is not None and connected_users:
             if len(uploads) != len(connected_users):
                 raise BarrierError(
                     f"epoch {k}: {len(uploads)} uploads present, "
                     f"{len(connected_users)} connected users expected")
             table = dbwm.WeightTable(entries=uploads, epoch=k)
-            for ins in strategies.apply_round(self.strategy, table):
-                uid, bundle = self._round_trip("download", ins.bundle, k, ins.user_id)
+            _, load = self.round
+            for uid, bundle in strategies.apply_round(config.strategy, table):
+                # Downloads may share one bundle; decoding gives each user
+                # its own copy.
+                uid, bundle = self._round_trip("download", bundle, k, uid)
                 # The last epoch's downloads are carried and recorded but
                 # never loaded: training is over.
                 if k < config.fles:
-                    pair = self.users[uid].pair
-                    if ins.target == "teacher":
-                        pair.load_teacher(bundle)
-                    else:
-                        pair.load_student(bundle)
+                    getattr(self.users[uid].pair, load)(bundle)
 
     def run(self, on_epoch=None):
         config = self.config
-        if self.strategy.communicates:
+        if self.round is not None:
             reachable = self.users if config.conn_resample \
                 else [u for u in self.users if u.connected]
             self.transport.connect([u.user_id for u in reachable])
@@ -513,7 +521,7 @@ class Federation:
             preds = user.pair.student.predict(user.dataset.test_tensor())
             accs.append(metrics.top1_accuracy(preds, user.dataset.y_test))
             rows.append(f"{user.user_id:02d}_{user.dataset.name}")
-        table = metrics.AccuracyTable(datasets=rows, algorithms=[self.strategy.tag],
+        table = metrics.AccuracyTable(datasets=rows, algorithms=[self.config.strategy],
                                       values=np.array(accs)[:, None])
         return metrics.MetricReport.from_table(table)
 

@@ -1,49 +1,28 @@
 """Per-round aggregation strategies.
 
-Four strategies share one interface: given the epoch's weight table, produce
-load instructions telling each user what to put where.
+Each strategy is one row of ``ROUNDS``: the server step that turns the
+epoch's complete weight table into one download per connected user, and the
+name of the ``FBSTPair`` method that loads each download.
 
   baseline  no sharing at all (and no uploads happen either);
   fedavg    elementwise mean of every bundle, loaded into each STUDENT;
   fkd       the same mean, loaded into each TEACHER;
   efdls     nearest-neighbor weight matching, partner bundles into TEACHERS.
 
-FedAvgM / FedGrad / FTL / FTLS variants are out of scope; this module is the
+Downloads share bundles: every fedavg/fkd user is handed the one mean, and an
+efdls user its partner's uploaded bundle itself. Each download is encoded
+and decoded on its way to the user, so every user loads a private copy.
+
+FedAvgM / FedGrad / FTL / FTLS variants are out of scope; a new row is the
 extension point for adding them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import dbwm
 from .extractor import WeightBundle
-
-STRATEGY_TAGS = ("baseline", "fedavg", "fkd", "efdls")
-
-
-@dataclass(frozen=True)
-class StrategyKind:
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in STRATEGY_TAGS:
-            raise ValueError(f"unknown strategy '{self.tag}', expected one of {STRATEGY_TAGS}")
-
-    @property
-    def communicates(self) -> bool:
-        return self.tag != "baseline"
-
-
-@dataclass(frozen=True)
-class LoadInstruction:
-    """Tells one user to load a bundle into its student or teacher."""
-
-    user_id: int
-    target: str  # "student" | "teacher"
-    bundle: WeightBundle
 
 
 def fedavg_aggregate(table: dbwm.WeightTable) -> WeightBundle:
@@ -60,17 +39,30 @@ def fedavg_aggregate(table: dbwm.WeightTable) -> WeightBundle:
     return WeightBundle(arrays=mean_arrays, epoch_tag=table.epoch)
 
 
-def apply_round(strategy: StrategyKind, table: dbwm.WeightTable) -> list:
-    """Turn a complete epoch table into per-user load instructions."""
-    if strategy.tag == "baseline":
-        return []
-    if strategy.tag in ("fedavg", "fkd"):
-        mean = fedavg_aggregate(table)
-        target = "student" if strategy.tag == "fedavg" else "teacher"
-        return [LoadInstruction(uid, target, mean.copy()) for uid in table.user_ids()]
-    # efdls: with a single connected user no partner exists and the user
-    # simply trains supervised-only this round.
-    if len(table) < 2:
-        return []
-    return [LoadInstruction(uid, "teacher", bundle)
-            for uid, bundle in dbwm.match_table(table)]
+def _mean_for_all(table: dbwm.WeightTable) -> list:
+    mean = fedavg_aggregate(table)
+    return [(uid, mean) for uid in table.user_ids()]
+
+
+def _match(table: dbwm.WeightTable) -> list:
+    # With a single connected user no partner exists and the user simply
+    # trains supervised-only this round.
+    return dbwm.match_table(table) if len(table) >= 2 else []
+
+
+# tag -> (server step, FBSTPair load method name); baseline never communicates.
+# Rows hold a method name and helpers that reach fedavg_aggregate and
+# dbwm.match_table through module attributes, so a wrapper installed on any
+# of them after import is still called.
+ROUNDS = {"baseline": None,
+          "fedavg": (_mean_for_all, "load_student"),
+          "fkd": (_mean_for_all, "load_teacher"),
+          "efdls": (_match, "load_teacher")}
+STRATEGY_TAGS = tuple(ROUNDS)
+
+
+def apply_round(tag: str, table: dbwm.WeightTable) -> list:
+    """Turn a complete epoch table into [(user_id, bundle)] downloads in
+    table order; baseline gives none."""
+    row = ROUNDS[tag]
+    return [] if row is None else row[0](table)

@@ -94,6 +94,12 @@ class TestRun:
         assert rc == 1
         assert "Ghost" in capsys.readouterr().err
 
+    def test_unknown_strategy_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, strategy="fedprox")
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: unknown strategy 'fedprox'")
+
 
 class TestSweeps:
     def test_ratio_single_value_equivalent_to_run(self, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_bundle
 from efdls import dbwm
 from efdls.dbwm import (
-    InsufficientUsersError, MatchAssignment, WeightTable, bundle_distance,
+    InsufficientUsersError, WeightTable, bundle_distance,
     dispatch_matched, match_partners, pairwise_distances,
 )
 from efdls.extractor import WeightBundle
@@ -116,21 +116,21 @@ class TestPairwiseDistances:
         b = random_bundle(rng)
         table = WeightTable(entries=[(0, b), (1, b.copy())], epoch=1)
         d = pairwise_distances(table)
-        assert d.values[0, 1] == 0.0 and d.values[1, 0] == 0.0
-        assert np.isnan(d.values[0, 0]) and np.isnan(d.values[1, 1])
+        assert d[0, 1] == 0.0 and d[1, 0] == 0.0
+        assert np.isnan(d[0, 0]) and np.isnan(d[1, 1])
 
     def test_scalar_example_matrix(self):
         d = pairwise_distances(table_of([0.0, 1.0, 10.0]))
         expected = np.array([[np.nan, 1.0, 100.0],
                              [1.0, np.nan, 81.0],
                              [100.0, 81.0, np.nan]])
-        np.testing.assert_allclose(d.values, expected, equal_nan=True)
+        np.testing.assert_allclose(d, expected, equal_nan=True)
 
     def test_six_random_bundles_match_brute_force(self):
         rng = np.random.default_rng(6)
         bundles = [random_bundle(rng) for _ in range(6)]
         table = WeightTable(entries=list(enumerate(bundles)), epoch=1)
-        got = pairwise_distances(table).values
+        got = pairwise_distances(table)
         want = brute_force_matrix(bundles)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         mask = ~np.isnan(want)
@@ -139,7 +139,7 @@ class TestPairwiseDistances:
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(7)
         bundles = [random_bundle(rng) for _ in range(5)]
-        d = pairwise_distances(WeightTable(entries=list(enumerate(bundles)))).values
+        d = pairwise_distances(WeightTable(entries=list(enumerate(bundles))))
         for i in range(5):
             for j in range(i + 1, 5):
                 assert d[i, j] == d[j, i]
@@ -151,11 +151,11 @@ class TestPairwiseDistances:
 
 class TestMatchPartners:
     def test_two_users_mutual(self):
-        ids = match_partners(pairwise_distances(table_of([2.0, 9.0]))).ids
+        ids = match_partners(pairwise_distances(table_of([2.0, 9.0])))
         assert ids == [1, 0]
 
     def test_scalar_example_assignment(self):
-        ids = match_partners(pairwise_distances(table_of([0.0, 1.0, 10.0]))).ids
+        ids = match_partners(pairwise_distances(table_of([0.0, 1.0, 10.0])))
         assert ids == [1, 0, 1]
 
     def test_never_self(self):
@@ -163,7 +163,7 @@ class TestMatchPartners:
         for n in (2, 5, 9):
             bundles = [random_bundle(rng) for _ in range(n)]
             ids = match_partners(pairwise_distances(
-                WeightTable(entries=list(enumerate(bundles))))).ids
+                WeightTable(entries=list(enumerate(bundles)))))
             assert all(ids[i] != i for i in range(n))
 
     def test_matches_exhaustive_oracle_with_duplicate_ties(self):
@@ -174,23 +174,23 @@ class TestMatchPartners:
             bundles[6] = bundles[1].copy()
             table = WeightTable(entries=list(enumerate(bundles)))
             d = pairwise_distances(table)
-            got = match_partners(d).ids
-            assert got == exhaustive_argmin(d.values)
+            got = match_partners(d)
+            assert got == exhaustive_argmin(d)
 
     def test_tie_breaks_to_lowest_index(self):
         # users 1 and 2 both sit at distance 0 from user 0
         rng = np.random.default_rng(10)
         b = random_bundle(rng)
         table = WeightTable(entries=[(0, b), (1, b.copy()), (2, b.copy())])
-        ids = match_partners(pairwise_distances(table)).ids
+        ids = match_partners(pairwise_distances(table))
         assert ids[0] == 1
 
     def test_certificate_of_optimality(self):
         rng = np.random.default_rng(11)
         for n in (2, 7, 16):
             bundles = [random_bundle(rng) for _ in range(n)]
-            d = pairwise_distances(WeightTable(entries=list(enumerate(bundles)))).values
-            ids = match_partners(dbwm.DistanceMatrix(d)).ids
+            d = pairwise_distances(WeightTable(entries=list(enumerate(bundles))))
+            ids = match_partners(d)
             for i in range(n):
                 for j in range(n):
                     if j != i:
@@ -206,31 +206,17 @@ class TestDispatch:
         assert np.array_equal(out[10].arrays["dense.weight"], b1.arrays["dense.weight"])
         assert np.array_equal(out[20].arrays["dense.weight"], b0.arrays["dense.weight"])
 
-    def test_many_to_one_receives_independent_copies(self):
+    def test_many_to_one_shares_the_partners_uploaded_bundle(self):
         table = table_of([0.0, 1.0, 10.0])
-        out = dispatch_matched(table, MatchAssignment(ids=[1, 0, 1]))
-        got = dict(out)
+        got = dict(dispatch_matched(table, [1, 0, 1]))
         assert got[0].arrays["dense.weight"][0, 0] == 1.0
         assert got[2].arrays["dense.weight"][0, 0] == 1.0
-        got[0].arrays["dense.weight"][0, 0] = 99.0
-        assert got[2].arrays["dense.weight"][0, 0] == 1.0
-
-    def test_dispatch_does_not_alias_the_table(self):
-        rng = np.random.default_rng(13)
-        bundles = [random_bundle(rng) for _ in range(3)]
-        originals = [{k: v.copy() for k, v in b.arrays.items()} for b in bundles]
-        table = WeightTable(entries=list(enumerate(bundles)), epoch=2)
-        out = dbwm.match_table(table)
-        for _, received in out:
-            for arr in received.arrays.values():
-                arr += 123.0
-        for b, orig in zip(bundles, originals):
-            for k in b.arrays:
-                assert np.array_equal(b.arrays[k], orig[k])
+        uploaded = table.bundles()
+        assert got[0] is uploaded[1] and got[2] is uploaded[1] and got[1] is uploaded[0]
 
     def test_inconsistent_assignment_rejected(self):
         with pytest.raises(ValueError):
-            dispatch_matched(table_of([1.0, 2.0]), MatchAssignment(ids=[1]))
+            dispatch_matched(table_of([1.0, 2.0]), [1])
 
     def test_pipeline_is_pure_function_of_table(self):
         rng = np.random.default_rng(14)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import random_bundle
 from efdls import dbwm, extractor
 from efdls.dbwm import (
-    DistanceMatrix, WeightTable, bundle_distance, match_partners, pairwise_distances,
+    WeightTable, bundle_distance, match_partners, pairwise_distances,
 )
 from efdls.extractor import WeightBundle
 from efdls.nncore import ShapeError
@@ -23,7 +23,7 @@ from efdls.nncore import ShapeError
 EPS = np.finfo(np.float64).eps
 
 
-def loop_pairwise_distances(table: WeightTable) -> DistanceMatrix:
+def loop_pairwise_distances(table: WeightTable) -> np.ndarray:
     """All-pairs distances; each unordered pair computed once and mirrored."""
     n = len(table)
     bundles = table.bundles()
@@ -33,7 +33,7 @@ def loop_pairwise_distances(table: WeightTable) -> DistanceMatrix:
             d = bundle_distance(bundles[i], bundles[j])
             values[i, j] = d
             values[j, i] = d
-    return DistanceMatrix(values)
+    return values
 
 
 def loop_argmin(values: np.ndarray) -> list:
@@ -63,15 +63,15 @@ def assert_matches_loop(bundles: list) -> tuple:
     """Check the screened matrix against the oracle; returns both."""
     n = len(bundles)
     table = WeightTable(entries=list(enumerate(bundles)), epoch=1)
-    got = pairwise_distances(table).values
-    want = loop_pairwise_distances(table).values
+    got = pairwise_distances(table)
+    want = loop_pairwise_distances(table)
 
     off = ~np.eye(n, dtype=bool)
     assert np.isnan(np.diag(got)).all()
     assert not np.isnan(got[off]).any()
     assert np.array_equal(got, got.T, equal_nan=True)
 
-    ids = match_partners(DistanceMatrix(got)).ids
+    ids = match_partners(got)
     assert ids == loop_argmin(want)
     rows = np.arange(n)
     assert np.array_equal(got[rows, ids].view(np.int64), want[rows, ids].view(np.int64))

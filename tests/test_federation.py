@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MINI_BLOCKS, MINI_HIDDEN, random_bundle
-from efdls import extractor, fbst, federation, nncore
+from efdls import dbwm, extractor, fbst, federation, nncore, strategies
 from efdls.extractor import WeightBundle
 from efdls.fbst import ConfigError
 from efdls.federation import (
@@ -108,9 +108,24 @@ class TestWeightMessageCodec:
     def test_bad_magic_offset_zero(self):
         data = bytearray(encode_weight_message(random_bundle(np.random.default_rng(4)), 0, 0))
         data[0] ^= 0xFF
-        with pytest.raises(MalformedMessageError) as err:
+        with pytest.raises(MalformedMessageError, match=r"^bad magic b'\\xbaFDL' ") as err:
             decode_weight_message(bytes(data))
         assert err.value.offset == 0
+
+    def test_decoded_arrays_own_their_memory(self):
+        bundle = random_bundle(np.random.default_rng(14))
+        buf = bytearray(encode_weight_message(bundle, epoch=2, user_id=3))
+        short = buf[:-1]
+        with pytest.raises(MalformedMessageError) as err:
+            decode_weight_message(short)
+        short.append(0)  # the held error does not pin the buffer
+        assert err.value.offset == len(buf) - 1
+        decoded, _, _ = decode_weight_message(buf)
+        buf[14:] = bytes(len(buf) - 14)  # zero every block, header and payload
+        for key, arr in bundle.arrays.items():
+            got = decoded.arrays[key]
+            assert np.array_equal(got, arr.astype(np.float32))
+            assert got.flags.writeable and got.flags.owndata
 
     def test_bad_version_offset_four(self):
         data = bytearray(encode_weight_message(random_bundle(np.random.default_rng(5)), 0, 0))
@@ -416,6 +431,16 @@ class TestRunFederation:
             FederationConfig.from_dict({"n_tot": 1, "datasets": [["a", "synthetic"]],
                                         "bogus_key": 1})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("epsilon", 1.5, "epsilon must lie strictly inside"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("local_epochs", 0, "local_epochs_per_round must be >= 1"),
+        ("teacher_bn_mode", "bogus", "teacher_bn_mode must be 'batch' or 'running'"),
+    ])
+    def test_local_training_fields_checked_when_config_is_built(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            FederationConfig(n_tot=2, datasets=[("s", "synthetic")], **{field: value})
+
 
 class TestStreamedRound:
     """Each bundle is uploaded as its user finishes training, and each
@@ -521,6 +546,70 @@ class TestStreamedRound:
         assert all(s.fileno() == -1 for s in sockets)
         assert threading.active_count() == threads_before  # the pool has shut down
         assert [e.user_id for e in fed.ledger.entries] == [0, 1]  # uploads before user 2
+
+
+class TestRoundTable:
+    """The server hands one bundle to every user who downloads it; decoding
+    the download gives each user a private copy."""
+
+    @pytest.mark.parametrize("strategy,model", [("efdls", "teacher"), ("fkd", "teacher"),
+                                                ("fedavg", "student")])
+    def test_shared_downloads_leave_private_models_and_intact_uploads(
+            self, monkeypatch, strategy, model):
+        rounds = []
+        real_round = strategies.apply_round
+
+        def recording(tag, table):
+            before = [{k: v.copy() for k, v in b.arrays.items()} for b in table.bundles()]
+            downloads = real_round(tag, table)
+            rounds.append((table, before, downloads))
+            return downloads
+
+        monkeypatch.setattr(strategies, "apply_round", recording)
+        # users 0 and 2 both download user 1's bundle
+        monkeypatch.setattr(dbwm, "match_partners", lambda distances: [1, 0, 1])
+        datasets = [(f"w{i}", "synthetic") for i in range(3)]
+        fed = Federation(toy_config(n_tot=3, fles=2, strategy=strategy, datasets=datasets))
+        fed.run()
+
+        assert len(rounds) == 2
+        for table, before, _ in rounds:
+            for bundle, arrays in zip(table.bundles(), before):
+                for key, arr in arrays.items():
+                    assert np.array_equal(bundle.arrays[key], arr)
+        # epoch 1's downloads are the last ones loaded
+        downloads = dict(rounds[0][2])
+        source = downloads[0]
+        assert downloads[2] is source
+        models = {uid: extractor.hidden_arrays(getattr(fed.users[uid].pair, model))
+                  for uid in (0, 2)}
+        for key, arr in source.arrays.items():
+            assert not np.shares_memory(models[0][key], models[2][key])
+            for uid in (0, 2):
+                assert not np.shares_memory(models[uid][key], arr)
+                if model == "teacher":  # teachers keep what they loaded
+                    assert np.array_equal(models[uid][key], arr.astype(np.float32))
+
+    @pytest.mark.parametrize("strategy,module,name", [
+        ("fedavg", strategies, "fedavg_aggregate"),
+        ("fkd", strategies, "fedavg_aggregate"),
+        ("efdls", dbwm, "pairwise_distances"),
+        ("efdls", dbwm, "match_partners"),
+        ("efdls", dbwm, "dispatch_matched"),
+    ])
+    def test_patched_module_attributes_are_seen_by_run(self, monkeypatch, strategy,
+                                                       module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        config = toy_config(strategy=strategy)
+        run_federation(config)
+        assert len(calls) == config.fles
 
 
 def _single_block_message(ndim: int, dims, payload: bytes = b"") -> bytes:

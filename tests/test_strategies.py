@@ -4,7 +4,8 @@ import pytest
 from conftest import random_bundle
 from efdls import dbwm, strategies
 from efdls.extractor import WeightBundle
-from efdls.strategies import LoadInstruction, StrategyKind, apply_round, fedavg_aggregate
+from efdls.federation import FederationConfig
+from efdls.strategies import ROUNDS, STRATEGY_TAGS, apply_round, fedavg_aggregate
 
 
 def scalar_bundle(value: float) -> WeightBundle:
@@ -17,14 +18,13 @@ def table_from(bundles, epoch=1) -> dbwm.WeightTable:
 
 class TestStrategyKind:
     def test_known_tags(self):
-        for tag in ("baseline", "fedavg", "fkd", "efdls"):
-            assert StrategyKind(tag).tag == tag
-        assert not StrategyKind("baseline").communicates
-        assert StrategyKind("efdls").communicates
+        assert STRATEGY_TAGS == ("baseline", "fedavg", "fkd", "efdls")
+        assert ROUNDS["baseline"] is None
+        assert ROUNDS["efdls"] is not None
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
-            StrategyKind("fedprox")
+            FederationConfig(n_tot=2, datasets=[("s", "synthetic")], strategy="fedprox")
 
 
 class TestFedavgAggregate:
@@ -72,59 +72,76 @@ class TestApplyRound:
     def test_baseline_produces_no_instructions(self):
         rng = np.random.default_rng(4)
         table = table_from([random_bundle(rng) for _ in range(3)])
-        assert apply_round(StrategyKind("baseline"), table) == []
+        assert apply_round("baseline", table) == []
 
     def test_fkd_identical_bundles_mean_is_that_bundle(self):
         rng = np.random.default_rng(5)
         b = random_bundle(rng)
         table = table_from([b.copy(), b.copy(), b.copy()])
-        instructions = apply_round(StrategyKind("fkd"), table)
-        assert len(instructions) == 3
-        for ins in instructions:
-            assert ins.target == "teacher"
+        downloads = apply_round("fkd", table)
+        assert len(downloads) == 3
+        assert ROUNDS["fkd"][1] == "load_teacher"
+        for _, bundle in downloads:
             for k in b.arrays:
-                np.testing.assert_allclose(ins.bundle.arrays[k], b.arrays[k], atol=1e-12)
+                np.testing.assert_allclose(bundle.arrays[k], b.arrays[k], atol=1e-12)
 
     def test_fedavg_targets_students_with_identical_mean(self):
         rng = np.random.default_rng(6)
         table = table_from([random_bundle(rng) for _ in range(4)])
-        instructions = apply_round(StrategyKind("fedavg"), table)
-        assert all(ins.target == "student" for ins in instructions)
-        ref = instructions[0].bundle
-        for ins in instructions[1:]:
+        downloads = apply_round("fedavg", table)
+        assert ROUNDS["fedavg"][1] == "load_student"
+        ref = downloads[0][1]
+        for _, bundle in downloads[1:]:
             for k in ref.arrays:
-                assert np.array_equal(ins.bundle.arrays[k], ref.arrays[k])
+                assert np.array_equal(bundle.arrays[k], ref.arrays[k])
 
     def test_efdls_two_users_matches_dbwm_swap(self):
         rng = np.random.default_rng(7)
         b0, b1 = random_bundle(rng), random_bundle(rng)
         table = table_from([b0, b1])
-        instructions = {ins.user_id: ins for ins in apply_round(StrategyKind("efdls"), table)}
+        downloads = dict(apply_round("efdls", table))
         expected = dict(dbwm.match_table(table))
-        assert set(instructions) == {0, 1}
-        for uid, ins in instructions.items():
-            assert ins.target == "teacher"
-            for k in ins.bundle.arrays:
-                assert np.array_equal(ins.bundle.arrays[k], expected[uid].arrays[k])
+        assert set(downloads) == {0, 1}
+        assert ROUNDS["efdls"][1] == "load_teacher"
+        for uid, bundle in downloads.items():
+            for k in bundle.arrays:
+                assert np.array_equal(bundle.arrays[k], expected[uid].arrays[k])
 
     def test_efdls_user_i_receives_table_entry_of_its_partner(self):
         rng = np.random.default_rng(8)
         bundles = [random_bundle(rng) for _ in range(5)]
         table = table_from(bundles)
-        ids = dbwm.match_partners(dbwm.pairwise_distances(table)).ids
-        for ins in apply_round(StrategyKind("efdls"), table):
-            partner = ids[ins.user_id]
-            for k in ins.bundle.arrays:
-                assert np.array_equal(ins.bundle.arrays[k], bundles[partner].arrays[k])
+        ids = dbwm.match_partners(dbwm.pairwise_distances(table))
+        for uid, bundle in apply_round("efdls", table):
+            partner = ids[uid]
+            for k in bundle.arrays:
+                assert np.array_equal(bundle.arrays[k], bundles[partner].arrays[k])
 
     def test_efdls_single_user_round_is_skipped(self):
         rng = np.random.default_rng(9)
-        assert apply_round(StrategyKind("efdls"), table_from([random_bundle(rng)])) == []
+        assert apply_round("efdls", table_from([random_bundle(rng)])) == []
 
-    def test_instruction_bundles_are_copies(self):
+    @pytest.mark.parametrize("tag", ["fedavg", "fkd"])
+    def test_every_user_is_handed_the_one_mean(self, tag, monkeypatch):
         rng = np.random.default_rng(10)
-        table = table_from([random_bundle(rng) for _ in range(2)])
-        (a, b) = apply_round(StrategyKind("fkd"), table)
-        a.bundle.arrays["dense.weight"][...] = 7.0
-        assert not np.array_equal(a.bundle.arrays["dense.weight"],
-                                  b.bundle.arrays["dense.weight"])
+        table = table_from([random_bundle(rng) for _ in range(3)], epoch=4)
+        means = []
+
+        def aggregate(t):
+            means.append(fedavg_aggregate(t))
+            return means[-1]
+
+        monkeypatch.setattr(strategies, "fedavg_aggregate", aggregate)
+        downloads = apply_round(tag, table)
+        assert [uid for uid, _ in downloads] == [0, 1, 2]
+        assert len(means) == 1
+        assert all(bundle is means[0] for _, bundle in downloads)
+
+    def test_efdls_hands_over_the_uploaded_bundles(self):
+        rng = np.random.default_rng(11)
+        bundles = [random_bundle(rng) for _ in range(5)]
+        table = table_from(bundles)
+        ids = dbwm.match_partners(dbwm.pairwise_distances(table))
+        downloads = apply_round("efdls", table)
+        assert [uid for uid, _ in downloads] == list(range(5))
+        assert all(bundle is bundles[ids[uid]] for uid, bundle in downloads)
