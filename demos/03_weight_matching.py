@@ -22,9 +22,9 @@ def make_bundle(base_seed, nudge):
 
 bundles = [make_bundle(0, 0.01), make_bundle(0, 0.01), make_bundle(0, 0.015),
            make_bundle(99, 0.01), make_bundle(99, 0.012)]
-table = dbwm.WeightTable(entries=list(enumerate(bundles)), epoch=1)
+uploads = list(enumerate(bundles))
 
-d = dbwm.pairwise_distances(table)
+d = dbwm.pairwise_distances(bundles)
 print("pairwise squared distances (diagonal undefined):")
 print(np.array2string(d, precision=2))
 
@@ -32,7 +32,7 @@ partners = dbwm.match_partners(d)
 print("\npartners:", dict(enumerate(partners)))
 # the first three users pair among themselves, the last two with each other
 
-dispatched = dbwm.dispatch_matched(table, partners)
+dispatched = dbwm.dispatch_matched(uploads, partners)
 uid, received = dispatched[0]
 print(f"\nuser {uid} receives user {partners[0]}'s bundle "
       f"({received.num_learnable_params()} learnable parameters)")

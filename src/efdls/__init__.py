@@ -8,7 +8,7 @@ machinery.
 """
 
 from .dataio import DATASET_REGISTRY, TimeSeriesDataset, load_ucr_tsv, make_synthetic_waves
-from .dbwm import WeightTable, bundle_distance, match_partners, pairwise_distances
+from .dbwm import bundle_distance, match_partners, pairwise_distances
 from .extractor import FeatureExtractor, ForwardTrace, WeightBundle, \
     extract_hidden_weights, load_hidden_weights
 from .fbst import FBSTConfig, FBSTPair, LossReport, kd_loss, local_train_epoch, \
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DATASET_REGISTRY", "TimeSeriesDataset", "load_ucr_tsv", "make_synthetic_waves",
-    "WeightTable", "bundle_distance", "match_partners", "pairwise_distances",
+    "bundle_distance", "match_partners", "pairwise_distances",
     "FeatureExtractor", "ForwardTrace", "WeightBundle",
     "extract_hidden_weights", "load_hidden_weights",
     "FBSTConfig", "FBSTPair", "LossReport", "kd_loss", "local_train_epoch",

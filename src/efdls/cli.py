@@ -54,7 +54,13 @@ def _resolve_dataset_entry(entry, data_dir: str | None):
 
 def load_config(path: str, overrides: dict) -> federation.FederationConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise fbst.ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise fbst.ConfigError(
+            f"config file {path} must hold a JSON object, got {type(raw).__name__}")
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value

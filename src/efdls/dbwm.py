@@ -39,8 +39,6 @@ what the loop did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .extractor import WeightBundle
@@ -49,24 +47,6 @@ from .nncore import ShapeError
 
 class InsufficientUsersError(ValueError):
     """Matching needs at least two uploaded bundles; with one, no partner exists."""
-
-
-@dataclass
-class WeightTable:
-    """Uploads of one epoch: ordered (user_id, bundle) pairs. Rebuilt from
-    scratch every epoch."""
-
-    entries: list
-    epoch: int = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def user_ids(self) -> list:
-        return [uid for uid, _ in self.entries]
-
-    def bundles(self) -> list:
-        return [b for _, b in self.entries]
 
 
 def bundle_distance(a: WeightBundle, b: WeightBundle) -> float:
@@ -97,21 +77,20 @@ def _gram_matrix(bundles: list) -> np.ndarray:
     return np.triu(gram) + np.triu(gram, 1).T
 
 
-def pairwise_distances(table: WeightTable) -> np.ndarray:
+def pairwise_distances(bundles: list) -> np.ndarray:
     """Symmetric all-pairs squared distances with a NaN diagonal: a Gram
     screen, then an exact ``bundle_distance`` for every entry that could be
     its row's minimum (see the module notes)."""
-    n = len(table)
+    n = len(bundles)
     if n < 2:
         raise InsufficientUsersError(
             f"pairwise matching needs at least 2 uploaded bundles, got {n}"
         )
-    bundles = table.bundles()
     for i, b in enumerate(bundles[1:], start=1):
         if not bundles[0].same_shapes(b):
             raise ShapeError(
                 f"cannot measure distance between bundles of different shapes "
-                f"(table entries 0 and {i})"
+                f"(bundles 0 and {i})"
             )
     gram = _gram_matrix(bundles)
     diag = np.diag(gram)
@@ -131,7 +110,7 @@ def pairwise_distances(table: WeightTable) -> np.ndarray:
 
 def match_partners(distances: np.ndarray) -> list:
     """Row-wise argmin over the off-diagonal entries; ties break to the
-    lowest index. Entry i is the table index of user i's partner, never i."""
+    lowest index. Entry i is the index of user i's partner, never i."""
     values = distances.copy()
     if values.shape[0] < 2:
         raise InsufficientUsersError("matching needs at least 2 users")
@@ -139,15 +118,15 @@ def match_partners(distances: np.ndarray) -> list:
     return np.argmin(values, axis=1).tolist()
 
 
-def dispatch_matched(table: WeightTable, partners: list) -> list:
+def dispatch_matched(uploads: list, partners: list) -> list:
     """Per user, the partner's uploaded bundle itself (not a copy):
-    returns [(user_id, partner_bundle), ...] in table order."""
-    if len(partners) != len(table):
-        raise ValueError(f"assignment covers {len(partners)} users, table has {len(table)}")
-    bundles = table.bundles()
-    return [(uid, bundles[j]) for uid, j in zip(table.user_ids(), partners)]
+    returns [(user_id, partner_bundle), ...] in upload order."""
+    if len(partners) != len(uploads):
+        raise ValueError(f"assignment covers {len(partners)} users, {len(uploads)} uploaded")
+    return [(uid, uploads[j][1]) for (uid, _), j in zip(uploads, partners)]
 
 
-def match_table(table: WeightTable) -> list:
-    """Full pipeline: distances -> argmin -> partner bundles."""
-    return dispatch_matched(table, match_partners(pairwise_distances(table)))
+def match_table(uploads: list) -> list:
+    """Full pipeline over [(user_id, bundle), ...] uploads: distances ->
+    argmin -> partner bundles."""
+    return dispatch_matched(uploads, match_partners(pairwise_distances([b for _, b in uploads])))

@@ -45,12 +45,10 @@ def is_learnable_key(key: str) -> bool:
 class WeightBundle:
     """Immutable snapshot of one model's hidden-layer arrays.
 
-    ``arrays`` maps each BUNDLE_KEYS entry to an owned copy; ``epoch_tag``
-    records the federated epoch the snapshot was taken at.
+    ``arrays`` maps each BUNDLE_KEYS entry to an owned copy.
     """
 
     arrays: dict
-    epoch_tag: int = 0
 
     def learnable_items(self):
         return [(k, v) for k, v in self.arrays.items() if is_learnable_key(k)]
@@ -59,8 +57,7 @@ class WeightBundle:
         return sum(v.size for _, v in self.learnable_items())
 
     def copy(self) -> "WeightBundle":
-        return WeightBundle(arrays={k: v.copy() for k, v in self.arrays.items()},
-                            epoch_tag=self.epoch_tag)
+        return WeightBundle(arrays={k: v.copy() for k, v in self.arrays.items()})
 
     def same_shapes(self, other: "WeightBundle") -> bool:
         if self.arrays.keys() != other.arrays.keys():
@@ -234,11 +231,11 @@ def hidden_arrays(model: FeatureExtractor) -> dict:
     return arrays
 
 
-def extract_hidden_weights(model: FeatureExtractor, epoch_tag: int = 0) -> WeightBundle:
+def extract_hidden_weights(model: FeatureExtractor) -> WeightBundle:
     """Deep-copied snapshot of the hidden layers (conv blocks + hidden dense,
     with BN running stats riding along). The classifier never leaves the user."""
     arrays = {k: v.copy() for k, v in hidden_arrays(model).items()}
-    return WeightBundle(arrays=arrays, epoch_tag=epoch_tag)
+    return WeightBundle(arrays=arrays)
 
 
 class IncompatibleBundleError(ShapeError):
@@ -260,7 +257,7 @@ def load_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> Featur
                 f"bundle array '{key}' has shape {src.shape}, model expects {dst.shape}"
             )
     for key, dst in targets.items():
-        np.copyto(dst, bundle.arrays[key].astype(model.dtype, copy=False))
+        np.copyto(dst, bundle.arrays[key])
     return model
 
 

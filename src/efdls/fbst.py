@@ -62,7 +62,6 @@ class LossReport:
     kd: float
     sup: float
     total: float
-    epoch: int
 
 
 class FBSTPair:
@@ -101,7 +100,7 @@ def kd_loss(student_trace: ext.ForwardTrace, teacher_trace: ext.ForwardTrace) ->
             raise nncore.ShapeError(
                 f"trace field '{name}' shapes differ: {s.shape} vs {t.shape}"
             )
-        diff = s.astype(np.float64) - t.astype(np.float64)
+        diff = s.astype(np.float64, copy=False) - t.astype(np.float64, copy=False)
         total += float(np.sum(diff * diff) / s.shape[0])
     return total
 
@@ -201,7 +200,7 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
     used only when k > 1 and a teacher has been loaded; otherwise training is
     supervised-only and the report records kd = 0. Only the student is
     updated. Returns the averaged loss report and a snapshot of the student's
-    hidden weights tagged with k.
+    hidden weights.
     """
     if x.shape[0] == 0:
         raise ValueError("local_train_epoch needs a non-empty training set")
@@ -215,10 +214,8 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
             trace, cache = pair.student.forward(xb, training=True, want_cache=True)
             sup = sup_loss(trace.probs, yb)
             if use_teacher:
-                if config.teacher_bn_mode == "batch":
-                    teacher_trace = pair.teacher.forward(xb, training=True, update_running=False)
-                else:
-                    teacher_trace = pair.teacher.forward(xb, training=False)
+                teacher_trace = pair.teacher.forward(
+                    xb, training=config.teacher_bn_mode == "batch", update_running=False)
                 kd = kd_loss(trace, teacher_trace)
                 loss = total_loss(sup, kd, config.epsilon)
                 objective = DistillationLoss(teacher_trace, yb, config.epsilon)
@@ -235,5 +232,5 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
             total_sum += loss
             n_batches += 1
     report = LossReport(kd=kd_sum / n_batches, sup=sup_sum / n_batches,
-                        total=total_sum / n_batches, epoch=k)
-    return report, ext.extract_hidden_weights(pair.student, epoch_tag=k)
+                        total=total_sum / n_batches)
+    return report, ext.extract_hidden_weights(pair.student)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import dataio, dbwm, fbst, metrics, nncore, strategies
+from . import dataio, fbst, metrics, nncore, strategies
 from . import extractor as ext
 from .fbst import ConfigError
 
@@ -85,6 +85,8 @@ class FederationConfig:
             raise ConfigError(f"fles must be >= 1, got {self.fles}")
         if not self.datasets:
             raise ConfigError("at least one dataset assignment is required")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.transport not in ("inproc", "socket"):
             raise ConfigError(f"transport must be 'inproc' or 'socket', got '{self.transport}'")
         if self.strategy not in strategies.ROUNDS:
@@ -268,7 +270,7 @@ def decode_weight_message(data: bytes) -> tuple:
         arrays[key] = arr
     if offset != len(data):
         raise MalformedMessageError(f"{len(data) - offset} trailing bytes after last block", offset)
-    return ext.WeightBundle(arrays=arrays, epoch_tag=epoch), epoch, user_id
+    return ext.WeightBundle(arrays=arrays), epoch, user_id
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +374,7 @@ class UserState:
 
 
 class BarrierError(RuntimeError):
-    """The strategy was about to run on an incomplete epoch table."""
+    """The strategy was about to run on an incomplete set of epoch uploads."""
 
 
 def _load_dataset(name: str, path: str, user_id: int, config: FederationConfig,
@@ -489,9 +491,8 @@ class Federation:
                 raise BarrierError(
                     f"epoch {k}: {len(uploads)} uploads present, "
                     f"{len(connected_users)} connected users expected")
-            table = dbwm.WeightTable(entries=uploads, epoch=k)
             _, load = self.round
-            for uid, bundle in strategies.apply_round(config.strategy, table):
+            for uid, bundle in strategies.apply_round(config.strategy, uploads):
                 # Downloads may share one bundle; decoding gives each user
                 # its own copy.
                 uid, bundle = self._round_trip("download", bundle, k, uid)
@@ -502,11 +503,11 @@ class Federation:
 
     def run(self, on_epoch=None):
         config = self.config
-        if self.round is not None:
-            reachable = self.users if config.conn_resample \
-                else [u for u in self.users if u.connected]
-            self.transport.connect([u.user_id for u in reachable])
         try:
+            if self.round is not None:
+                reachable = self.users if config.conn_resample \
+                    else [u for u in self.users if u.connected]
+                self.transport.connect([u.user_id for u in reachable])
             for k in range(1, config.fles + 1):
                 self._run_epoch(k, on_epoch=on_epoch)
         finally:

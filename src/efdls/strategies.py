@@ -1,8 +1,9 @@
 """Per-round aggregation strategies.
 
 Each strategy is one row of ``ROUNDS``: the server step that turns the
-epoch's complete weight table into one download per connected user, and the
-name of the ``FBSTPair`` method that loads each download.
+epoch's complete uploads, a [(user_id, bundle)] list, into one download per
+connected user in the same shape, and the name of the ``FBSTPair`` method
+that loads each download.
 
   baseline  no sharing at all (and no uploads happen either);
   fedavg    elementwise mean of every bundle, loaded into each STUDENT;
@@ -25,29 +26,27 @@ from . import dbwm
 from .extractor import WeightBundle
 
 
-def fedavg_aggregate(table: dbwm.WeightTable) -> WeightBundle:
+def fedavg_aggregate(bundles: list) -> WeightBundle:
     """Elementwise arithmetic mean over every array in every bundle,
     running statistics included."""
-    if len(table) == 0:
-        raise ValueError("cannot average an empty weight table")
-    bundles = table.bundles()
-    keys = bundles[0].arrays.keys()
+    if not bundles:
+        raise ValueError("cannot average an empty list of bundles")
     mean_arrays = {}
-    for key in keys:
+    for key in bundles[0].arrays:
         stacked = np.stack([b.arrays[key].astype(np.float64, copy=False) for b in bundles])
         mean_arrays[key] = stacked.mean(axis=0)
-    return WeightBundle(arrays=mean_arrays, epoch_tag=table.epoch)
+    return WeightBundle(arrays=mean_arrays)
 
 
-def _mean_for_all(table: dbwm.WeightTable) -> list:
-    mean = fedavg_aggregate(table)
-    return [(uid, mean) for uid in table.user_ids()]
+def _mean_for_all(uploads: list) -> list:
+    mean = fedavg_aggregate([b for _, b in uploads])
+    return [(uid, mean) for uid, _ in uploads]
 
 
-def _match(table: dbwm.WeightTable) -> list:
+def _match(uploads: list) -> list:
     # With a single connected user no partner exists and the user simply
     # trains supervised-only this round.
-    return dbwm.match_table(table) if len(table) >= 2 else []
+    return dbwm.match_table(uploads) if len(uploads) >= 2 else []
 
 
 # tag -> (server step, FBSTPair load method name); baseline never communicates.
@@ -61,8 +60,8 @@ ROUNDS = {"baseline": None,
 STRATEGY_TAGS = tuple(ROUNDS)
 
 
-def apply_round(tag: str, table: dbwm.WeightTable) -> list:
-    """Turn a complete epoch table into [(user_id, bundle)] downloads in
-    table order; baseline gives none."""
+def apply_round(tag: str, uploads: list) -> list:
+    """Turn an epoch's complete [(user_id, bundle)] uploads into
+    [(user_id, bundle)] downloads in upload order; baseline gives none."""
     row = ROUNDS[tag]
-    return [] if row is None else row[0](table)
+    return [] if row is None else row[0](uploads)

@@ -16,9 +16,9 @@ def mini_model(num_classes=3, seed=0, **kwargs) -> extractor.FeatureExtractor:
                                       hidden_dim=MINI_HIDDEN, seed=seed, **kwargs)
 
 
-def random_bundle(rng: np.random.Generator, epoch_tag: int = 0) -> extractor.WeightBundle:
+def random_bundle(rng: np.random.Generator) -> extractor.WeightBundle:
     """Canonically keyed bundle with miniature shapes and random values."""
-    bundle = extractor.extract_hidden_weights(mini_model(seed=0), epoch_tag=epoch_tag)
+    bundle = extractor.extract_hidden_weights(mini_model(seed=0))
     for key, arr in bundle.arrays.items():
         arr[...] = rng.standard_normal(arr.shape)
         if key.endswith("running_var"):

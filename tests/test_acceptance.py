@@ -71,8 +71,7 @@ def test_c2_matching_matches_brute_force():
         if case % 3 == 0 and n >= 3:  # force duplicated-bundle ties
             bundles[n - 1] = bundles[0].copy()
             bundles[n // 2] = bundles[0].copy()
-        table = dbwm.WeightTable(entries=list(enumerate(bundles)), epoch=1)
-        got = dbwm.pairwise_distances(table)
+        got = dbwm.pairwise_distances(bundles)
         ids = dbwm.match_partners(got)
         oracle = np.full((n, n), np.nan)
         for i in range(n):
@@ -261,7 +260,8 @@ def test_c8_summary_bitwise_determinism(tmp_path):
 def test_c9_codec_roundtrip_and_fuzz():
     rng = np.random.default_rng(13)
     for _ in range(1000):
-        bundle = random_bundle(rng, epoch_tag=int(rng.integers(0, 2 ** 16)))
+        rng.integers(0, 2 ** 16)  # discarded draw, kept so the stream pins the same 1,000 cases
+        bundle = random_bundle(rng)
         epoch = int(rng.integers(0, 2 ** 32))
         uid = int(rng.integers(0, 2 ** 32))
         data = federation.encode_weight_message(bundle, epoch, uid)

@@ -100,6 +100,18 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: unknown strategy 'fedprox'")
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"n_tot": 2,', "is not valid JSON"),
+        ('[{"n_tot": 2}]', "must hold a JSON object, got list"),
+    ])
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file ") and message in err
+
 
 class TestSweeps:
     def test_ratio_single_value_equivalent_to_run(self, tmp_path):

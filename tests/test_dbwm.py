@@ -4,7 +4,7 @@ import pytest
 from conftest import random_bundle
 from efdls import dbwm
 from efdls.dbwm import (
-    InsufficientUsersError, WeightTable, bundle_distance,
+    InsufficientUsersError, bundle_distance,
     dispatch_matched, match_partners, pairwise_distances,
 )
 from efdls.extractor import WeightBundle
@@ -47,8 +47,8 @@ def exhaustive_argmin(matrix: np.ndarray) -> list:
     return out
 
 
-def table_of(values) -> WeightTable:
-    return WeightTable(entries=[(i, scalar_bundle(v)) for i, v in enumerate(values)], epoch=1)
+def scalars(values) -> list:
+    return [scalar_bundle(v) for v in values]
 
 
 class TestBundleDistance:
@@ -114,13 +114,12 @@ class TestPairwiseDistances:
     def test_two_identical_bundles(self):
         rng = np.random.default_rng(5)
         b = random_bundle(rng)
-        table = WeightTable(entries=[(0, b), (1, b.copy())], epoch=1)
-        d = pairwise_distances(table)
+        d = pairwise_distances([b, b.copy()])
         assert d[0, 1] == 0.0 and d[1, 0] == 0.0
         assert np.isnan(d[0, 0]) and np.isnan(d[1, 1])
 
     def test_scalar_example_matrix(self):
-        d = pairwise_distances(table_of([0.0, 1.0, 10.0]))
+        d = pairwise_distances(scalars([0.0, 1.0, 10.0]))
         expected = np.array([[np.nan, 1.0, 100.0],
                              [1.0, np.nan, 81.0],
                              [100.0, 81.0, np.nan]])
@@ -129,8 +128,7 @@ class TestPairwiseDistances:
     def test_six_random_bundles_match_brute_force(self):
         rng = np.random.default_rng(6)
         bundles = [random_bundle(rng) for _ in range(6)]
-        table = WeightTable(entries=list(enumerate(bundles)), epoch=1)
-        got = pairwise_distances(table)
+        got = pairwise_distances(bundles)
         want = brute_force_matrix(bundles)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         mask = ~np.isnan(want)
@@ -139,31 +137,30 @@ class TestPairwiseDistances:
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(7)
         bundles = [random_bundle(rng) for _ in range(5)]
-        d = pairwise_distances(WeightTable(entries=list(enumerate(bundles))))
+        d = pairwise_distances(bundles)
         for i in range(5):
             for j in range(i + 1, 5):
                 assert d[i, j] == d[j, i]
 
     def test_single_user_is_insufficient(self):
         with pytest.raises(InsufficientUsersError):
-            pairwise_distances(table_of([1.0]))
+            pairwise_distances(scalars([1.0]))
 
 
 class TestMatchPartners:
     def test_two_users_mutual(self):
-        ids = match_partners(pairwise_distances(table_of([2.0, 9.0])))
+        ids = match_partners(pairwise_distances(scalars([2.0, 9.0])))
         assert ids == [1, 0]
 
     def test_scalar_example_assignment(self):
-        ids = match_partners(pairwise_distances(table_of([0.0, 1.0, 10.0])))
+        ids = match_partners(pairwise_distances(scalars([0.0, 1.0, 10.0])))
         assert ids == [1, 0, 1]
 
     def test_never_self(self):
         rng = np.random.default_rng(8)
         for n in (2, 5, 9):
             bundles = [random_bundle(rng) for _ in range(n)]
-            ids = match_partners(pairwise_distances(
-                WeightTable(entries=list(enumerate(bundles)))))
+            ids = match_partners(pairwise_distances(bundles))
             assert all(ids[i] != i for i in range(n))
 
     def test_matches_exhaustive_oracle_with_duplicate_ties(self):
@@ -172,8 +169,7 @@ class TestMatchPartners:
             bundles = [random_bundle(rng) for _ in range(8)]
             bundles[3] = bundles[1].copy()  # duplicated pair forces ties
             bundles[6] = bundles[1].copy()
-            table = WeightTable(entries=list(enumerate(bundles)))
-            d = pairwise_distances(table)
+            d = pairwise_distances(bundles)
             got = match_partners(d)
             assert got == exhaustive_argmin(d)
 
@@ -181,15 +177,14 @@ class TestMatchPartners:
         # users 1 and 2 both sit at distance 0 from user 0
         rng = np.random.default_rng(10)
         b = random_bundle(rng)
-        table = WeightTable(entries=[(0, b), (1, b.copy()), (2, b.copy())])
-        ids = match_partners(pairwise_distances(table))
+        ids = match_partners(pairwise_distances([b, b.copy(), b.copy()]))
         assert ids[0] == 1
 
     def test_certificate_of_optimality(self):
         rng = np.random.default_rng(11)
         for n in (2, 7, 16):
             bundles = [random_bundle(rng) for _ in range(n)]
-            d = pairwise_distances(WeightTable(entries=list(enumerate(bundles))))
+            d = pairwise_distances(bundles)
             ids = match_partners(d)
             for i in range(n):
                 for j in range(n):
@@ -201,29 +196,27 @@ class TestDispatch:
     def test_two_users_swap(self):
         rng = np.random.default_rng(12)
         b0, b1 = random_bundle(rng), random_bundle(rng)
-        table = WeightTable(entries=[(10, b0), (20, b1)], epoch=4)
-        out = dict(dbwm.match_table(table))
+        out = dict(dbwm.match_table([(10, b0), (20, b1)]))
         assert np.array_equal(out[10].arrays["dense.weight"], b1.arrays["dense.weight"])
         assert np.array_equal(out[20].arrays["dense.weight"], b0.arrays["dense.weight"])
 
     def test_many_to_one_shares_the_partners_uploaded_bundle(self):
-        table = table_of([0.0, 1.0, 10.0])
-        got = dict(dispatch_matched(table, [1, 0, 1]))
+        uploaded = scalars([0.0, 1.0, 10.0])
+        got = dict(dispatch_matched(list(enumerate(uploaded)), [1, 0, 1]))
         assert got[0].arrays["dense.weight"][0, 0] == 1.0
         assert got[2].arrays["dense.weight"][0, 0] == 1.0
-        uploaded = table.bundles()
         assert got[0] is uploaded[1] and got[2] is uploaded[1] and got[1] is uploaded[0]
 
     def test_inconsistent_assignment_rejected(self):
         with pytest.raises(ValueError):
-            dispatch_matched(table_of([1.0, 2.0]), [1])
+            dispatch_matched(list(enumerate(scalars([1.0, 2.0]))), [1])
 
     def test_pipeline_is_pure_function_of_table(self):
         rng = np.random.default_rng(14)
         bundles = [random_bundle(rng) for _ in range(5)]
-        table = WeightTable(entries=list(enumerate(bundles)), epoch=3)
-        out1 = dbwm.match_table(table)
-        out2 = dbwm.match_table(table)
+        uploads = list(enumerate(bundles))
+        out1 = dbwm.match_table(uploads)
+        out2 = dbwm.match_table(uploads)
         assert [uid for uid, _ in out1] == [uid for uid, _ in out2]
         for (_, a), (_, b) in zip(out1, out2):
             for k in a.arrays:

@@ -14,19 +14,16 @@ from hypothesis import strategies as st
 
 from conftest import random_bundle
 from efdls import dbwm, extractor
-from efdls.dbwm import (
-    WeightTable, bundle_distance, match_partners, pairwise_distances,
-)
+from efdls.dbwm import bundle_distance, match_partners, pairwise_distances
 from efdls.extractor import WeightBundle
 from efdls.nncore import ShapeError
 
 EPS = np.finfo(np.float64).eps
 
 
-def loop_pairwise_distances(table: WeightTable) -> np.ndarray:
+def loop_pairwise_distances(bundles: list) -> np.ndarray:
     """All-pairs distances; each unordered pair computed once and mirrored."""
-    n = len(table)
-    bundles = table.bundles()
+    n = len(bundles)
     values = np.full((n, n), np.nan)
     for i in range(n):
         for j in range(i + 1, n):
@@ -62,9 +59,8 @@ def squared_norm(bundle: WeightBundle) -> float:
 def assert_matches_loop(bundles: list) -> tuple:
     """Check the screened matrix against the oracle; returns both."""
     n = len(bundles)
-    table = WeightTable(entries=list(enumerate(bundles)), epoch=1)
-    got = pairwise_distances(table)
-    want = loop_pairwise_distances(table)
+    got = pairwise_distances(bundles)
+    want = loop_pairwise_distances(bundles)
 
     off = ~np.eye(n, dtype=bool)
     assert np.isnan(np.diag(got)).all()
@@ -180,7 +176,7 @@ class TestScreenCost:
         rng = np.random.default_rng(21)
         n = 16
         bundles = [random_bundle(rng) for _ in range(n)]
-        pairwise_distances(WeightTable(entries=list(enumerate(bundles))))
+        pairwise_distances(bundles)
         assert 1 <= len(calls) <= n
 
     def test_shape_mismatch_raises_before_any_distance(self, monkeypatch):
@@ -192,4 +188,4 @@ class TestScreenCost:
         bundles = [random_bundle(rng) for _ in range(3)]
         bundles.append(WeightBundle(arrays={"dense.weight": np.zeros((2, 1))}))
         with pytest.raises(ShapeError):
-            pairwise_distances(WeightTable(entries=list(enumerate(bundles))))
+            pairwise_distances(bundles)

@@ -161,7 +161,6 @@ class TestLocalTrainEpoch:
                                            rng=np.random.default_rng(3))
         assert report.kd == 0.0
         assert report.total == pytest.approx(report.sup, abs=1e-12)
-        assert bundle.epoch_tag == 1
 
     def test_self_teacher_first_batch_kd_zero(self):
         pair = FBSTPair(mini_model(num_classes=2, seed=4))

@@ -84,7 +84,7 @@ ZERO_MESSAGE = _zero_mini_message()
 class TestWeightMessageCodec:
     def test_round_trip_single_precision_exact(self):
         rng = np.random.default_rng(0)
-        bundle = random_bundle(rng, epoch_tag=5)
+        bundle = random_bundle(rng)
         data = encode_weight_message(bundle, epoch=5, user_id=12)
         decoded, epoch, uid = decode_weight_message(data)
         assert (epoch, uid) == (5, 12)
@@ -236,7 +236,7 @@ class TestWeightMessageCodec:
             ndim = int(rng.integers(1, 4))
             shape = tuple(int(rng.integers(1, 6)) for _ in range(ndim))
             arrays[key] = rng.standard_normal(shape).astype(np.float32)
-        bundle = WeightBundle(arrays=arrays, epoch_tag=0)
+        bundle = WeightBundle(arrays=arrays)
         decoded, _, _ = decode_weight_message(encode_weight_message(bundle, 7, 8))
         for key, arr in arrays.items():
             assert decoded.arrays[key].shape == arr.shape
@@ -441,6 +441,11 @@ class TestRunFederation:
         with pytest.raises(ConfigError, match=message):
             FederationConfig(n_tot=2, datasets=[("s", "synthetic")], **{field: value})
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError, match=rf"^workers must be >= 1, got {workers}$"):
+            FederationConfig(n_tot=2, datasets=[("s", "synthetic")], workers=workers)
+
 
 class TestStreamedRound:
     """Each bundle is uploaded as its user finishes training, and each
@@ -547,6 +552,28 @@ class TestStreamedRound:
         assert threading.active_count() == threads_before  # the pool has shut down
         assert [e.user_id for e in fed.ledger.entries] == [0, 1]  # uploads before user 2
 
+    def test_failed_connect_closes_the_owned_sockets(self, monkeypatch):
+        datasets = [(f"w{i}", "synthetic") for i in range(4)]
+        fed = Federation(toy_config(n_tot=4, fles=2, datasets=datasets, transport="socket"))
+        real = federation.socket.create_connection
+        attempts = []
+
+        def connect(*args, **kwargs):
+            attempts.append(1)
+            if len(attempts) == 3:
+                raise ConnectionRefusedError("injected connect failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(federation.socket, "create_connection", connect)
+        with pytest.raises(ConnectionRefusedError, match="injected"):
+            fed.run()
+        transport = fed.transport
+        sockets = [transport._listener, *transport._user_side.values(),
+                   *transport._server_side.values()]
+        assert len(sockets) == 1 + 2 * 2
+        assert all(s.fileno() == -1 for s in sockets)
+        assert len(fed.ledger) == 0
+
 
 class TestRoundTable:
     """The server hands one bundle to every user who downloads it; decoding
@@ -559,10 +586,10 @@ class TestRoundTable:
         rounds = []
         real_round = strategies.apply_round
 
-        def recording(tag, table):
-            before = [{k: v.copy() for k, v in b.arrays.items()} for b in table.bundles()]
-            downloads = real_round(tag, table)
-            rounds.append((table, before, downloads))
+        def recording(tag, uploads):
+            before = [{k: v.copy() for k, v in b.arrays.items()} for _, b in uploads]
+            downloads = real_round(tag, uploads)
+            rounds.append((uploads, before, downloads))
             return downloads
 
         monkeypatch.setattr(strategies, "apply_round", recording)
@@ -573,8 +600,8 @@ class TestRoundTable:
         fed.run()
 
         assert len(rounds) == 2
-        for table, before, _ in rounds:
-            for bundle, arrays in zip(table.bundles(), before):
+        for uploads, before, _ in rounds:
+            for (_, bundle), arrays in zip(uploads, before):
                 for key, arr in arrays.items():
                     assert np.array_equal(bundle.arrays[key], arr)
         # epoch 1's downloads are the last ones loaded

@@ -12,10 +12,6 @@ def scalar_bundle(value: float) -> WeightBundle:
     return WeightBundle(arrays={"dense.weight": np.array([[float(value)]])})
 
 
-def table_from(bundles, epoch=1) -> dbwm.WeightTable:
-    return dbwm.WeightTable(entries=list(enumerate(bundles)), epoch=epoch)
-
-
 class TestStrategyKind:
     def test_known_tags(self):
         assert STRATEGY_TAGS == ("baseline", "fedavg", "fkd", "efdls")
@@ -31,18 +27,18 @@ class TestFedavgAggregate:
     def test_single_bundle_is_itself(self):
         rng = np.random.default_rng(0)
         b = random_bundle(rng)
-        mean = fedavg_aggregate(table_from([b]))
+        mean = fedavg_aggregate([b])
         for k in b.arrays:
             np.testing.assert_array_equal(mean.arrays[k], b.arrays[k])
 
     def test_scalar_pair(self):
-        mean = fedavg_aggregate(table_from([scalar_bundle(1), scalar_bundle(3)]))
+        mean = fedavg_aggregate([scalar_bundle(1), scalar_bundle(3)])
         assert mean.arrays["dense.weight"][0, 0] == 2.0
 
     def test_matches_elementwise_mean_oracle(self):
         rng = np.random.default_rng(1)
         bundles = [random_bundle(rng) for _ in range(5)]
-        mean = fedavg_aggregate(table_from(bundles))
+        mean = fedavg_aggregate(bundles)
         for k in bundles[0].arrays:
             expected = sum(b.arrays[k] for b in bundles) / 5.0
             np.testing.assert_allclose(mean.arrays[k], expected, atol=1e-7)
@@ -50,7 +46,7 @@ class TestFedavgAggregate:
     def test_includes_running_stats(self):
         rng = np.random.default_rng(2)
         bundles = [random_bundle(rng) for _ in range(3)]
-        mean = fedavg_aggregate(table_from(bundles))
+        mean = fedavg_aggregate(bundles)
         key = "bn1.running_mean"
         expected = sum(b.arrays[key] for b in bundles) / 3.0
         np.testing.assert_allclose(mean.arrays[key], expected, atol=1e-12)
@@ -58,27 +54,27 @@ class TestFedavgAggregate:
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
         bundles = [random_bundle(rng) for _ in range(4)]
-        m1 = fedavg_aggregate(table_from(bundles))
-        m2 = fedavg_aggregate(table_from(bundles[::-1]))
+        m1 = fedavg_aggregate(bundles)
+        m2 = fedavg_aggregate(bundles[::-1])
         for k in m1.arrays:
             np.testing.assert_allclose(m1.arrays[k], m2.arrays[k], atol=1e-12)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            fedavg_aggregate(table_from([]))
+            fedavg_aggregate([])
 
 
 class TestApplyRound:
     def test_baseline_produces_no_instructions(self):
         rng = np.random.default_rng(4)
-        table = table_from([random_bundle(rng) for _ in range(3)])
-        assert apply_round("baseline", table) == []
+        uploads = list(enumerate([random_bundle(rng) for _ in range(3)]))
+        assert apply_round("baseline", uploads) == []
 
     def test_fkd_identical_bundles_mean_is_that_bundle(self):
         rng = np.random.default_rng(5)
         b = random_bundle(rng)
-        table = table_from([b.copy(), b.copy(), b.copy()])
-        downloads = apply_round("fkd", table)
+        uploads = list(enumerate([b.copy(), b.copy(), b.copy()]))
+        downloads = apply_round("fkd", uploads)
         assert len(downloads) == 3
         assert ROUNDS["fkd"][1] == "load_teacher"
         for _, bundle in downloads:
@@ -87,8 +83,8 @@ class TestApplyRound:
 
     def test_fedavg_targets_students_with_identical_mean(self):
         rng = np.random.default_rng(6)
-        table = table_from([random_bundle(rng) for _ in range(4)])
-        downloads = apply_round("fedavg", table)
+        uploads = list(enumerate([random_bundle(rng) for _ in range(4)]))
+        downloads = apply_round("fedavg", uploads)
         assert ROUNDS["fedavg"][1] == "load_student"
         ref = downloads[0][1]
         for _, bundle in downloads[1:]:
@@ -98,9 +94,9 @@ class TestApplyRound:
     def test_efdls_two_users_matches_dbwm_swap(self):
         rng = np.random.default_rng(7)
         b0, b1 = random_bundle(rng), random_bundle(rng)
-        table = table_from([b0, b1])
-        downloads = dict(apply_round("efdls", table))
-        expected = dict(dbwm.match_table(table))
+        uploads = list(enumerate([b0, b1]))
+        downloads = dict(apply_round("efdls", uploads))
+        expected = dict(dbwm.match_table(uploads))
         assert set(downloads) == {0, 1}
         assert ROUNDS["efdls"][1] == "load_teacher"
         for uid, bundle in downloads.items():
@@ -110,29 +106,28 @@ class TestApplyRound:
     def test_efdls_user_i_receives_table_entry_of_its_partner(self):
         rng = np.random.default_rng(8)
         bundles = [random_bundle(rng) for _ in range(5)]
-        table = table_from(bundles)
-        ids = dbwm.match_partners(dbwm.pairwise_distances(table))
-        for uid, bundle in apply_round("efdls", table):
+        ids = dbwm.match_partners(dbwm.pairwise_distances(bundles))
+        for uid, bundle in apply_round("efdls", list(enumerate(bundles))):
             partner = ids[uid]
             for k in bundle.arrays:
                 assert np.array_equal(bundle.arrays[k], bundles[partner].arrays[k])
 
     def test_efdls_single_user_round_is_skipped(self):
         rng = np.random.default_rng(9)
-        assert apply_round("efdls", table_from([random_bundle(rng)])) == []
+        assert apply_round("efdls", [(0, random_bundle(rng))]) == []
 
     @pytest.mark.parametrize("tag", ["fedavg", "fkd"])
     def test_every_user_is_handed_the_one_mean(self, tag, monkeypatch):
         rng = np.random.default_rng(10)
-        table = table_from([random_bundle(rng) for _ in range(3)], epoch=4)
+        uploads = list(enumerate([random_bundle(rng) for _ in range(3)]))
         means = []
 
-        def aggregate(t):
-            means.append(fedavg_aggregate(t))
+        def aggregate(bundles):
+            means.append(fedavg_aggregate(bundles))
             return means[-1]
 
         monkeypatch.setattr(strategies, "fedavg_aggregate", aggregate)
-        downloads = apply_round(tag, table)
+        downloads = apply_round(tag, uploads)
         assert [uid for uid, _ in downloads] == [0, 1, 2]
         assert len(means) == 1
         assert all(bundle is means[0] for _, bundle in downloads)
@@ -140,8 +135,7 @@ class TestApplyRound:
     def test_efdls_hands_over_the_uploaded_bundles(self):
         rng = np.random.default_rng(11)
         bundles = [random_bundle(rng) for _ in range(5)]
-        table = table_from(bundles)
-        ids = dbwm.match_partners(dbwm.pairwise_distances(table))
-        downloads = apply_round("efdls", table)
+        ids = dbwm.match_partners(dbwm.pairwise_distances(bundles))
+        downloads = apply_round("efdls", list(enumerate(bundles)))
         assert [uid for uid, _ in downloads] == list(range(5))
         assert all(bundle is bundles[ids[uid]] for uid, bundle in downloads)
