@@ -41,10 +41,15 @@ def _resolve_dataset_entry(entry, data_dir: str | None):
     if isinstance(entry, str):
         entry = {"name": entry, "path": entry}
     if isinstance(entry, dict):
-        name, path = entry["name"], entry.get("path", entry["name"])
-    else:
+        name, path = entry.get("name"), entry.get("path", entry.get("name"))
+    elif isinstance(entry, (list, tuple)) and len(entry) == 2:
         name, path = entry
-    if path != "synthetic" and not os.path.isabs(path) and not os.path.isdir(path):
+    else:
+        raise fbst.ConfigError("each dataset entry must be a name, an object or a "
+                               f"[name, path] list, got {entry!r}")
+    # a path that is not a string is refused by FederationConfig
+    if (isinstance(path, str) and path != "synthetic" and not os.path.isabs(path)
+            and not os.path.isdir(path)):
         if data_dir:
             candidate = os.path.join(data_dir, path)
             if os.path.isdir(candidate):
@@ -66,8 +71,6 @@ def load_config(path: str, overrides: dict) -> federation.FederationConfig:
             raw[key] = value
     data_dir = os.environ.get(DATA_DIR_ENV)
     raw["datasets"] = [_resolve_dataset_entry(e, data_dir) for e in raw.get("datasets", [])]
-    if "blocks" in raw:
-        raw["blocks"] = tuple(tuple(b) for b in raw["blocks"])
     return federation.FederationConfig.from_dict(raw)
 
 

@@ -128,7 +128,8 @@ class FeatureExtractor:
     def forward(self, x: np.ndarray, training: bool = False,
                 update_running: bool | None = None, want_cache: bool = False):
         """Run the network on [B, 1, L] input and return a ForwardTrace
-        (optionally plus the cache needed for a backward pass)."""
+        (optionally plus the cache needed for a backward pass). Without
+        ``want_cache`` no layer builds a cache or a ReLU mask."""
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"input must be [batch, {self.in_channels}, length], got shape {x.shape}"
@@ -140,13 +141,16 @@ class FeatureExtractor:
         block_outs = []
         for i, (conv, bn) in enumerate(zip(self.convs, self.bns), start=1):
             try:
-                z, conv_cache = nncore.conv1d_forward(h, conv, want_cache=True)
-                zn, bn_cache = nncore.batchnorm_forward(z, bn, training=training,
-                                                        update_running=update_running,
-                                                        want_cache=True)
+                z, conv_cache = _split(nncore.conv1d_forward(h, conv, want_cache=want_cache),
+                                       want_cache)
+                zn, bn_cache = _split(nncore.batchnorm_forward(z, bn, training=training,
+                                                               update_running=update_running,
+                                                               want_cache=want_cache),
+                                      want_cache)
             except NumericError as exc:
                 raise NumericError(f"non-finite activations in conv block {i}: {exc}") from exc
-            h, relu_cache = nncore.relu_forward(zn, want_cache=True)
+            h, relu_cache = _split(nncore.relu_forward(zn, want_cache=want_cache, out=zn),
+                                   want_cache)
             if not np.isfinite(h).all():
                 raise NumericError(f"non-finite activations in conv block {i}")
             cache[f"block{i}"] = (conv_cache, bn_cache, relu_cache)
@@ -200,7 +204,9 @@ class FeatureExtractor:
                 g, ga, gb = nncore.batchnorm_inference_backward(g, self.bns[i - 1], bn_cache)
             grads[f"bn{i}.alpha"] = ga
             grads[f"bn{i}.beta"] = gb
-            g, gk, gbias = nncore.conv1d_backward(g, self.convs[i - 1], conv_cache)
+            # the input gradient of block 1 would flow into the data
+            g, gk, gbias = nncore.conv1d_backward(g, self.convs[i - 1], conv_cache,
+                                                  input_grad=i > 1)
             grads[f"conv{i}.kernel"] = gk
             grads[f"conv{i}.bias"] = gbias
         return grads
@@ -212,6 +218,12 @@ class FeatureExtractor:
             trace = self.forward(x[start:start + batch_size], training=False)
             preds.append(np.argmax(trace.probs, axis=1))
         return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
+
+
+def _split(result, want_cache: bool):
+    """(output, cache) of a layer op called with ``want_cache``; the cache is
+    None when none was asked for."""
+    return result if want_cache else (result, None)
 
 
 def hidden_arrays(model: FeatureExtractor) -> dict:

@@ -77,6 +77,11 @@ class FederationConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_a(value, f.type):
+                raise ConfigError(f"{f.name} must be of type {f.type}, "
+                                  f"got {type(value).__name__} {value!r}")
         if self.n_tot < 1:
             raise ConfigError(f"n_tot must be >= 1, got {self.n_tot}")
         if not 0.0 < self.conn_ratio <= 1.0:
@@ -92,9 +97,20 @@ class FederationConfig:
         if self.strategy not in strategies.ROUNDS:
             raise ConfigError(f"unknown strategy '{self.strategy}', "
                               f"expected one of {strategies.STRATEGY_TAGS}")
+        for block in self.blocks:
+            if not (isinstance(block, (list, tuple)) and len(block) == 2
+                    and all(_is_a(v, "int") for v in block)):
+                raise ConfigError(f"each block must be a [kernel_width, channels] pair of "
+                                  f"integers, got {block!r}")
         self.blocks = tuple((int(k), int(c)) for k, c in self.blocks)
-        self.datasets = [tuple(d) if not isinstance(d, dict) else (d["name"], d["path"])
-                         for d in self.datasets]
+        datasets = []
+        for d in self.datasets:
+            pair = (d.get("name"), d.get("path")) if isinstance(d, dict) else d
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(v, str) for v in pair)):
+                raise ConfigError(f"each dataset must be a (name, path) pair of strings, got {pair!r}")
+            datasets.append(tuple(pair))
+        self.datasets = datasets
         self.fbst_config()  # validates the local-training fields
 
     @property
@@ -120,6 +136,19 @@ class FederationConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
+
+
+# What each FederationConfig annotation accepts. bool is an int subclass, so
+# it is refused wherever a number is expected.
+_ACCEPTED = {
+    "int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str,
+    "list": (list, tuple), "tuple": (list, tuple), "str | None": (str, type(None)),
+}
+
+
+def _is_a(value, annotation: str) -> bool:
+    accepted = _ACCEPTED[annotation]
+    return isinstance(value, accepted) and (accepted is bool or not isinstance(value, bool))
 
 
 def round_half_up(x: float) -> int:

@@ -2,18 +2,28 @@
 gradients, the Adam optimizer, and a finite-difference gradient oracle.
 
 Tensors are plain ``numpy.ndarray`` objects in float64 (float32 is accepted),
-with series data laid out as ``[batch, channel, length]``. Every op here is a
-pure function over the arrays it is given: layers own their parameter arrays,
-forward functions return fresh outputs plus an explicit cache, and backward
-functions turn (cache, upstream gradient) into parameter/input gradients
-without touching shared state. That makes the whole module safe to drive from
+with series data laid out as ``[batch, channel, length]``. Layers own their
+parameter arrays, forward functions return fresh outputs plus an explicit
+cache, and backward functions turn (cache, upstream gradient) into fresh
+parameter/input gradients.
+
+The one shared state is per-thread scratch. The conv and batch-norm ops build
+their internal temporaries (im2col matrices, padded arrays, a transposed
+gradient copy, centered values, squares and backward products) in the calling
+thread's workspace: two flat buffers, each grown to the largest request and
+viewed at the shape and memory order the op needs. No scratch view outlives
+the op that took it, and nothing an op returns or caches lives there, so
+results never alias each other. The arithmetic is the one numpy's own
+expressions perform, in the same order and memory layout, so the bits match.
+Each thread has its own workspace, which makes the module safe to drive from
 parallel workers as long as each worker owns its own layers.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -134,13 +144,135 @@ def init_dense(d_out: int, d_in: int, rng: np.random.Generator, dtype=np.float64
 
 
 # ---------------------------------------------------------------------------
+# Per-thread scratch
+# ---------------------------------------------------------------------------
+
+class _Workspace(threading.local):
+    def __init__(self):
+        self.buffers = [None, None]
+
+
+_WORKSPACE = _Workspace()
+
+# Each scratch role names one of the two buffers. Roles that share a buffer are
+# never live at once: an op holds at most one array from each buffer at a time,
+# and no scratch array outlives its op.
+_BUFFER_OF = {
+    "cols": 0, "centered": 0, "gh": 0,
+    "pad": 1, "gout_t": 1, "kernel_t": 1, "squares": 1, "prod": 1,
+}
+
+
+def workspace_nbytes() -> int:
+    """Bytes held by the calling thread's scratch buffers."""
+    return sum(buf.nbytes for buf in _WORKSPACE.buffers if buf is not None)
+
+
+def _scratch(role: str, shape, dtype, order=None) -> np.ndarray:
+    """The calling thread's buffer for ``role``, viewed as ``shape`` and
+    ``dtype`` with its axes stored outermost-first in ``order`` (C order by
+    default). The buffer grows to the largest request and keeps its stale
+    contents."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buffers = _WORKSPACE.buffers
+    i = _BUFFER_OF[role]
+    if buffers[i] is None or buffers[i].nbytes < nbytes:
+        buffers[i] = None  # release the old buffer before allocating its successor
+        buffers[i] = np.empty(nbytes, dtype=np.uint8)
+    flat = buffers[i][:nbytes].view(dtype)
+    if order is None:
+        return flat.reshape(shape)
+    stored = flat.reshape([shape[a] for a in order])
+    return stored.transpose(sorted(range(len(order)), key=order.__getitem__))
+
+
+def _elementwise_order(*arrays) -> list:
+    """The axis order, outermost first, in which numpy lays out a fresh
+    elementwise result over ``arrays`` (all of one shape; broadcast operands
+    never decide it). This is numpy's stable sort of axes by stride, in which
+    C order wins wherever the operands disagree. Reductions sum in memory
+    order, so a scratch temporary must be laid out this way to keep bits."""
+    shape = arrays[0].shape
+    strides = [[0 if n == 1 else abs(s) for n, s in zip(shape, a.strides)] for a in arrays]
+    perm = list(range(len(shape) - 1, -1, -1))  # innermost first
+    for i0 in range(1, len(perm)):
+        ax0 = perm[i0]
+        pos = i0
+        for i1 in range(i0 - 1, -1, -1):
+            ax1 = perm[i1]
+            decided = swap = False
+            for st in strides:
+                if st[ax0] and st[ax1]:
+                    if st[ax1] <= st[ax0]:
+                        swap = False
+                    elif not decided:
+                        swap = True
+                    decided = True
+            if decided:
+                if not swap:
+                    break
+                pos = i1
+        perm.insert(pos, perm.pop(i0))
+    return perm[::-1]
+
+
+def _scratch_like(role: str, dtype, *arrays) -> np.ndarray:
+    """Scratch for an elementwise result over ``arrays``, laid out as numpy
+    would lay out a fresh one."""
+    return _scratch(role, arrays[0].shape, dtype, _elementwise_order(*arrays))
+
+
+def _scratch_copy(role: str, a: np.ndarray) -> np.ndarray:
+    """A C-order copy of ``a`` in scratch."""
+    out = _scratch(role, a.shape, a.dtype)
+    np.copyto(out, a)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Forward / backward ops
 # ---------------------------------------------------------------------------
+
+def _pad_length(a: np.ndarray, pad: int) -> np.ndarray:
+    """``np.pad(a, ((0, 0), (0, 0), (pad, pad)))`` built in scratch."""
+    b, c, n = a.shape
+    out = _scratch("pad", (b, c, n + 2 * pad), a.dtype)
+    out[:, :, :pad] = 0
+    out[:, :, pad + n:] = 0
+    out[:, :, pad:pad + n] = a
+    return out
+
+
+def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
+    """The [C*K, B*T] matrix of the width-k windows of padded [B, C, T+K-1]
+    input, ordered [C, K, B, T]: the copy einsum makes of them."""
+    b, c, n = padded.shape
+    windows = sliding_window_view(padded, k, axis=2)  # [B, C, T, K]
+    return _scratch_copy("cols", windows.transpose(1, 3, 0, 2)).reshape(c * k, b * (n - k + 1))
+
+
+def _gout_matrix(gout: np.ndarray) -> np.ndarray:
+    """Upstream gradient [B, O, L] as the [B*L, O] matrix einsum multiplies:
+    a view when gout's memory is [O, B, L]-ordered, else a C-order copy. The
+    two layouts take different BLAS transpose flags, which can change bits,
+    so the choice is einsum's."""
+    t = gout.transpose(0, 2, 1)
+    b, n, o = t.shape
+    if b == 1 or n == 1 or t.strides[0] == t.strides[1] * n:
+        return t.reshape(b * n, o)
+    return _scratch_copy("gout_t", t).reshape(b * n, o)
+
 
 def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
     """Same-padding direct convolution of [B, C_in, L] -> [B, C_out, L].
 
     out[b, o, t] = sum_{c,k} kernel[o, c, k] * padded(x)[b, c, t + k] + bias[o]
+
+    This is the product ``np.einsum("bclk,ock->bol", windows, kernel,
+    optimize=True)`` runs: [C_out, C_in*K] @ [C_in*K, B*L], returned as a
+    [B, C_out, L] view of the [C_out, B, L] result. Only the padded input
+    kept in the cache is a fresh allocation besides the output.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv input must be [batch, channel, length], got shape {x.shape}")
@@ -150,35 +282,49 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
         )
     if x.shape[2] < 1:
         raise ShapeError(f"conv input length axis must be >= 1, got {x.shape[2]}")
-    k = layer.kernel.shape[2]
+    b, c, length = x.shape
+    o, _, k = layer.kernel.shape
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    windows = sliding_window_view(xp, k, axis=2)  # [B, C_in, L, K]
-    out = np.einsum("bclk,ock->bol", windows, layer.kernel, optimize=True)
-    out += layer.bias[None, :, None]
+    if want_cache:
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    else:
+        xp = _pad_length(x, pad)
+    # overflow here is converted into NumericError by the callers' finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.matmul(layer.kernel.reshape(o, c * k), _im2col(xp, k))
+        out = out.reshape(o, b, length).transpose(1, 0, 2)
+        out += layer.bias[None, :, None]
     if want_cache:
         return out, (xp, x.shape)
     return out
 
 
-def conv1d_backward(gout: np.ndarray, layer: ConvLayer, cache):
+def conv1d_backward(gout: np.ndarray, layer: ConvLayer, cache, input_grad: bool = True):
     """Gradients of the same-padding convolution.
 
-    Returns (g_input, g_kernel, g_bias). g_input is the correlation of the
-    zero-extended upstream gradient with the length-reversed kernel.
+    Returns (g_input, g_kernel, g_bias); g_input is None when ``input_grad``
+    is False. g_input is the correlation of the zero-extended upstream
+    gradient with the length-reversed kernel. Both products are the ones
+    einsum runs: g_kernel is [C_in*K, B*L] @ [B*L, C_out] viewed as
+    [C_out, C_in, K], and g_input is [C_in, C_out*K] @ [C_out*K, B*(L+K-1)],
+    viewed as [B, C_in, L+K-1] and sliced.
     """
     if cache is None:
         raise GradientStateError("conv1d_backward called without a cached forward")
     xp, x_shape = cache
-    k = layer.kernel.shape[2]
+    o, c, k = layer.kernel.shape
+    b, _, length = gout.shape
     pad = (k - 1) // 2
-    windows = sliding_window_view(xp, k, axis=2)
-    g_kernel = np.einsum("bot,bctk->ock", gout, windows, optimize=True)
-    g_bias = gout.sum(axis=(0, 2))
-    gp = np.pad(gout, ((0, 0), (0, 0), (k - 1, k - 1)))
-    gwin = sliding_window_view(gp, k, axis=2)  # [B, C_out, L+K-1, K]
-    kflip = layer.kernel[:, :, ::-1]
-    g_padded = np.einsum("bosk,ock->bcs", gwin, kflip, optimize=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_kernel = np.matmul(_im2col(xp, k), _gout_matrix(gout))
+        g_kernel = g_kernel.reshape(c, k, o).transpose(2, 0, 1)
+        g_bias = gout.sum(axis=(0, 2))
+        if not input_grad:
+            return None, g_kernel, g_bias
+        gcols = _im2col(_pad_length(gout, k - 1), k)
+        kflip = _scratch_copy("kernel_t", layer.kernel[:, :, ::-1].transpose(1, 0, 2))
+        g_padded = np.matmul(kflip.reshape(c, o * k), gcols)
+    g_padded = g_padded.reshape(c, b, length + k - 1).transpose(1, 0, 2)
     g_input = g_padded[:, :, pad:pad + x_shape[2]]
     return g_input, g_kernel, g_bias
 
@@ -201,7 +347,7 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
     """Normalize per channel over the batch and length axes of [B, C, L]
     input. Training mode uses batch statistics (and by default folds them
     into the running statistics); inference mode uses the running statistics
-    only.
+    only. Temporaries that no cache keeps live in scratch.
     """
     _require_3d(x, "batchnorm input")
     if x.shape[0] < 1 and training:
@@ -218,18 +364,24 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
             mu = x.mean(axis=_BN_REDUCE_AXES)
             if not np.isfinite(mu).all():
                 raise NumericError("non-finite batch statistics in batchnorm")
-            centered = x - _per_channel(mu)
+            keep_centered = want_cache and layer.literal_form
+            centered = np.subtract(x, _per_channel(mu), out=None if keep_centered
+                                   else _scratch_like("centered", np.result_type(x, mu), x))
+            squares = np.multiply(centered, centered,
+                                  out=_scratch_like("squares", centered.dtype, centered))
             if layer.literal_form:
-                sumsq = np.sum(centered * centered, axis=_BN_REDUCE_AXES)
+                sumsq = np.sum(squares, axis=_BN_REDUCE_AXES)
                 delta = np.sqrt(sumsq)
                 denom = delta + layer.zeta
                 out = alpha * centered / _per_channel(denom) + beta
                 stat = sumsq
                 cache = ("literal", centered, delta, denom)
             else:
-                var = np.mean(centered * centered, axis=_BN_REDUCE_AXES)
+                var = np.mean(squares, axis=_BN_REDUCE_AXES)
                 inv = 1.0 / np.sqrt(var + layer.zeta)
-                xhat = centered * _per_channel(inv)
+                # an uncached xhat takes the squares' place
+                xhat = np.multiply(centered, _per_channel(inv),
+                                   out=None if want_cache else squares)
                 out = alpha * xhat + beta
                 stat = var
                 cache = ("standard", xhat, inv)
@@ -246,7 +398,8 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
         else:
             denom = np.sqrt(layer.running_var + layer.zeta)
         scale = 1.0 / denom
-        centered = x - _per_channel(mu)
+        centered = np.subtract(x, _per_channel(mu), out=None if want_cache
+                               else _scratch_like("centered", np.result_type(x, mu), x))
         out = alpha * centered * _per_channel(scale) + beta
         cache = ("inference", centered, scale)
 
@@ -264,7 +417,7 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache):
         dL/dx_k = alpha * [ (g_k - mean(g)) / D - c_k * sum(g*c) / (delta * D^2) ]
 
     with c the centered input, delta the root summed-squared deviation and
-    D = delta + zeta.
+    D = delta + zeta. Every temporary but g_input lives in scratch.
     """
     if cache is None:
         raise GradientStateError("batchnorm_backward called without a cached forward")
@@ -274,22 +427,26 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache):
     g_beta = gout.sum(axis=_BN_REDUCE_AXES)
     if kind == "standard":
         _, xhat, inv = cache
-        g_alpha = np.sum(gout * xhat, axis=_BN_REDUCE_AXES)
-        gh = gout * alpha
+        prod = _scratch_like("prod", np.result_type(gout, xhat), gout, xhat)
+        g_alpha = np.sum(np.multiply(gout, xhat, out=prod), axis=_BN_REDUCE_AXES)
+        gh = np.multiply(gout, alpha, out=_scratch_like("gh", np.result_type(gout, alpha), gout))
         mean_gh = gh.mean(axis=_BN_REDUCE_AXES)
-        mean_gh_xhat = np.mean(gh * xhat, axis=_BN_REDUCE_AXES)
+        prod = _scratch_like("prod", np.result_type(gh, xhat), gh, xhat)
+        mean_gh_xhat = np.mean(np.multiply(gh, xhat, out=prod), axis=_BN_REDUCE_AXES)
+        prod = _scratch_like("prod", np.result_type(xhat, mean_gh_xhat), xhat)
         g_input = _per_channel(inv) * (gh - _per_channel(mean_gh)
-                                       - xhat * _per_channel(mean_gh_xhat))
+                                       - np.multiply(xhat, _per_channel(mean_gh_xhat), out=prod))
     elif kind == "literal":
         _, centered, delta, denom = cache
-        g_alpha = np.sum(gout * centered, axis=_BN_REDUCE_AXES) / denom
+        prod = _scratch_like("prod", np.result_type(gout, centered), gout, centered)
+        s_gc = np.sum(np.multiply(gout, centered, out=prod), axis=_BN_REDUCE_AXES)
+        g_alpha = s_gc / denom
         mean_g = gout.mean(axis=_BN_REDUCE_AXES)
-        s_gc = np.sum(gout * centered, axis=_BN_REDUCE_AXES)
         delta_safe = np.maximum(delta, np.finfo(gout.dtype).tiny)
-        g_input = alpha * (
-            (gout - _per_channel(mean_g)) / _per_channel(denom)
-            - centered * _per_channel(s_gc / (delta_safe * denom * denom))
-        )
+        coef = s_gc / (delta_safe * denom * denom)
+        prod = _scratch_like("prod", np.result_type(centered, coef), centered)
+        g_input = alpha * ((gout - _per_channel(mean_g)) / _per_channel(denom)
+                           - np.multiply(centered, _per_channel(coef), out=prod))
     else:
         raise GradientStateError("batchnorm_backward needs a training-mode cache")
     return g_input, g_alpha, g_beta
@@ -310,10 +467,13 @@ def batchnorm_inference_backward(gout: np.ndarray, layer: BatchNormLayer, cache)
     return g_input, g_alpha, g_beta
 
 
-def relu_forward(x: np.ndarray, want_cache: bool = False):
-    out = np.maximum(x, 0.0)
+def relu_forward(x: np.ndarray, want_cache: bool = False, *, out: np.ndarray | None = None):
+    """max(x, 0), written into ``out`` when given (``out=x`` rectifies in
+    place). The cached mask is x > 0."""
+    mask = (x > 0.0) if want_cache else None
+    out = np.maximum(x, 0.0, out=out)
     if want_cache:
-        return out, (x > 0.0)
+        return out, mask
     return out
 
 

@@ -100,6 +100,20 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: unknown strategy 'fedprox'")
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_tot", "2", "n_tot must be of type int, got str '2'"),
+        ("blocks", 3, "blocks must be of type tuple, got int 3"),
+        ("datasets", [5], "each dataset entry must be a name, an object or a [name, path] list"),
+        ("lr", "0.1", "lr must be of type float, got str '0.1'"),
+    ])
+    def test_field_of_the_wrong_json_type_is_a_config_error(self, tmp_path, capsys,
+                                                             field, value, message):
+        cfg = write_config(tmp_path, **{field: value})
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     @pytest.mark.parametrize("text,message", [
         ('{"n_tot": 2,', "is not valid JSON"),
         ('[{"n_tot": 2}]', "must hold a JSON object, got list"),

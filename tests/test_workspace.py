@@ -1,0 +1,300 @@
+"""The per-thread scratch workspace behind the conv and batch-norm ops.
+
+The ops build their temporaries in scratch but must stay bit-identical to the
+plain numpy expressions they replace, never hand out scratch memory, keep
+threads apart, and stop allocating once the workspace has grown.
+"""
+
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from efdls import extractor, fbst, nncore
+from efdls.extractor import FeatureExtractor, ForwardTrace
+
+PAPER_BLOCKS = ((9, 1, 128), (5, 128, 256), (3, 256, 128))  # (K, C_in, C_out)
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.strides == expected.strides
+    assert actual.tobytes() == expected.tobytes()
+
+
+def einsum_conv_forward(x, layer):
+    k = layer.kernel.shape[2]
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    out = np.einsum("bclk,ock->bol", sliding_window_view(xp, k, axis=2), layer.kernel,
+                    optimize=True)
+    out += layer.bias[None, :, None]
+    return out
+
+
+def einsum_conv_backward(gout, layer, x):
+    """(g_input, g_kernel) as the einsum expressions compute them."""
+    k = layer.kernel.shape[2]
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    g_kernel = np.einsum("bot,bctk->ock", gout, sliding_window_view(xp, k, axis=2),
+                         optimize=True)
+    gp = np.pad(gout, ((0, 0), (0, 0), (k - 1, k - 1)))
+    g_padded = np.einsum("bosk,ock->bcs", sliding_window_view(gp, k, axis=2),
+                         layer.kernel[:, :, ::-1], optimize=True)
+    return g_padded[:, :, pad:pad + x.shape[2]], g_kernel
+
+
+def obl_ordered(a):
+    """The same [B, O, L] values stored in [O, B, L] memory order, the layout
+    a conv output and everything computed elementwise from it has."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def conv_case(k, c_in, c_out, batch, length, kernel_dtype=np.float64, seed=0):
+    rng = np.random.default_rng(seed)
+    layer = nncore.init_conv(c_out, c_in, k, rng, dtype=kernel_dtype)
+    x = rng.standard_normal((batch, c_in, length))
+    gout = rng.standard_normal((batch, c_out, length))
+    return layer, x, gout
+
+
+class TestEinsumOracle:
+    def check(self, layer, x, gout):
+        expected = einsum_conv_forward(x, layer)
+        out, cache = nncore.conv1d_forward(x, layer, want_cache=True)
+        assert_bitwise(out, expected)
+        assert_bitwise(nncore.conv1d_forward(x, layer), expected)
+        for g in (gout, obl_ordered(gout)):
+            e_input, e_kernel = einsum_conv_backward(g, layer, x)
+            g_input, g_kernel, g_bias = nncore.conv1d_backward(g, layer, cache)
+            assert_bitwise(g_input, e_input)
+            assert_bitwise(g_kernel, e_kernel)
+            np.testing.assert_array_equal(g_bias, g.sum(axis=(0, 2)))
+            skipped, g_kernel_only, _ = nncore.conv1d_backward(g, layer, cache, input_grad=False)
+            assert skipped is None
+            assert_bitwise(g_kernel_only, e_kernel)
+
+    @pytest.mark.parametrize("length", [24, 256])
+    @pytest.mark.parametrize("batch", [16, 32, 7])
+    @pytest.mark.parametrize("k,c_in,c_out", PAPER_BLOCKS)
+    def test_paper_blocks(self, k, c_in, c_out, batch, length):
+        self.check(*conv_case(k, c_in, c_out, batch, length))
+
+    @pytest.mark.parametrize("k,c_in,c_out", PAPER_BLOCKS)
+    def test_float32_kernel_float64_input(self, k, c_in, c_out):
+        layer, x, gout = conv_case(k, c_in, c_out, 7, 24, kernel_dtype=np.float32, seed=1)
+        self.check(layer, x, gout)
+        assert nncore.conv1d_forward(x, layer).dtype == np.float64
+
+
+def expression_batchnorm_forward(x, layer):
+    """Training-mode batch norm as plain numpy expressions: (out, cache)."""
+    axes = (0, 2)
+    alpha, beta = layer.alpha[None, :, None], layer.beta[None, :, None]
+    mu = x.mean(axis=axes)
+    centered = x - mu[None, :, None]
+    if layer.literal_form:
+        delta = np.sqrt(np.sum(centered * centered, axis=axes))
+        denom = delta + layer.zeta
+        return alpha * centered / denom[None, :, None] + beta, ("literal", centered, delta, denom)
+    var = np.mean(centered * centered, axis=axes)
+    inv = 1.0 / np.sqrt(var + layer.zeta)
+    xhat = centered * inv[None, :, None]
+    return alpha * xhat + beta, ("standard", xhat, inv)
+
+
+def expression_batchnorm_backward(gout, layer, cache):
+    """(g_input, g_alpha) of training-mode batch norm as plain numpy
+    expressions."""
+    axes = (0, 2)
+
+    def per_channel(v):
+        return v[None, :, None]
+
+    alpha = per_channel(layer.alpha)
+    if cache[0] == "standard":
+        _, xhat, inv = cache
+        g_alpha = np.sum(gout * xhat, axis=axes)
+        gh = gout * alpha
+        mean_gh = gh.mean(axis=axes)
+        mean_gh_xhat = np.mean(gh * xhat, axis=axes)
+        return per_channel(inv) * (gh - per_channel(mean_gh)
+                                   - xhat * per_channel(mean_gh_xhat)), g_alpha
+    _, centered, delta, denom = cache
+    s_gc = np.sum(gout * centered, axis=axes)
+    delta_safe = np.maximum(delta, np.finfo(gout.dtype).tiny)
+    return alpha * ((gout - per_channel(gout.mean(axis=axes))) / per_channel(denom)
+                    - centered * per_channel(s_gc / (delta_safe * denom * denom))), s_gc / denom
+
+
+class TestBatchNormOracle:
+    """Batch norm equals its plain-expression form bit for bit, layouts
+    included: its reductions sum in memory order, and a gradient's layout
+    decides the conv backward's BLAS call."""
+
+    @pytest.mark.parametrize("shape", [(16, 256, 64), (3, 5, 7)])
+    @pytest.mark.parametrize("g_layout", ["c", "obl"])
+    @pytest.mark.parametrize("x_layout", ["c", "obl"])
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_training_forward_and_backward(self, literal, x_layout, g_layout, shape):
+        rng = np.random.default_rng(5)
+        x = 3.0 * rng.standard_normal(shape) + 1.0
+        gout = rng.standard_normal(shape)
+        x = obl_ordered(x) if x_layout == "obl" else x
+        gout = obl_ordered(gout) if g_layout == "obl" else gout
+        layer = bn_layer(shape[1], literal)
+        expected_out, expected_cache = expression_batchnorm_forward(x, layer)
+        out, cache = nncore.batchnorm_forward(x, layer, training=True, update_running=False,
+                                              want_cache=True)
+        assert_bitwise(out, expected_out)
+        assert_bitwise(nncore.batchnorm_forward(x, layer, training=True, update_running=False),
+                       expected_out)
+        for got, want in zip(cache[1:], expected_cache[1:]):
+            assert_bitwise(got, want)
+        g_input, g_alpha, _ = nncore.batchnorm_backward(gout, layer, cache)
+        expected_input, expected_alpha = expression_batchnorm_backward(gout, layer, cache)
+        assert_bitwise(g_input, expected_input)
+        assert_bitwise(g_alpha, expected_alpha)
+
+
+def arrays_in(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, ForwardTrace):
+        for name in ("o1", "o2", "o3", "o4", "logits", "probs"):
+            yield getattr(obj, name)
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from arrays_in(v)
+    elif isinstance(obj, (tuple, list)):
+        for v in obj:
+            yield from arrays_in(v)
+
+
+def assert_no_shared_memory(first, second):
+    for a in arrays_in(first):
+        for b in arrays_in(second):
+            assert not np.shares_memory(a, b)
+
+
+def bn_layer(c, literal, seed=0):
+    rng = np.random.default_rng(seed)
+    layer = nncore.init_batchnorm(c, literal_form=literal)
+    layer.alpha[:] = rng.uniform(0.5, 1.5, c)
+    layer.beta[:] = rng.uniform(-1.0, 1.0, c)
+    return layer
+
+
+class TestNoAliasing:
+    """Two consecutive calls hand back arrays that share no memory, so no
+    result can be a view of scratch the next call overwrites."""
+
+    def test_conv(self):
+        layer, x, gout = conv_case(5, 8, 12, 6, 40)
+        assert_no_shared_memory(nncore.conv1d_forward(x, layer), nncore.conv1d_forward(x, layer))
+        first = nncore.conv1d_forward(x, layer, want_cache=True)
+        second = nncore.conv1d_forward(x, layer, want_cache=True)
+        assert_no_shared_memory(first, second)
+        assert_no_shared_memory(nncore.conv1d_backward(gout, layer, first[1]),
+                                nncore.conv1d_backward(gout, layer, second[1]))
+
+    @pytest.mark.parametrize("literal", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm(self, literal, training):
+        layer = bn_layer(12, literal)
+        rng = np.random.default_rng(1)
+        x = obl_ordered(rng.standard_normal((6, 12, 40)))
+        gout = rng.standard_normal((6, 12, 40))
+        kwargs = dict(training=training, update_running=False)
+        assert_no_shared_memory(nncore.batchnorm_forward(x, layer, **kwargs),
+                                nncore.batchnorm_forward(x, layer, **kwargs))
+        first = nncore.batchnorm_forward(x, layer, want_cache=True, **kwargs)
+        second = nncore.batchnorm_forward(x, layer, want_cache=True, **kwargs)
+        assert_no_shared_memory(first, second)
+        if training:
+            assert_no_shared_memory(nncore.batchnorm_backward(gout, layer, first[1]),
+                                    nncore.batchnorm_backward(gout, layer, second[1]))
+
+    def test_relu(self):
+        x = np.random.default_rng(2).standard_normal((6, 12, 40))
+        assert_no_shared_memory(nncore.relu_forward(x), nncore.relu_forward(x))
+        assert_no_shared_memory(nncore.relu_forward(x, want_cache=True),
+                                nncore.relu_forward(x, want_cache=True))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_extractor_forward_and_backward(self, training):
+        model = FeatureExtractor(3, blocks=((5, 8), (3, 12), (3, 8)), hidden_dim=6, seed=3)
+        x = np.random.default_rng(4).standard_normal((6, 1, 40))
+        kwargs = dict(training=training, update_running=False)
+        assert_no_shared_memory(model.forward(x, **kwargs), model.forward(x, **kwargs))
+        trace1, cache1 = model.forward(x, want_cache=True, **kwargs)
+        trace2, cache2 = model.forward(x, want_cache=True, **kwargs)
+        assert_no_shared_memory((trace1, cache1), (trace2, cache2))
+        if training:
+            loss = fbst.SupervisedLoss(np.array([0, 1, 2, 0, 1, 2]))
+            assert_no_shared_memory(model.backward(cache1, loss.output_grads(trace1)),
+                                    model.backward(cache2, loss.output_grads(trace2)))
+
+
+def train_user(seed):
+    """Two federated epochs of local training with a loaded teacher; returns
+    the loss reports and the student's hidden arrays."""
+    rng = np.random.default_rng(seed)
+    blocks = ((5, 16), (3, 32), (3, 16))
+    student = FeatureExtractor(3, blocks=blocks, hidden_dim=8, seed=seed)
+    pair = fbst.FBSTPair(student)
+    pair.load_teacher(extractor.extract_hidden_weights(
+        FeatureExtractor(3, blocks=blocks, hidden_dim=8, seed=seed + 100)))
+    x = rng.standard_normal((40, 1, 96))
+    y = rng.integers(0, 3, 40)
+    adam = nncore.AdamState.for_params(student.parameters(), lr=3e-3)
+    config = fbst.FBSTConfig(batch_size=8)
+    reports = [fbst.local_train_epoch(pair, x, y, config, k, adam, rng)[0] for k in (2, 3)]
+    return reports, extractor.hidden_arrays(student)
+
+
+def test_concurrent_threads_match_sequential_runs():
+    sequential = [train_user(seed) for seed in (0, 1)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        concurrent = list(pool.map(train_user, (0, 1)))
+    for (reports, arrays), (reports_seq, arrays_seq) in zip(concurrent, sequential):
+        assert reports == reports_seq
+        for key in arrays_seq:
+            assert arrays[key].tobytes() == arrays_seq[key].tobytes()
+
+
+# Traced peak of one paper-width batch (student forward and backward plus a
+# teacher forward) once the workspace has grown: about 103 MiB. Building every
+# temporary fresh, as plain numpy expressions do, peaks at about 143 MiB.
+PAPER_BATCH_PEAK_BUDGET = 120 * 2**20
+
+
+def test_paper_width_batch_allocation_budget():
+    rng = np.random.default_rng(0)
+    student = FeatureExtractor(3, seed=1)
+    pair = fbst.FBSTPair(student)
+    pair.load_teacher(extractor.extract_hidden_weights(student))
+    x = rng.standard_normal((16, 1, 256))
+    y = rng.integers(0, 3, 16)
+    adam = nncore.AdamState.for_params(student.parameters(), lr=1e-3)
+    config = fbst.FBSTConfig(batch_size=16)
+
+    def epoch():
+        fbst.local_train_epoch(pair, x, y, config, 2, adam, rng)
+
+    epoch()  # grows the workspace
+    tracemalloc.start()
+    try:
+        epoch()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < PAPER_BATCH_PEAK_BUDGET
+    grown = nncore.workspace_nbytes()
+    assert grown > 0
+    epoch()
+    assert nncore.workspace_nbytes() == grown
