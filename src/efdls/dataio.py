@@ -149,6 +149,13 @@ def _parse_tsv_split(path: str):
                 values = np.array([float(v) for v in fields[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise IngestionError(f"{path}:{lineno}: unparseable row ({exc})") from None
+            # NaN values mark padding or gaps (see _clean_series); a NaN
+            # label or an infinite value has no such meaning.
+            if not np.isfinite(label):
+                raise IngestionError(f"{path}:{lineno}: non-finite label '{fields[0]}'")
+            inf_at = np.flatnonzero(np.isinf(values))
+            if inf_at.size:
+                raise IngestionError(f"{path}:{lineno}: infinite value in field {inf_at[0] + 2}")
             labels.append(label)
             rows.append(values)
     if not rows:

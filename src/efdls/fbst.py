@@ -1,9 +1,10 @@
 """Per-user student-teacher training.
 
-Each user holds two identically shaped networks. The student is the only one
-that ever sees a gradient; the teacher is a frozen copy whose hidden-layer
-outputs act as regression targets through a feature-matching loss. The
-teacher's weights change only when the server hands down a matched bundle.
+Each user holds a student and, from its first load on, a frozen teacher of
+the same shape. Only the student sees a gradient; the teacher's hidden-layer
+outputs act as regression targets through a feature-matching loss, and its
+weights change only when the server hands down a bundle. Users that never
+receive one (fedavg, baseline, disconnected) never hold a teacher.
 
 Loss pieces:
   * feature-matching (KD) loss: for each of the four hidden outputs, squared
@@ -12,8 +13,8 @@ Loss pieces:
   * supervised loss: mean cross-entropy of the softmax probabilities;
   * total: epsilon * supervised + (1 - epsilon) * feature-matching.
 
-On the very first federated epoch (and whenever no teacher has been loaded)
-training is supervised-only.
+On the very first federated epoch (and while a user has no teacher) training
+is supervised-only.
 """
 
 from __future__ import annotations
@@ -67,19 +68,18 @@ class LossReport:
 class FBSTPair:
     """A user's student and its frozen teacher twin.
 
-    The teacher starts as a copy of the freshly initialized student but is
-    inert (``teacher_initialized`` False) until the server loads weights into
-    it; until then the training loss is supervised-only.
+    The teacher is None, and training supervised-only, until the server first
+    loads weights into it. That load clones the student and overwrites its
+    hidden layers; the clone's classifier never enters the loss.
     """
 
     def __init__(self, student: ext.FeatureExtractor):
         self.student = student
-        self.teacher = ext.clone_model(student)
-        self.teacher_initialized = False
+        self.teacher = None
 
     def load_teacher(self, bundle: ext.WeightBundle) -> None:
-        ext.load_hidden_weights(self.teacher, bundle)
-        self.teacher_initialized = True
+        teacher = ext.clone_model(self.student) if self.teacher is None else self.teacher
+        self.teacher = ext.load_hidden_weights(teacher, bundle)
 
     def load_student(self, bundle: ext.WeightBundle) -> None:
         ext.load_hidden_weights(self.student, bundle)
@@ -204,7 +204,7 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
     """
     if x.shape[0] == 0:
         raise ValueError("local_train_epoch needs a non-empty training set")
-    use_teacher = k > 1 and pair.teacher_initialized
+    use_teacher = k > 1 and pair.teacher is not None
     params = pair.student.parameters()
     kd_sum = sup_sum = total_sum = 0.0
     n_batches = 0

@@ -120,8 +120,8 @@ class DenseLayer:
 def init_conv(c_out: int, c_in: int, k: int, rng: np.random.Generator, dtype=np.float64) -> ConvLayer:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] with fan_in = C_in*K."""
     bound = 1.0 / np.sqrt(c_in * k)
-    kernel = rng.uniform(-bound, bound, size=(c_out, c_in, k)).astype(dtype)
-    bias = rng.uniform(-bound, bound, size=c_out).astype(dtype)
+    kernel = rng.uniform(-bound, bound, size=(c_out, c_in, k)).astype(dtype, copy=False)
+    bias = rng.uniform(-bound, bound, size=c_out).astype(dtype, copy=False)
     return ConvLayer(kernel, bias)
 
 
@@ -138,8 +138,8 @@ def init_batchnorm(c: int, zeta: float = 1e-5, momentum: float = 0.9,
 
 def init_dense(d_out: int, d_in: int, rng: np.random.Generator, dtype=np.float64) -> DenseLayer:
     bound = 1.0 / np.sqrt(d_in)
-    weight = rng.uniform(-bound, bound, size=(d_out, d_in)).astype(dtype)
-    bias = rng.uniform(-bound, bound, size=d_out).astype(dtype)
+    weight = rng.uniform(-bound, bound, size=(d_out, d_in)).astype(dtype, copy=False)
+    bias = rng.uniform(-bound, bound, size=d_out).astype(dtype, copy=False)
     return DenseLayer(weight, bias)
 
 

@@ -26,6 +26,15 @@ def random_bundle(rng: np.random.Generator) -> extractor.WeightBundle:
     return bundle
 
 
+def model_arrays(model: extractor.FeatureExtractor) -> dict:
+    """Live views of every array a model owns: the hidden layers, running
+    statistics included, and the classifier."""
+    arrays = dict(extractor.hidden_arrays(model))
+    arrays["classifier.weight"] = model.classifier.weight
+    arrays["classifier.bias"] = model.classifier.bias
+    return arrays
+
+
 def ucr_data_dir() -> str | None:
     d = os.environ.get("EFDLS_DATA_DIR")
     return d if d and os.path.isdir(d) else None

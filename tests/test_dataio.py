@@ -111,6 +111,39 @@ class TestLoadUcrTsv:
         with pytest.raises(IngestionError, match="unparseable"):
             load_ucr_tsv(path)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "Infinity"])
+    def test_infinite_value_rejected_with_line(self, tmp_path, value):
+        path = make_dataset_dir(tmp_path, "Inf",
+                                train_rows=[[0, 0.5, 0.6, 0.7, 0.8], [1, 0.1, 0.2, value, 0.4]],
+                                test_rows=[[0, 1.0, 2.0, 3.0, 4.0]])
+        with pytest.raises(IngestionError) as info:
+            load_ucr_tsv(path)
+        assert "Inf_TRAIN.tsv:2: infinite value in field 4" in str(info.value)
+
+    @pytest.mark.parametrize("label", ["nan", "inf"])
+    def test_non_finite_label_rejected_with_line(self, tmp_path, label):
+        path = make_dataset_dir(tmp_path, "NanLabel",
+                                train_rows=[[0, 1.0, 2.0]],
+                                test_rows=[[1, 2.0, 1.0], [label, 1.0, 2.0]])
+        with pytest.raises(IngestionError) as info:
+            load_ucr_tsv(path)
+        assert "NanLabel_TEST.tsv:2: non-finite label" in str(info.value)
+
+    def test_nan_padding_and_gaps_still_load(self, tmp_path):
+        # trailing NaNs are padding and are stripped; an interior NaN takes
+        # the series mean, so it normalizes to exact zero
+        path = make_dataset_dir(
+            tmp_path, "Gappy",
+            train_rows=[[0, 1.0, "nan", 3.0, "NaN", "NaN"], [1, 4.0, 2.0, 4.0, 2.0, 4.0]],
+            test_rows=[[1, 0.0, 2.0]],
+        )
+        ds = load_ucr_tsv(path)
+        assert ds.series_length == 5
+        np.testing.assert_array_equal(ds.x_train[0, :3], z_normalize(np.array([1.0, 2.0, 3.0])))
+        assert ds.x_train[0, 1] == 0.0
+        np.testing.assert_array_equal(ds.x_train[0, 3:], [0.0, 0.0])
+        np.testing.assert_array_equal(ds.x_test[0], [-1.0, 1.0, 0.0, 0.0, 0.0])
+
     def test_missing_file_rejected(self, tmp_path):
         d = tmp_path / "Missing"
         d.mkdir()

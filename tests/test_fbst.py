@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mini_model
+from conftest import MINI_HIDDEN, mini_model, model_arrays
 from efdls import dataio, extractor, fbst, metrics, nncore
 from efdls.fbst import (
     ConfigError, FBSTConfig, FBSTPair, kd_loss, local_train_epoch, sup_loss, total_loss,
@@ -152,6 +152,51 @@ class TestBatchIteration:
             assert np.array_equal(x, y)
 
 
+class TestTeacherLifecycle:
+    def test_no_teacher_until_first_load(self):
+        pair = FBSTPair(mini_model(num_classes=2, seed=40))
+        assert pair.teacher is None
+        x, y = small_problem(seed=41)
+        adam = nncore.AdamState.for_params(pair.student.parameters())
+        report, _ = local_train_epoch(pair, x, y, FBSTConfig(), k=3, adam=adam,
+                                      rng=np.random.default_rng(42))
+        assert pair.teacher is None
+        assert report.kd == 0.0
+
+    def test_first_load_builds_teacher_holding_the_bundle(self, monkeypatch):
+        clones = []
+        real_clone = extractor.clone_model
+        monkeypatch.setattr(extractor, "clone_model",
+                            lambda model: clones.append(model) or real_clone(model))
+        pair = FBSTPair(mini_model(num_classes=2, seed=43))
+        source = extractor.extract_hidden_weights(mini_model(num_classes=2, seed=44))
+        pair.load_teacher(source)
+        assert clones == [pair.student]
+        teacher = pair.teacher
+        for key, arr in extractor.hidden_arrays(teacher).items():
+            assert np.array_equal(arr, source.arrays[key]), key
+            assert not np.shares_memory(arr, source.arrays[key]), key
+        # later loads overwrite the same teacher in place
+        pair.load_teacher(extractor.extract_hidden_weights(pair.student))
+        assert pair.teacher is teacher and len(clones) == 1
+
+    def test_loaded_teacher_shares_no_memory_with_student(self):
+        pair = FBSTPair(mini_model(num_classes=2, seed=45))
+        pair.load_teacher(extractor.extract_hidden_weights(pair.student))
+        teacher, student = model_arrays(pair.teacher), model_arrays(pair.student)
+        for key, arr in teacher.items():
+            for other in student.values():
+                assert not np.shares_memory(arr, other), key
+
+    def test_rejected_first_load_leaves_no_teacher(self):
+        pair = FBSTPair(mini_model(num_classes=2, seed=46))
+        bundle = extractor.extract_hidden_weights(pair.student)
+        bundle.arrays["dense.bias"] = np.zeros(MINI_HIDDEN + 1)
+        with pytest.raises(extractor.IncompatibleBundleError):
+            pair.load_teacher(bundle)
+        assert pair.teacher is None
+
+
 class TestLocalTrainEpoch:
     def test_first_epoch_is_supervised_only(self):
         pair = FBSTPair(mini_model(num_classes=2, seed=1))
@@ -161,6 +206,15 @@ class TestLocalTrainEpoch:
                                            rng=np.random.default_rng(3))
         assert report.kd == 0.0
         assert report.total == pytest.approx(report.sup, abs=1e-12)
+
+    def test_first_epoch_ignores_a_loaded_teacher(self):
+        pair = FBSTPair(mini_model(num_classes=2, seed=1))
+        pair.load_teacher(extractor.extract_hidden_weights(mini_model(num_classes=2, seed=0)))
+        x, y = small_problem(seed=2)
+        adam = nncore.AdamState.for_params(pair.student.parameters())
+        report, _ = local_train_epoch(pair, x, y, FBSTConfig(), k=1, adam=adam,
+                                      rng=np.random.default_rng(3))
+        assert report.kd == 0.0
 
     def test_self_teacher_first_batch_kd_zero(self):
         pair = FBSTPair(mini_model(num_classes=2, seed=4))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_BLOCKS, MINI_HIDDEN, random_bundle
+from conftest import MINI_BLOCKS, MINI_HIDDEN, model_arrays, random_bundle
 from efdls import dbwm, extractor, fbst, federation, nncore, strategies
 from efdls.extractor import WeightBundle
 from efdls.fbst import ConfigError
@@ -645,6 +645,109 @@ def _single_block_message(ndim: int, dims, payload: bytes = b"") -> bytes:
     return (federation.MESSAGE_MAGIC + bytes([federation.MESSAGE_VERSION])
             + struct.pack("<II", 0, 0) + bytes([1]) + bytes([0, ndim])
             + struct.pack(f"<{len(dims)}I", *dims) + payload)
+
+
+class InitTimeClonePair(fbst.FBSTPair):
+    """The earlier teacher lifecycle, kept as an oracle: the teacher is cloned
+    from the freshly built student at setup, and is used only once loaded."""
+
+    def __init__(self, student):
+        self.student = student
+        self.init_clone = extractor.clone_model(student)
+        self.loaded = False
+
+    @property
+    def teacher(self):
+        return self.init_clone if self.loaded else None
+
+    def load_teacher(self, bundle):
+        extractor.load_hidden_weights(self.init_clone, bundle)
+        self.loaded = True
+
+
+class TestTeacherLifecycle:
+    """A user's teacher is built at its first load; users that never load one
+    never hold one."""
+
+    @staticmethod
+    def _run(config):
+        reports = []
+        fed = Federation(config)
+        report, ledger = fed.run(on_epoch=lambda uid, k, rep: reports.append((uid, k, rep)))
+        return fed, report, ledger, reports
+
+    @pytest.mark.parametrize("strategy", ["efdls", "fkd"])
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"teacher_bn_mode": "running"},
+        {"teacher_bn_mode": "running", "bn_paper_literal": True, "conn_resample": True},
+    ])
+    def test_load_time_clone_matches_init_time_clone(self, monkeypatch, strategy, extra):
+        datasets = [(f"w{i}", "synthetic") for i in range(5)]
+        config = toy_config(n_tot=5, conn_ratio=0.6, fles=4, datasets=datasets,
+                            strategy=strategy, **extra)
+        fed, report, ledger, reports = self._run(config)
+        monkeypatch.setattr(fbst, "FBSTPair", InitTimeClonePair)
+        old_fed, old_report, old_ledger, old_reports = self._run(config)
+
+        assert all(isinstance(u.pair, InitTimeClonePair) for u in old_fed.users)
+        assert reports == old_reports
+        assert any(rep.kd > 0.0 for _, _, rep in reports)
+        assert np.array_equal(report.table.values, old_report.table.values)
+        assert ledger.entries == old_ledger.entries
+        for user, old in zip(fed.users, old_fed.users):
+            new_arrays = model_arrays(user.pair.student)
+            for key, arr in model_arrays(old.pair.student).items():
+                assert np.array_equal(new_arrays[key], arr), (user.user_id, key)
+            assert (user.pair.teacher is None) == (old.pair.teacher is None)
+            if user.pair.teacher is not None:
+                new_hidden = extractor.hidden_arrays(user.pair.teacher)
+                for key, arr in extractor.hidden_arrays(old.pair.teacher).items():
+                    assert np.array_equal(new_hidden[key], arr), (user.user_id, key)
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "baseline"])
+    def test_no_teacher_without_teacher_downloads(self, monkeypatch, strategy):
+        clones = []
+        monkeypatch.setattr(extractor, "clone_model", clones.append)
+        fed = Federation(toy_config(strategy=strategy))
+        fed.run()
+        assert all(u.pair.teacher is None for u in fed.users)
+        assert clones == []
+
+    def test_disconnected_efdls_users_hold_no_teacher(self):
+        datasets = [(f"w{i}", "synthetic") for i in range(5)]
+        fed = Federation(toy_config(n_tot=5, conn_ratio=0.6, datasets=datasets))
+        fed.run()
+        assert [u.pair.teacher is not None for u in fed.users] == \
+            [u.connected for u in fed.users]
+        assert sum(u.connected for u in fed.users) == 3
+
+    def test_resampled_user_gets_teacher_at_first_load(self):
+        datasets = [(f"w{i}", "synthetic") for i in range(5)]
+        config = toy_config(n_tot=5, conn_ratio=0.6, fles=4, datasets=datasets,
+                            conn_resample=True)
+        connected = {k: select_connected(config.n_tot, config.conn_ratio, config.seed,
+                                         epoch=None if k == 1 else k)
+                     for k in range(1, config.fles + 1)}
+        first = {uid: min((k for k in connected if uid in connected[k]), default=None)
+                 for uid in range(config.n_tot)}
+        # some user joins only after epoch 1 and before the last epoch
+        assert any(k is not None and 1 < k < config.fles for k in first.values())
+        held = {}
+        fed = Federation(config)
+        fed.run(on_epoch=lambda uid, k, rep: held.setdefault(uid, []).append(
+            (fed.users[uid].pair.teacher is not None, rep.kd > 0.0)))
+        for uid, rows in held.items():
+            for k, (has_teacher, used) in enumerate(rows, start=1):
+                expected = first[uid] is not None and first[uid] < k
+                assert has_teacher == expected, (uid, k)
+                assert used == expected, (uid, k)
+        for user in fed.users:
+            if user.pair.teacher is None:
+                continue
+            teacher, student = model_arrays(user.pair.teacher), model_arrays(user.pair.student)
+            for key, arr in teacher.items():
+                assert not any(np.shares_memory(arr, other) for other in student.values()), key
 
 
 class TestBlockShapeLimits:
