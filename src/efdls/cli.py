@@ -84,12 +84,8 @@ def _refuse_overwrite(out_dir: str, names, force: bool) -> None:
 
 def _execute_run(config: federation.FederationConfig, out_dir: str):
     """Run the federation and assemble the summary payload."""
-    loss_trace = {}
-
-    def on_epoch(user_id, k, report):
-        loss_trace.setdefault(user_id, []).append(report)
-
-    report, ledger = federation.run_federation(config, on_epoch=on_epoch)
+    fed = federation.Federation(config)
+    report, ledger = fed.run()
 
     upload = ledger.total_bytes("upload")
     download = ledger.total_bytes("download")
@@ -99,9 +95,8 @@ def _execute_run(config: federation.FederationConfig, out_dir: str):
         expected = federation.comm_overhead(bundle_bytes, config.fles, config.n_conn)
     per_user = {name: float(acc) for name, acc in
                 zip(report.table.datasets, report.table.values[:, 0])}
-    final_loss = {}
-    for uid, reports in sorted(loss_trace.items()):
-        final_loss[report.table.datasets[uid]] = reports[-1].total
+    final_loss = {report.table.datasets[user.user_id]: user.last_report.total
+                  for user in fed.users}
     summary = {
         "strategy": config.strategy,
         "seed": config.seed,

@@ -80,8 +80,22 @@ class ForwardTrace:
     HIDDEN_FIELDS = ("o1", "o2", "o3", "o4")
 
 
+def check_layout(blocks, hidden_dim: int) -> None:
+    """Raise ValueError, naming the field at fault, unless ``blocks`` holds the
+    three (kernel_width, channels) pairs BUNDLE_KEYS and ForwardTrace name,
+    each with an odd width >= 1 and >= 1 channels, and ``hidden_dim`` >= 1."""
+    if len(blocks) != 3:
+        raise ValueError(f"blocks must hold 3 [kernel_width, channels] pairs, got {len(blocks)}")
+    for k, c in blocks:
+        if k < 1 or k % 2 == 0 or c < 1:
+            raise ValueError(f"blocks: each needs an odd kernel width >= 1 and >= 1 channels, "
+                             f"got {[k, c]}")
+    if hidden_dim < 1:
+        raise ValueError(f"hidden_dim must be >= 1, got {hidden_dim}")
+
+
 class FeatureExtractor:
-    """One user's classification network.
+    """One user's classification network on [B, 1, L] input.
 
     ``blocks`` gives (kernel_width, channels) per conv block; widths are
     configurable so tests can run skinny instances, but every model in a
@@ -89,26 +103,22 @@ class FeatureExtractor:
     """
 
     def __init__(self, num_classes: int, blocks=DEFAULT_BLOCKS,
-                 hidden_dim: int = DEFAULT_HIDDEN_DIM, in_channels: int = 1,
-                 bn_zeta: float = 1e-5, bn_momentum: float = 0.9,
-                 bn_paper_literal: bool = False, seed: int | None = 0,
-                 dtype=np.float64):
+                 hidden_dim: int = DEFAULT_HIDDEN_DIM, bn_paper_literal: bool = False,
+                 seed: int | None = 0, dtype=np.float64):
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+        check_layout(blocks, hidden_dim)
         rng = np.random.default_rng(seed)
         self.num_classes = num_classes
-        self.block_layout = tuple((int(k), int(c)) for k, c in blocks)
         self.hidden_dim = int(hidden_dim)
-        self.in_channels = int(in_channels)
         self.dtype = dtype
 
         self.convs = []
         self.bns = []
-        c_prev = in_channels
-        for k, c_out in self.block_layout:
+        c_prev = 1
+        for k, c_out in blocks:
             self.convs.append(nncore.init_conv(c_out, c_prev, k, rng, dtype=dtype))
-            self.bns.append(nncore.init_batchnorm(c_out, zeta=bn_zeta, momentum=bn_momentum,
-                                                  literal_form=bn_paper_literal, dtype=dtype))
+            self.bns.append(nncore.init_batchnorm(c_out, literal_form=bn_paper_literal, dtype=dtype))
             c_prev = c_out
         self.hidden = nncore.init_dense(self.hidden_dim, c_prev, rng, dtype=dtype)
         self.classifier = nncore.init_dense(num_classes, self.hidden_dim, rng, dtype=dtype)
@@ -129,14 +139,9 @@ class FeatureExtractor:
                 update_running: bool | None = None, want_cache: bool = False):
         """Run the network on [B, 1, L] input and return a ForwardTrace
         (optionally plus the cache needed for a backward pass). Without
-        ``want_cache`` no layer builds a cache or a ReLU mask."""
-        if x.ndim != 3 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"input must be [batch, {self.in_channels}, length], got shape {x.shape}"
-            )
-        if x.shape[2] < 1:
-            raise ShapeError("input length axis must be >= 1")
-        cache = {"length": x.shape[2]}
+        ``want_cache`` no layer builds a cache; the cache holds ``x`` and o1..o3
+        by reference, so nothing may write to them before the backward."""
+        cache = {}
         h = x
         block_outs = []
         for i, (conv, bn) in enumerate(zip(self.convs, self.bns), start=1):
@@ -164,6 +169,7 @@ class FeatureExtractor:
         cache["hidden"] = hidden_cache
         cache["classifier"] = cls_cache
         cache["training"] = training
+        cache["length"] = h.shape[2]
         trace = ForwardTrace(o1=block_outs[0], o2=block_outs[1], o3=block_outs[2],
                              o4=o4, logits=logits, probs=probs)
         if want_cache:

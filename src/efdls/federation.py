@@ -103,6 +103,10 @@ class FederationConfig:
                 raise ConfigError(f"each block must be a [kernel_width, channels] pair of "
                                   f"integers, got {block!r}")
         self.blocks = tuple((int(k), int(c)) for k, c in self.blocks)
+        try:
+            ext.check_layout(self.blocks, self.hidden_dim)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         datasets = []
         for d in self.datasets:
             pair = (d.get("name"), d.get("path")) if isinstance(d, dict) else d

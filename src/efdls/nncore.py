@@ -5,7 +5,9 @@ Tensors are plain ``numpy.ndarray`` objects in float64 (float32 is accepted),
 with series data laid out as ``[batch, channel, length]``. Layers own their
 parameter arrays, forward functions return fresh outputs plus an explicit
 cache, and backward functions turn (cache, upstream gradient) into fresh
-parameter/input gradients.
+parameter/input gradients. The conv cache is the conv's input and the ReLU
+cache is the ReLU's output, held by reference: nothing may write to either
+before the matching backward has run.
 
 The one shared state is per-thread scratch. The conv and batch-norm ops build
 their internal temporaries (im2col matrices, padded arrays, a transposed
@@ -60,11 +62,6 @@ class ConvLayer:
             raise ShapeError(f"conv kernel width must be odd for symmetric same-padding, got K={k}")
         if self.bias.shape != (self.kernel.shape[0],):
             raise ShapeError(f"conv bias shape {self.bias.shape} does not match C_out={self.kernel.shape[0]}")
-
-    @property
-    def padding(self) -> int:
-        """Symmetric zero padding that keeps the length axis unchanged."""
-        return (self.kernel.shape[2] - 1) // 2
 
 
 @dataclass
@@ -235,7 +232,7 @@ def _scratch_copy(role: str, a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _pad_length(a: np.ndarray, pad: int) -> np.ndarray:
-    """``np.pad(a, ((0, 0), (0, 0), (pad, pad)))`` built in scratch."""
+    """``a`` with ``pad`` zeros at both ends of its length axis, in scratch."""
     b, c, n = a.shape
     out = _scratch("pad", (b, c, n + 2 * pad), a.dtype)
     out[:, :, :pad] = 0
@@ -271,8 +268,9 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
 
     This is the product ``np.einsum("bclk,ock->bol", windows, kernel,
     optimize=True)`` runs: [C_out, C_in*K] @ [C_in*K, B*L], returned as a
-    [B, C_out, L] view of the [C_out, B, L] result. Only the padded input
-    kept in the cache is a fresh allocation besides the output.
+    [B, C_out, L] view of the [C_out, B, L] result. The output is the only
+    fresh allocation. The cache is ``x`` itself, which the backward pads
+    again, so nothing may write to ``x`` before that backward.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv input must be [batch, channel, length], got shape {x.shape}")
@@ -284,18 +282,14 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
         raise ShapeError(f"conv input length axis must be >= 1, got {x.shape[2]}")
     b, c, length = x.shape
     o, _, k = layer.kernel.shape
-    pad = (k - 1) // 2
-    if want_cache:
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    else:
-        xp = _pad_length(x, pad)
     # overflow here is converted into NumericError by the callers' finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.matmul(layer.kernel.reshape(o, c * k), _im2col(xp, k))
+        cols = _im2col(_pad_length(x, (k - 1) // 2), k)
+        out = np.matmul(layer.kernel.reshape(o, c * k), cols)
         out = out.reshape(o, b, length).transpose(1, 0, 2)
         out += layer.bias[None, :, None]
     if want_cache:
-        return out, (xp, x.shape)
+        return out, x
     return out
 
 
@@ -311,12 +305,12 @@ def conv1d_backward(gout: np.ndarray, layer: ConvLayer, cache, input_grad: bool 
     """
     if cache is None:
         raise GradientStateError("conv1d_backward called without a cached forward")
-    xp, x_shape = cache
     o, c, k = layer.kernel.shape
     b, _, length = gout.shape
     pad = (k - 1) // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        g_kernel = np.matmul(_im2col(xp, k), _gout_matrix(gout))
+        # im2col copies the padded input out of the buffer _gout_matrix reuses
+        g_kernel = np.matmul(_im2col(_pad_length(cache, pad), k), _gout_matrix(gout))
         g_kernel = g_kernel.reshape(c, k, o).transpose(2, 0, 1)
         g_bias = gout.sum(axis=(0, 2))
         if not input_grad:
@@ -325,7 +319,7 @@ def conv1d_backward(gout: np.ndarray, layer: ConvLayer, cache, input_grad: bool 
         kflip = _scratch_copy("kernel_t", layer.kernel[:, :, ::-1].transpose(1, 0, 2))
         g_padded = np.matmul(kflip.reshape(c, o * k), gcols)
     g_padded = g_padded.reshape(c, b, length + k - 1).transpose(1, 0, 2)
-    g_input = g_padded[:, :, pad:pad + x_shape[2]]
+    g_input = g_padded[:, :, pad:pad + length]
     return g_input, g_kernel, g_bias
 
 
@@ -469,16 +463,16 @@ def batchnorm_inference_backward(gout: np.ndarray, layer: BatchNormLayer, cache)
 
 def relu_forward(x: np.ndarray, want_cache: bool = False, *, out: np.ndarray | None = None):
     """max(x, 0), written into ``out`` when given (``out=x`` rectifies in
-    place). The cached mask is x > 0."""
-    mask = (x > 0.0) if want_cache else None
+    place). The cache is the output itself, positive exactly where x is, so
+    nothing may write to the output before the backward."""
     out = np.maximum(x, 0.0, out=out)
     if want_cache:
-        return out, mask
+        return out, out
     return out
 
 
 def relu_backward(gout: np.ndarray, cache) -> np.ndarray:
-    return gout * cache
+    return gout * (cache > 0.0)
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

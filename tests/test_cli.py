@@ -114,6 +114,25 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("blocks", [[3, 3], [3, 4]], "blocks must hold 3 [kernel_width, channels] pairs, got 2"),
+        ("blocks", [[3, 3], [3, 4], [3, 3], [3, 5]],
+         "blocks must hold 3 [kernel_width, channels] pairs, got 4"),
+        ("blocks", [], "blocks must hold 3 [kernel_width, channels] pairs, got 0"),
+        ("blocks", [[3, 3], [3, 0], [3, 3]],
+         "blocks: each needs an odd kernel width >= 1 and >= 1 channels, got [3, 0]"),
+        ("blocks", [[3, 3], [4, 4], [3, 3]],
+         "blocks: each needs an odd kernel width >= 1 and >= 1 channels, got [4, 4]"),
+        ("hidden_dim", 0, "hidden_dim must be >= 1, got 0"),
+    ])
+    def test_unbuildable_network_shape_is_a_config_error(self, tmp_path, capsys,
+                                                         field, value, message):
+        cfg = write_config(tmp_path, strategy="efdls", **{field: value})
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     @pytest.mark.parametrize("text,message", [
         ('{"n_tot": 2,', "is not valid JSON"),
         ('[{"n_tot": 2}]', "must hold a JSON object, got list"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,23 @@ class TestForward:
     def test_bad_input_shape(self):
         with pytest.raises(nncore.ShapeError):
             mini_model().forward(np.zeros((2, 2, 12)))
+
+    @pytest.mark.parametrize("shape", [(2, 12), (2, 1, 0)])
+    def test_input_of_another_rank_or_empty_length_rejected(self, shape):
+        with pytest.raises(nncore.ShapeError):
+            mini_model().forward(np.zeros(shape))
+
+    @pytest.mark.parametrize("blocks,hidden_dim,message", [
+        (((3, 4), (3, 4)), 4, "blocks must hold 3"),
+        (((3, 4), (3, 4), (3, 4), (3, 4)), 4, "blocks must hold 3"),
+        (((3, 4), (2, 4), (3, 4)), 4, "odd kernel width >= 1 and >= 1 channels, got [2, 4]"),
+        (((3, 4), (-1, 4), (3, 4)), 4, "odd kernel width >= 1 and >= 1 channels, got [-1, 4]"),
+        (((3, 4), (3, 0), (3, 4)), 4, "odd kernel width >= 1 and >= 1 channels, got [3, 0]"),
+        (((3, 4), (3, 4), (3, 4)), 0, "hidden_dim must be >= 1, got 0"),
+    ])
+    def test_unbuildable_layout_rejected(self, blocks, hidden_dim, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FeatureExtractor(num_classes=2, blocks=blocks, hidden_dim=hidden_dim)
 
     def test_nonfinite_activation_names_block(self):
         m = mini_model(seed=5)
