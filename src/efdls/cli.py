@@ -9,16 +9,12 @@ Subcommands:
   gradcheck      self-check: finite-difference verification of the network
                  gradients
 
-Config schema (JSON object): strategy, n_tot, conn_ratio, fles, seed,
-epsilon, batch_size, lr, weight_decay, bn_paper_literal, datasets (list of
-{"name": ..., "path": ...}; a bare name resolves under EFDLS_DATA_DIR; path
-"synthetic" uses the built-in separable set), output_dir, plus the optional
-keys documented in the README (local_epochs, blocks, hidden_dim, normalize,
-teacher_bn_mode, conn_resample, transport, port, workers).
+The config keys are listed under "Config schema" in the README.
 
-A run writes <out>/effective-config, <out>/results.csv and <out>/summary.json;
-sweeps add <out>/sweep.csv. Existing outputs are never overwritten unless
---force is given.
+A run writes the RUN_OUTPUTS files (its effective config, per-user accuracies
+and summary) into <out>; a sweep writes them into one subdirectory of <out>
+per setting and adds <out>/sweep.csv. Existing outputs are never overwritten
+unless --force is given.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ from . import extractor, fbst, federation, metrics, nncore, strategies
 
 DATA_DIR_ENV = "EFDLS_DATA_DIR"
 GRADCHECK_TOLERANCE = 1e-4
+RUN_OUTPUTS = ("effective-config", "results.csv", "summary.json")
 
 
 def _resolve_dataset_entry(entry, data_dir: str | None):
@@ -69,8 +66,9 @@ def load_config(path: str, overrides: dict) -> federation.FederationConfig:
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value
-    data_dir = os.environ.get(DATA_DIR_ENV)
-    raw["datasets"] = [_resolve_dataset_entry(e, data_dir) for e in raw.get("datasets", [])]
+    if isinstance(raw.get("datasets"), list):  # anything else fails FederationConfig's type check
+        data_dir = os.environ.get(DATA_DIR_ENV)
+        raw["datasets"] = [_resolve_dataset_entry(e, data_dir) for e in raw["datasets"]]
     return federation.FederationConfig.from_dict(raw)
 
 
@@ -82,8 +80,12 @@ def _refuse_overwrite(out_dir: str, names, force: bool) -> None:
         )
 
 
-def _execute_run(config: federation.FederationConfig, out_dir: str):
-    """Run the federation and assemble the summary payload."""
+def _run_into(config: federation.FederationConfig, out_dir: str, force: bool) -> dict:
+    """Run the federation into ``out_dir``, write RUN_OUTPUTS there and
+    return the summary payload."""
+    config.output_dir = out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    _refuse_overwrite(out_dir, RUN_OUTPUTS, force)
     fed = federation.Federation(config)
     report, ledger = fed.run()
 
@@ -114,31 +116,29 @@ def _execute_run(config: federation.FederationConfig, out_dir: str):
             "expected_total_bytes": expected,
         },
     }
-    return report, ledger, summary
 
-
-def _write_run_outputs(config, report, summary, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "effective-config"), "w", encoding="utf-8") as fh:
+    config_path, results_path, summary_path = (os.path.join(out_dir, n) for n in RUN_OUTPUTS)
+    with open(config_path, "w", encoding="utf-8") as fh:
         json.dump(config.to_dict(), fh, indent=2)
         fh.write("\n")
-    metrics.write_accuracy_csv(report.table, os.path.join(out_dir, "results.csv"))
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    metrics.write_accuracy_csv(report.table, results_path)
+    with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
+    return summary
+
+
+def _out_dir(args, config: federation.FederationConfig) -> str:
+    out_dir = args.out or config.output_dir
+    if not out_dir:
+        raise fbst.ConfigError("no output directory (give --out or set output_dir)")
+    return out_dir
 
 
 def cmd_run(args) -> int:
     config = load_config(args.config, _config_overrides(args))
-    out_dir = args.out or config.output_dir
-    if not out_dir:
-        print("error: no output directory (give --out or set output_dir)", file=sys.stderr)
-        return 2
-    config.output_dir = out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    _refuse_overwrite(out_dir, ("effective-config", "results.csv", "summary.json"), args.force)
-    report, _, summary = _execute_run(config, out_dir)
-    _write_run_outputs(config, report, summary, out_dir)
+    out_dir = _out_dir(args, config)
+    summary = _run_into(config, out_dir, args.force)
     mean = summary["algorithms"][config.strategy]["mean_acc"]
     print(f"strategy={config.strategy} n_tot={config.n_tot} n_conn={config.n_conn} "
           f"fles={config.fles} mean_acc={mean:.4f}")
@@ -147,27 +147,18 @@ def cmd_run(args) -> int:
 
 
 def _sweep(args, parameter: str, values) -> int:
-    base = load_config(args.config, _config_overrides(args))
-    out_dir = args.out or base.output_dir
-    if not out_dir:
-        print("error: no output directory (give --out or set output_dir)", file=sys.stderr)
-        return 2
+    overrides = _config_overrides(args)
+    out_dir = _out_dir(args, load_config(args.config, overrides))
     os.makedirs(out_dir, exist_ok=True)
     _refuse_overwrite(out_dir, ("sweep.csv",), args.force)
+    key = "conn_ratio" if parameter == "ratio" else "epsilon"
     rows = []
     failures = 0
     for value in values:
-        setting_dir = os.path.join(out_dir, f"{parameter}_{value:g}")
-        overrides = _config_overrides(args)
-        overrides["conn_ratio" if parameter == "ratio" else "epsilon"] = value
         try:
-            config = load_config(args.config, overrides)
-            config.output_dir = setting_dir
-            os.makedirs(setting_dir, exist_ok=True)
-            _refuse_overwrite(setting_dir, ("effective-config", "results.csv", "summary.json"),
-                              args.force)
-            report, _, summary = _execute_run(config, setting_dir)
-            _write_run_outputs(config, report, summary, setting_dir)
+            config = load_config(args.config, {**overrides, key: value})
+            summary = _run_into(config, os.path.join(out_dir, f"{parameter}_{value:g}"),
+                                args.force)
             losses = summary["final_train_loss"].values()
             rows.append({
                 "parameter": parameter,
@@ -326,10 +317,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (fbst.ConfigError, federation.MalformedMessageError) as exc:
+    except (FileExistsError, fbst.ConfigError, federation.MalformedMessageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # dataset/numeric failures carry their context

@@ -29,7 +29,7 @@ import socket
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -86,6 +86,8 @@ class FederationConfig:
             raise ConfigError(f"n_tot must be >= 1, got {self.n_tot}")
         if not 0.0 < self.conn_ratio <= 1.0:
             raise ConfigError(f"conn_ratio must lie in (0, 1], got {self.conn_ratio}")
+        if self.n_conn < 1:
+            raise ConfigError(f"conn_ratio {self.conn_ratio} of {self.n_tot} users selects nobody")
         if self.fles < 1:
             raise ConfigError(f"fles must be >= 1, got {self.fles}")
         if not self.datasets:
@@ -139,6 +141,9 @@ class FederationConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ConfigError(f"missing config keys: {missing}")
         return cls(**d)
 
 

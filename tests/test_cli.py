@@ -105,6 +105,10 @@ class TestRun:
         ("blocks", 3, "blocks must be of type tuple, got int 3"),
         ("datasets", [5], "each dataset entry must be a name, an object or a [name, path] list"),
         ("lr", "0.1", "lr must be of type float, got str '0.1'"),
+        ("datasets", 5, "datasets must be of type list, got int 5"),
+        ("datasets", "Chinatown", "datasets must be of type list, got str 'Chinatown'"),
+        ("datasets", {"name": "Chinatown", "path": "Chinatown"},
+         "datasets must be of type list, got dict {'name': 'Chinatown', 'path': 'Chinatown'}"),
     ])
     def test_field_of_the_wrong_json_type_is_a_config_error(self, tmp_path, capsys,
                                                              field, value, message):
@@ -133,6 +137,34 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize("key", ["n_tot", "datasets"])
+    def test_missing_required_key_is_a_config_error(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path)
+        raw = read_json(cfg)
+        del raw[key]
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: missing config keys: ['{key}']")
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_ratio_that_connects_nobody_fails_before_the_output_directory(self, tmp_path,
+                                                                          capsys):
+        cfg = write_config(tmp_path, conn_ratio=0.2)
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: conn_ratio 0.2 of 2 users selects nobody")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep-ratio", "--ratios", "1.0"]])
+    def test_no_output_directory_is_a_config_error(self, tmp_path, capsys, command):
+        rc = cli.main(command + ["--config", write_config(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: no output directory (give --out or set output_dir)\n"
+
     @pytest.mark.parametrize("text,message", [
         ('{"n_tot": 2,', "is not valid JSON"),
         ('[{"n_tot": 2}]', "must hold a JSON object, got list"),
@@ -154,9 +186,8 @@ class TestSweeps:
                          "--ratios", "1.0"]) == 0
         run_out = tmp_path / "plain"
         assert cli.main(["run", "--config", cfg, "--out", str(run_out)]) == 0
-        sweep_summary = read_json(out / "ratio_1" / "summary.json")
-        plain_summary = read_json(run_out / "summary.json")
-        assert sweep_summary["per_user"] == plain_summary["per_user"]
+        for name in ("summary.json", "results.csv"):
+            assert (out / "ratio_1" / name).read_bytes() == (run_out / name).read_bytes()
 
     def test_ratio_setting_records_n_conn(self, tmp_path):
         cfg = write_config(tmp_path, n_tot=5, strategy="fkd",

@@ -441,6 +441,10 @@ class TestRunFederation:
         with pytest.raises(ConfigError, match=message):
             FederationConfig(n_tot=2, datasets=[("s", "synthetic")], **{field: value})
 
+    def test_ratio_that_connects_nobody_rejected_when_config_is_built(self):
+        with pytest.raises(ConfigError, match=r"^conn_ratio 0.2 of 2 users selects nobody$"):
+            toy_config(conn_ratio=0.2)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ConfigError, match=rf"^workers must be >= 1, got {workers}$"):
