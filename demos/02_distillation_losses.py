@@ -30,16 +30,15 @@ print(f"sup={sup:.4f}  kd={kd}  total(eps=0.9) = {fbst.total_loss(sup, kd, 0.9):
 
 # First federated epoch trains supervised-only; from the second epoch on the
 # teacher holds whatever the server handed down last round. Here we mimic a
-# round trip by reloading the teacher with the student's latest upload, so
-# the KD term tracks how far one epoch moves the student.
+# round trip by reloading the teacher with a snapshot of the student's hidden
+# layers taken at the end of the previous epoch, so the KD term tracks how far
+# one epoch moves the student.
 adam = nncore.AdamState.for_params(pair.student.parameters(), lr=1e-3)
 config = fbst.FBSTConfig()
-bundle = None
 for k in range(1, 11):
-    if bundle is not None:
-        pair.load_teacher(bundle)
-    report, bundle = fbst.local_train_epoch(pair, ds.train_tensor(), ds.y_train,
-                                            config, k, adam, rng)
+    if k > 1:
+        pair.load_teacher(extractor.extract_hidden_weights(pair.student))
+    report = fbst.local_train_epoch(pair, ds.train_tensor(), ds.y_train, config, k, adam, rng)
     if k in (1, 2, 5, 10):
         acc = metrics.top1_accuracy(pair.student.predict(ds.train_tensor()), ds.y_train)
         print(f"epoch {k:2d}: sup={report.sup:.4f} kd={report.kd:.4f} "

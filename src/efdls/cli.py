@@ -82,9 +82,9 @@ def _refuse_overwrite(out_dir: str, names, force: bool) -> None:
 
 def _run_into(config: federation.FederationConfig, out_dir: str, force: bool) -> dict:
     """Run the federation into ``out_dir``, write RUN_OUTPUTS there and
-    return the summary payload."""
+    return the summary payload. The directory is made only once the run has
+    succeeded, so a failed run leaves none behind."""
     config.output_dir = out_dir
-    os.makedirs(out_dir, exist_ok=True)
     _refuse_overwrite(out_dir, RUN_OUTPUTS, force)
     fed = federation.Federation(config)
     report, ledger = fed.run()
@@ -117,6 +117,7 @@ def _run_into(config: federation.FederationConfig, out_dir: str, force: bool) ->
         },
     }
 
+    os.makedirs(out_dir, exist_ok=True)
     config_path, results_path, summary_path = (os.path.join(out_dir, n) for n in RUN_OUTPUTS)
     with open(config_path, "w", encoding="utf-8") as fh:
         json.dump(config.to_dict(), fh, indent=2)

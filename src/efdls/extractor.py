@@ -139,41 +139,38 @@ class FeatureExtractor:
                 update_running: bool | None = None, want_cache: bool = False):
         """Run the network on [B, 1, L] input and return a ForwardTrace
         (optionally plus the cache needed for a backward pass). Without
-        ``want_cache`` no layer builds a cache; the cache holds ``x`` and o1..o3
-        by reference, so nothing may write to them before the backward."""
-        cache = {}
+        ``want_cache`` no batch-norm cache is built. The cache holds ``x``,
+        the trace, the pooled features, the three batch-norm caches and the
+        training flag, all by reference, so nothing may write to them before
+        the backward."""
         h = x
         block_outs = []
+        bn_caches = []
         for i, (conv, bn) in enumerate(zip(self.convs, self.bns), start=1):
             try:
-                z, conv_cache = _split(nncore.conv1d_forward(h, conv, want_cache=want_cache),
-                                       want_cache)
-                zn, bn_cache = _split(nncore.batchnorm_forward(z, bn, training=training,
-                                                               update_running=update_running,
-                                                               want_cache=want_cache),
-                                      want_cache)
+                z = nncore.conv1d_forward(h, conv)
+                zn = nncore.batchnorm_forward(z, bn, training=training,
+                                              update_running=update_running,
+                                              want_cache=want_cache)
             except NumericError as exc:
                 raise NumericError(f"non-finite activations in conv block {i}: {exc}") from exc
-            h, relu_cache = _split(nncore.relu_forward(zn, want_cache=want_cache, out=zn),
-                                   want_cache)
+            if want_cache:
+                zn, bn_cache = zn
+                bn_caches.append(bn_cache)
+            h = nncore.relu_forward(zn, out=zn)
             if not np.isfinite(h).all():
                 raise NumericError(f"non-finite activations in conv block {i}")
-            cache[f"block{i}"] = (conv_cache, bn_cache, relu_cache)
             block_outs.append(h)
         pooled = nncore.global_avg_pool(h)
-        o4, hidden_cache = nncore.dense_forward(pooled, self.hidden, want_cache=True)
-        logits, cls_cache = nncore.dense_forward(o4, self.classifier, want_cache=True)
+        o4 = nncore.dense_forward(pooled, self.hidden)
+        logits = nncore.dense_forward(o4, self.classifier)
         if not np.isfinite(logits).all():
             raise NumericError("non-finite activations in classifier")
-        probs = nncore.softmax(logits)
-        cache["hidden"] = hidden_cache
-        cache["classifier"] = cls_cache
-        cache["training"] = training
-        cache["length"] = h.shape[2]
         trace = ForwardTrace(o1=block_outs[0], o2=block_outs[1], o3=block_outs[2],
-                             o4=o4, logits=logits, probs=probs)
+                             o4=o4, logits=logits, probs=nncore.softmax(logits))
         if want_cache:
-            return trace, cache
+            return trace, {"x": x, "trace": trace, "pooled": pooled, "bn": bn_caches,
+                           "training": training}
         return trace
 
     def backward(self, cache: dict, output_grads: dict) -> dict:
@@ -183,27 +180,29 @@ class FeatureExtractor:
         supported injection points are "logits" plus any of "o1".."o4", which
         is exactly what a supervised + feature-matching loss needs.
         """
-        if cache is None or "classifier" not in cache:
+        if cache is None or "trace" not in cache:
             raise nncore.GradientStateError("backward called without a cached forward")
         unknown = set(output_grads) - {"logits", "o1", "o2", "o3", "o4"}
         if unknown:
             raise ValueError(f"unsupported gradient injection points: {sorted(unknown)}")
+        trace = cache["trace"]
+        # block i reads its input from outs[i - 1] and its output from outs[i]
+        outs = (cache["x"], trace.o1, trace.o2, trace.o3)
         grads = {}
-        batch = cache["classifier"].shape[0]
         g_logits = output_grads.get(
-            "logits", np.zeros((batch, self.num_classes), dtype=self.dtype))
+            "logits", np.zeros((trace.logits.shape[0], self.num_classes), dtype=self.dtype))
         g_o4, grads["classifier.weight"], grads["classifier.bias"] = \
-            nncore.dense_backward(g_logits, self.classifier, cache["classifier"])
+            nncore.dense_backward(g_logits, self.classifier, trace.o4)
         if "o4" in output_grads:
             g_o4 = g_o4 + output_grads["o4"]
         g_pooled, grads["dense.weight"], grads["dense.bias"] = \
-            nncore.dense_backward(g_o4, self.hidden, cache["hidden"])
-        g = nncore.global_avg_pool_backward(g_pooled, cache["length"])
+            nncore.dense_backward(g_o4, self.hidden, cache["pooled"])
+        g = nncore.global_avg_pool_backward(g_pooled, trace.o3.shape[2])
         for i in range(len(self.convs), 0, -1):
             if f"o{i}" in output_grads:
                 g = g + output_grads[f"o{i}"]
-            conv_cache, bn_cache, relu_cache = cache[f"block{i}"]
-            g = nncore.relu_backward(g, relu_cache)
+            g = nncore.relu_backward(g, outs[i])
+            bn_cache = cache["bn"][i - 1]
             if cache["training"]:
                 g, ga, gb = nncore.batchnorm_backward(g, self.bns[i - 1], bn_cache)
             else:
@@ -211,7 +210,7 @@ class FeatureExtractor:
             grads[f"bn{i}.alpha"] = ga
             grads[f"bn{i}.beta"] = gb
             # the input gradient of block 1 would flow into the data
-            g, gk, gbias = nncore.conv1d_backward(g, self.convs[i - 1], conv_cache,
+            g, gk, gbias = nncore.conv1d_backward(g, self.convs[i - 1], outs[i - 1],
                                                   input_grad=i > 1)
             grads[f"conv{i}.kernel"] = gk
             grads[f"conv{i}.bias"] = gbias
@@ -224,12 +223,6 @@ class FeatureExtractor:
             trace = self.forward(x[start:start + batch_size], training=False)
             preds.append(np.argmax(trace.probs, axis=1))
         return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
-
-
-def _split(result, want_cache: bool):
-    """(output, cache) of a layer op called with ``want_cache``; the cache is
-    None when none was asked for."""
-    return result if want_cache else (result, None)
 
 
 def hidden_arrays(model: FeatureExtractor) -> dict:

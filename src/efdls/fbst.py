@@ -14,7 +14,9 @@ Loss pieces:
   * total: epsilon * supervised + (1 - epsilon) * feature-matching.
 
 On the very first federated epoch (and while a user has no teacher) training
-is supervised-only.
+is supervised-only. Local training returns only its loss report; the
+federation snapshots the student's hidden weights itself, and only for the
+users that upload.
 """
 
 from __future__ import annotations
@@ -193,14 +195,14 @@ def iter_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
                       config: FBSTConfig, k: int, adam: nncore.AdamState,
-                      rng: np.random.Generator) -> tuple[LossReport, ext.WeightBundle]:
+                      rng: np.random.Generator) -> LossReport:
     """One federated epoch of local training on (x, y).
 
     Runs ``local_epochs_per_round`` shuffled passes. The combined loss is
     used only when k > 1 and a teacher has been loaded; otherwise training is
     supervised-only and the report records kd = 0. Only the student is
-    updated. Returns the averaged loss report and a snapshot of the student's
-    hidden weights.
+    updated. Returns the averaged loss report; a caller that uploads takes
+    its own snapshot of the student's hidden weights.
     """
     if x.shape[0] == 0:
         raise ValueError("local_train_epoch needs a non-empty training set")
@@ -231,6 +233,5 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
             sup_sum += sup
             total_sum += loss
             n_batches += 1
-    report = LossReport(kd=kd_sum / n_batches, sup=sup_sum / n_batches,
-                        total=total_sum / n_batches)
-    return report, ext.extract_hidden_weights(pair.student)
+    return LossReport(kd=kd_sum / n_batches, sup=sup_sum / n_batches,
+                      total=total_sum / n_batches)

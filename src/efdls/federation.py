@@ -6,8 +6,9 @@ the whole run. Every federated epoch:
 
   1. every user trains locally (supervised-only until it has a teacher;
      disconnected users are supervised-only for the whole run);
-  2. each connected user uploads its hidden-layer bundle as soon as it has
-     trained, and the float64 bundle is released;
+  2. as soon as a connected user has trained, its hidden layers are
+     snapshotted into a float64 bundle, uploaded and released; no other
+     user's hidden layers are copied;
   3. once ALL connected uploads for the epoch are in (hard barrier), the
      server applies the strategy's row of ``strategies.ROUNDS`` and
      dispatches one bundle back per user;
@@ -508,18 +509,14 @@ class Federation:
         trained = pool.map(train, self.users) if pool else map(train, self.users)
         uploads = []
         try:
-            # Results are taken lazily in user order; each bundle is uploaded
-            # and released before the next one is taken, so with one worker
-            # at most one extracted bundle is alive (zip() would keep the
-            # previous result while taking the next).
-            for user in self.users:
-                report, bundle = next(trained)
+            for user, report in zip(self.users, trained):
                 user.last_report = report
                 if on_epoch is not None:
                     on_epoch(user.user_id, k, report)
                 if user.connected and self.round is not None:
-                    uploads.append(self._round_trip("upload", bundle, k, user.user_id))
-                del bundle
+                    uploads.append(self._round_trip(
+                        "upload", ext.extract_hidden_weights(user.pair.student), k,
+                        user.user_id))
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)

@@ -3,11 +3,12 @@ gradients, the Adam optimizer, and a finite-difference gradient oracle.
 
 Tensors are plain ``numpy.ndarray`` objects in float64 (float32 is accepted),
 with series data laid out as ``[batch, channel, length]``. Layers own their
-parameter arrays, forward functions return fresh outputs plus an explicit
-cache, and backward functions turn (cache, upstream gradient) into fresh
-parameter/input gradients. The conv cache is the conv's input and the ReLU
-cache is the ReLU's output, held by reference: nothing may write to either
-before the matching backward has run.
+parameter arrays, forward functions return fresh outputs, and backward
+functions turn an upstream gradient into fresh parameter/input gradients.
+A backward takes what its forward saw: the input for conv and dense, the
+output for ReLU, and for batch norm the cache its forward derives under
+``want_cache``. The caller holds those arrays by reference, so nothing may
+write to them before the matching backward has run.
 
 The one shared state is per-thread scratch. The conv and batch-norm ops build
 their internal temporaries (im2col matrices, padded arrays, a transposed
@@ -269,8 +270,11 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
     This is the product ``np.einsum("bclk,ock->bol", windows, kernel,
     optimize=True)`` runs: [C_out, C_in*K] @ [C_in*K, B*L], returned as a
     [B, C_out, L] view of the [C_out, B, L] result. The output is the only
-    fresh allocation. The cache is ``x`` itself, which the backward pads
-    again, so nothing may write to ``x`` before that backward.
+    fresh allocation. The backward takes ``x`` itself, which it pads again,
+    so nothing may write to ``x`` before that backward. ``want_cache``
+    returns ``(out, x)``. The library never passes it; it stays because the
+    benchmark harness's operation-count test (``perfbench/tests``) calls the
+    op that way.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv input must be [batch, channel, length], got shape {x.shape}")
@@ -293,8 +297,9 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
     return out
 
 
-def conv1d_backward(gout: np.ndarray, layer: ConvLayer, cache, input_grad: bool = True):
-    """Gradients of the same-padding convolution.
+def conv1d_backward(gout: np.ndarray, layer: ConvLayer, x: np.ndarray, input_grad: bool = True):
+    """Gradients of the same-padding convolution, given the forward's input
+    ``x``.
 
     Returns (g_input, g_kernel, g_bias); g_input is None when ``input_grad``
     is False. g_input is the correlation of the zero-extended upstream
@@ -303,14 +308,12 @@ def conv1d_backward(gout: np.ndarray, layer: ConvLayer, cache, input_grad: bool 
     [C_out, C_in, K], and g_input is [C_in, C_out*K] @ [C_out*K, B*(L+K-1)],
     viewed as [B, C_in, L+K-1] and sliced.
     """
-    if cache is None:
-        raise GradientStateError("conv1d_backward called without a cached forward")
     o, c, k = layer.kernel.shape
     b, _, length = gout.shape
     pad = (k - 1) // 2
     with np.errstate(over="ignore", invalid="ignore"):
         # im2col copies the padded input out of the buffer _gout_matrix reuses
-        g_kernel = np.matmul(_im2col(_pad_length(cache, pad), k), _gout_matrix(gout))
+        g_kernel = np.matmul(_im2col(_pad_length(x, pad), k), _gout_matrix(gout))
         g_kernel = g_kernel.reshape(c, k, o).transpose(2, 0, 1)
         g_bias = gout.sum(axis=(0, 2))
         if not input_grad:
@@ -461,18 +464,16 @@ def batchnorm_inference_backward(gout: np.ndarray, layer: BatchNormLayer, cache)
     return g_input, g_alpha, g_beta
 
 
-def relu_forward(x: np.ndarray, want_cache: bool = False, *, out: np.ndarray | None = None):
+def relu_forward(x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """max(x, 0), written into ``out`` when given (``out=x`` rectifies in
-    place). The cache is the output itself, positive exactly where x is, so
-    nothing may write to the output before the backward."""
-    out = np.maximum(x, 0.0, out=out)
-    if want_cache:
-        return out, out
-    return out
+    place). The backward takes this output, positive exactly where x is, so
+    nothing may write to it before the backward."""
+    return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(gout: np.ndarray, cache) -> np.ndarray:
-    return gout * (cache > 0.0)
+def relu_backward(gout: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gradient through ReLU, given the forward's output."""
+    return gout * (out > 0.0)
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -488,7 +489,7 @@ def global_avg_pool_backward(gout: np.ndarray, length: int) -> np.ndarray:
     return np.repeat(gout[:, :, None], length, axis=2) / length
 
 
-def dense_forward(x: np.ndarray, layer: DenseLayer, want_cache: bool = False):
+def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
     """[B, D_in] @ weight.T + bias -> [B, D_out]."""
     if x.ndim != 2:
         raise ShapeError(f"dense input must be 2-D [batch, features], got shape {x.shape}")
@@ -496,16 +497,11 @@ def dense_forward(x: np.ndarray, layer: DenseLayer, want_cache: bool = False):
         raise ShapeError(
             f"dense input feature axis has size {x.shape[1]} but weight expects D_in={layer.weight.shape[1]}"
         )
-    out = x @ layer.weight.T + layer.bias[None, :]
-    if want_cache:
-        return out, x
-    return out
+    return x @ layer.weight.T + layer.bias[None, :]
 
 
-def dense_backward(gout: np.ndarray, layer: DenseLayer, cache):
-    if cache is None:
-        raise GradientStateError("dense_backward called without a cached forward")
-    x = cache
+def dense_backward(gout: np.ndarray, layer: DenseLayer, x: np.ndarray):
+    """(g_input, g_weight, g_bias), given the forward's input ``x``."""
     g_weight = gout.T @ x
     g_bias = gout.sum(axis=0)
     g_input = gout @ layer.weight

@@ -174,8 +174,8 @@ def test_c5_kd_semantics():
     y = np.random.default_rng(6).integers(0, 2, size=6)
     adam = nncore.AdamState.for_params(pair.student.parameters())
     cfg = fbst.FBSTConfig(batch_size=6)
-    report_first, _ = fbst.local_train_epoch(pair, x, y, cfg, k=2, adam=adam,
-                                             rng=np.random.default_rng(7))
+    report_first = fbst.local_train_epoch(pair, x, y, cfg, k=2, adam=adam,
+                                          rng=np.random.default_rng(7))
     first_batch_zero = report_first.kd == 0.0
 
     teacher_before = {k: v.copy() for k, v in pair.teacher.parameters().items()}

@@ -158,6 +158,15 @@ class TestRun:
             "error: conn_ratio 0.2 of 2 users selects nobody")
         assert not (tmp_path / "out").exists()
 
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, datasets=[{"name": "Ghost",
+                                                "path": str(tmp_path / "Ghost")}])
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: IngestionError: failed to load dataset 'Ghost'")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", [["run"], ["sweep-ratio", "--ratios", "1.0"]])
     def test_no_output_directory_is_a_config_error(self, tmp_path, capsys, command):
         rc = cli.main(command + ["--config", write_config(tmp_path)])
@@ -231,6 +240,19 @@ class TestSweeps:
             rows = list(csv.DictReader(fh))
         assert rows[0]["error"] != ""
         assert rows[1]["error"] == ""
+
+
+    def test_failed_settings_leave_no_setting_directory(self, tmp_path):
+        cfg = write_config(tmp_path, datasets=[{"name": "Ghost",
+                                                "path": str(tmp_path / "Ghost")}])
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep-ratio", "--config", cfg, "--out", str(out),
+                       "--ratios", "0.5,1.0"])
+        assert rc == 1  # every setting failed
+        assert [p.name for p in out.iterdir()] == ["sweep.csv"]
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all("Ghost" in r["error"] for r in rows)
 
 
 class TestEvalTable:

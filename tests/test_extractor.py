@@ -161,8 +161,8 @@ class TestBackwardComposition:
         layer = nncore.DenseLayer(rng.standard_normal((2, 3)), np.zeros(2))
         x = rng.standard_normal((4, 3))
         y = rng.standard_normal((4, 2))
-        pred, cache = nncore.dense_forward(x, layer, want_cache=True)
-        _, g_w, _ = nncore.dense_backward(2.0 * (pred - y), layer, cache)
+        pred = nncore.dense_forward(x, layer)
+        _, g_w, _ = nncore.dense_backward(2.0 * (pred - y), layer, x)
         np.testing.assert_allclose(g_w, 2.0 * (pred - y).T @ x, atol=1e-12)
 
     def test_backward_without_forward_raises(self):

@@ -158,8 +158,8 @@ class TestTeacherLifecycle:
         assert pair.teacher is None
         x, y = small_problem(seed=41)
         adam = nncore.AdamState.for_params(pair.student.parameters())
-        report, _ = local_train_epoch(pair, x, y, FBSTConfig(), k=3, adam=adam,
-                                      rng=np.random.default_rng(42))
+        report = local_train_epoch(pair, x, y, FBSTConfig(), k=3, adam=adam,
+                                   rng=np.random.default_rng(42))
         assert pair.teacher is None
         assert report.kd == 0.0
 
@@ -202,8 +202,8 @@ class TestLocalTrainEpoch:
         pair = FBSTPair(mini_model(num_classes=2, seed=1))
         x, y = small_problem(seed=2)
         adam = nncore.AdamState.for_params(pair.student.parameters())
-        report, bundle = local_train_epoch(pair, x, y, FBSTConfig(), k=1, adam=adam,
-                                           rng=np.random.default_rng(3))
+        report = local_train_epoch(pair, x, y, FBSTConfig(), k=1, adam=adam,
+                                   rng=np.random.default_rng(3))
         assert report.kd == 0.0
         assert report.total == pytest.approx(report.sup, abs=1e-12)
 
@@ -212,8 +212,8 @@ class TestLocalTrainEpoch:
         pair.load_teacher(extractor.extract_hidden_weights(mini_model(num_classes=2, seed=0)))
         x, y = small_problem(seed=2)
         adam = nncore.AdamState.for_params(pair.student.parameters())
-        report, _ = local_train_epoch(pair, x, y, FBSTConfig(), k=1, adam=adam,
-                                      rng=np.random.default_rng(3))
+        report = local_train_epoch(pair, x, y, FBSTConfig(), k=1, adam=adam,
+                                   rng=np.random.default_rng(3))
         assert report.kd == 0.0
 
     def test_self_teacher_first_batch_kd_zero(self):
@@ -224,8 +224,8 @@ class TestLocalTrainEpoch:
         # one batch covering the whole set: the reported kd is exactly the
         # first-batch kd, computed before any update
         cfg = FBSTConfig(batch_size=8)
-        report, _ = local_train_epoch(pair, x, y, cfg, k=2, adam=adam,
-                                      rng=np.random.default_rng(6))
+        report = local_train_epoch(pair, x, y, cfg, k=2, adam=adam,
+                                   rng=np.random.default_rng(6))
         assert report.kd == 0.0
         assert report.total == pytest.approx(0.9 * report.sup + 0.1 * report.kd, abs=1e-9)
 
@@ -236,8 +236,8 @@ class TestLocalTrainEpoch:
         x, y = small_problem(seed=9)
         adam = nncore.AdamState.for_params(pair.student.parameters())
         cfg = FBSTConfig(epsilon=0.9)
-        report, _ = local_train_epoch(pair, x, y, cfg, k=3, adam=adam,
-                                      rng=np.random.default_rng(10))
+        report = local_train_epoch(pair, x, y, cfg, k=3, adam=adam,
+                                   rng=np.random.default_rng(10))
         assert report.kd > 0.0
         assert report.total == pytest.approx(0.9 * report.sup + 0.1 * report.kd, abs=1e-9)
 
@@ -273,8 +273,8 @@ class TestLocalTrainEpoch:
         adam = nncore.AdamState.for_params(pair.student.parameters(), lr=1e-4)
         losses = []
         for step in range(3):
-            report, _ = local_train_epoch(pair, x, y, cfg, k=2 + step, adam=adam,
-                                          rng=np.random.default_rng(0))
+            report = local_train_epoch(pair, x, y, cfg, k=2 + step, adam=adam,
+                                       rng=np.random.default_rng(0))
             losses.append(report.total)
         assert losses[1] <= losses[0] + 1e-12
         assert losses[2] <= losses[1] + 1e-12

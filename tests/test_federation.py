@@ -405,8 +405,8 @@ class TestRunFederation:
         y = rng.integers(0, 2, size=8)
         cfg = fbst.FBSTConfig(batch_size=8, teacher_bn_mode="running")
         adam = nncore.AdamState.for_params(pair.student.parameters())
-        report, _ = fbst.local_train_epoch(pair, x, y, cfg, k=2, adam=adam,
-                                           rng=np.random.default_rng(33))
+        report = fbst.local_train_epoch(pair, x, y, cfg, k=2, adam=adam,
+                                        rng=np.random.default_rng(33))
         assert report.kd > 0.0
         assert np.isfinite(report.total)
 
@@ -455,22 +455,41 @@ class TestStreamedRound:
     """Each bundle is uploaded as its user finishes training, and each
     download is loaded as soon as it is decoded."""
 
-    def test_each_bundle_is_released_before_the_next_user_trains(self, monkeypatch):
-        real = fbst.local_train_epoch
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_bundle_is_released_before_the_next_is_extracted(self, monkeypatch, workers):
+        real = extractor.extract_hidden_weights
         refs = []
 
-        def tracking(*args, **kwargs):
-            assert all(ref() is None for ref in refs), "an earlier user's bundle is alive"
-            report, bundle = real(*args, **kwargs)
+        def tracking(model):
+            assert all(ref() is None for ref in refs), "an earlier bundle is alive"
+            bundle = real(model)
             refs.append(weakref.ref(bundle))
-            return report, bundle
+            return bundle
 
-        monkeypatch.setattr(fbst, "local_train_epoch", tracking)
+        monkeypatch.setattr(extractor, "extract_hidden_weights", tracking)
         datasets = [(f"w{i}", "synthetic") for i in range(4)]
-        config = toy_config(n_tot=4, conn_ratio=0.75, fles=2, datasets=datasets)
+        config = toy_config(n_tot=4, conn_ratio=0.75, fles=2, datasets=datasets,
+                            workers=workers)
         _, ledger = run_federation(config)
-        assert len(refs) == 8
+        assert len(refs) == 3 * 2
         assert len(ledger) == 2 * 3 * 2
+
+    @pytest.mark.parametrize("conn_resample", [False, True])
+    @pytest.mark.parametrize("strategy", ["efdls", "fkd", "fedavg", "baseline"])
+    def test_hidden_weights_are_extracted_only_for_uploads(self, monkeypatch, strategy,
+                                                           conn_resample):
+        extracted = []
+        real = extractor.extract_hidden_weights
+        monkeypatch.setattr(extractor, "extract_hidden_weights",
+                            lambda model: extracted.append(model) or real(model))
+        datasets = [(f"w{i}", "synthetic") for i in range(4)]
+        fed = Federation(toy_config(n_tot=4, conn_ratio=0.5, fles=3, datasets=datasets,
+                                    strategy=strategy, conn_resample=conn_resample))
+        _, ledger = fed.run()
+        # two connected users in each of three epochs, none for baseline
+        assert len(extracted) == (0 if strategy == "baseline" else 2 * 3)
+        assert extracted == [fed.users[e.user_id].pair.student for e in ledger.entries
+                             if e.direction == "upload"]
 
     @pytest.mark.parametrize("strategy,load", [("efdls", "load_teacher"),
                                                ("fkd", "load_teacher"),

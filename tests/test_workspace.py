@@ -232,9 +232,6 @@ class TestNoAliasing:
     def test_relu(self):
         x = np.random.default_rng(2).standard_normal((6, 12, 40))
         assert_no_shared_memory(nncore.relu_forward(x), nncore.relu_forward(x))
-        first = nncore.relu_forward(x, want_cache=True)
-        assert first[1] is first[0]
-        assert_no_shared_memory(first, nncore.relu_forward(x, want_cache=True))
 
     @pytest.mark.parametrize("training", [True, False])
     def test_extractor_forward_and_backward(self, training):
@@ -264,7 +261,7 @@ def train_user(seed):
     y = rng.integers(0, 3, 40)
     adam = nncore.AdamState.for_params(student.parameters(), lr=3e-3)
     config = fbst.FBSTConfig(batch_size=8)
-    reports = [fbst.local_train_epoch(pair, x, y, config, k, adam, rng)[0] for k in (2, 3)]
+    reports = [fbst.local_train_epoch(pair, x, y, config, k, adam, rng) for k in (2, 3)]
     return reports, extractor.hidden_arrays(student)
 
 
