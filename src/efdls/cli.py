@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -148,8 +149,8 @@ def cmd_run(args) -> int:
 
 
 def _sweep(args, parameter: str, values) -> int:
-    overrides = _config_overrides(args)
-    out_dir = _out_dir(args, load_config(args.config, overrides))
+    base = load_config(args.config, _config_overrides(args))  # the one read of the file
+    out_dir = _out_dir(args, base)
     os.makedirs(out_dir, exist_ok=True)
     _refuse_overwrite(out_dir, ("sweep.csv",), args.force)
     key = "conn_ratio" if parameter == "ratio" else "epsilon"
@@ -157,7 +158,7 @@ def _sweep(args, parameter: str, values) -> int:
     failures = 0
     for value in values:
         try:
-            config = load_config(args.config, {**overrides, key: value})
+            config = dataclasses.replace(base, **{key: value})
             summary = _run_into(config, os.path.join(out_dir, f"{parameter}_{value:g}"),
                                 args.force)
             losses = summary["final_train_loss"].values()
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ratio", type=float, help="override conn_ratio")
             p.add_argument("--epsilon", type=float, help="override the loss-mixing epsilon")
             p.add_argument("--fles", type=int, help="override the number of federated epochs")
-            p.add_argument("--transport", choices=("inproc", "socket"),
+            p.add_argument("--transport", choices=federation.TRANSPORTS,
                            help="message transport (socket uses loopback TCP)")
             p.add_argument("--port", type=int, help="socket transport port (0 = ephemeral)")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")

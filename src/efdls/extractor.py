@@ -177,44 +177,40 @@ class FeatureExtractor:
         """Reverse-mode gradients for every learnable parameter.
 
         ``output_grads`` maps trace field names to upstream gradients; the
-        supported injection points are "logits" plus any of "o1".."o4", which
-        is exactly what a supervised + feature-matching loss needs.
+        supported injection points are "logits" plus any of
+        ``ForwardTrace.HIDDEN_FIELDS``, which is exactly what a supervised +
+        feature-matching loss needs. The gradients are keyed and ordered as
+        ``parameters()``.
         """
         if cache is None or "trace" not in cache:
             raise nncore.GradientStateError("backward called without a cached forward")
-        unknown = set(output_grads) - {"logits", "o1", "o2", "o3", "o4"}
+        unknown = set(output_grads) - {"logits", *ForwardTrace.HIDDEN_FIELDS}
         if unknown:
             raise ValueError(f"unsupported gradient injection points: {sorted(unknown)}")
+        *block_fields, dense_field = ForwardTrace.HIDDEN_FIELDS
         trace = cache["trace"]
         # block i reads its input from outs[i - 1] and its output from outs[i]
         outs = (cache["x"], trace.o1, trace.o2, trace.o3)
-        grads = {}
         g_logits = output_grads.get(
             "logits", np.zeros((trace.logits.shape[0], self.num_classes), dtype=self.dtype))
-        g_o4, grads["classifier.weight"], grads["classifier.bias"] = \
-            nncore.dense_backward(g_logits, self.classifier, trace.o4)
-        if "o4" in output_grads:
-            g_o4 = g_o4 + output_grads["o4"]
-        g_pooled, grads["dense.weight"], grads["dense.bias"] = \
-            nncore.dense_backward(g_o4, self.hidden, cache["pooled"])
+        g_o4, *classifier = nncore.dense_backward(g_logits, self.classifier, trace.o4)
+        if dense_field in output_grads:
+            g_o4 = g_o4 + output_grads[dense_field]
+        g_pooled, *dense = nncore.dense_backward(g_o4, self.hidden, cache["pooled"])
         g = nncore.global_avg_pool_backward(g_pooled, trace.o3.shape[2])
+        bn_backward = (nncore.batchnorm_backward if cache["training"]
+                       else nncore.batchnorm_inference_backward)
+        blocks = []
         for i in range(len(self.convs), 0, -1):
-            if f"o{i}" in output_grads:
-                g = g + output_grads[f"o{i}"]
+            if block_fields[i - 1] in output_grads:
+                g = g + output_grads[block_fields[i - 1]]
             g = nncore.relu_backward(g, outs[i])
-            bn_cache = cache["bn"][i - 1]
-            if cache["training"]:
-                g, ga, gb = nncore.batchnorm_backward(g, self.bns[i - 1], bn_cache)
-            else:
-                g, ga, gb = nncore.batchnorm_inference_backward(g, self.bns[i - 1], bn_cache)
-            grads[f"bn{i}.alpha"] = ga
-            grads[f"bn{i}.beta"] = gb
+            g, *bn = bn_backward(g, self.bns[i - 1], cache["bn"][i - 1])
             # the input gradient of block 1 would flow into the data
-            g, gk, gbias = nncore.conv1d_backward(g, self.convs[i - 1], outs[i - 1],
-                                                  input_grad=i > 1)
-            grads[f"conv{i}.kernel"] = gk
-            grads[f"conv{i}.bias"] = gbias
-        return grads
+            g, *conv = nncore.conv1d_backward(g, self.convs[i - 1], outs[i - 1],
+                                              input_grad=i > 1)
+            blocks = conv + bn + blocks
+        return dict(zip(self.parameters(), blocks + dense + classifier, strict=True))
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Top-1 class index per row, ties broken toward the lowest index."""

@@ -43,6 +43,7 @@ MESSAGE_VERSION = 1
 # Most dims a block may declare: every supported numpy build can hold an
 # array of this rank (numpy 1.x caps it at 32, 2.x at 64).
 MAX_WIRE_NDIM = 32
+TRANSPORTS = ("inproc", "socket")
 
 
 # ---------------------------------------------------------------------------
@@ -85,18 +86,16 @@ class FederationConfig:
                                   f"got {type(value).__name__} {value!r}")
         if self.n_tot < 1:
             raise ConfigError(f"n_tot must be >= 1, got {self.n_tot}")
-        if not 0.0 < self.conn_ratio <= 1.0:
-            raise ConfigError(f"conn_ratio must lie in (0, 1], got {self.conn_ratio}")
-        if self.n_conn < 1:
-            raise ConfigError(f"conn_ratio {self.conn_ratio} of {self.n_tot} users selects nobody")
+        connected_count(self.n_tot, self.conn_ratio)
         if self.fles < 1:
             raise ConfigError(f"fles must be >= 1, got {self.fles}")
         if not self.datasets:
             raise ConfigError("at least one dataset assignment is required")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.transport not in ("inproc", "socket"):
-            raise ConfigError(f"transport must be 'inproc' or 'socket', got '{self.transport}'")
+        if self.transport not in TRANSPORTS:
+            raise ConfigError(f"transport must be {' or '.join(map(repr, TRANSPORTS))}, "
+                              f"got '{self.transport}'")
         if self.strategy not in strategies.ROUNDS:
             raise ConfigError(f"unknown strategy '{self.strategy}', "
                               f"expected one of {strategies.STRATEGY_TAGS}")
@@ -122,7 +121,7 @@ class FederationConfig:
 
     @property
     def n_conn(self) -> int:
-        return round_half_up(self.conn_ratio * self.n_tot)
+        return connected_count(self.n_tot, self.conn_ratio)
 
     def fbst_config(self) -> fbst.FBSTConfig:
         return fbst.FBSTConfig(epsilon=self.epsilon,
@@ -161,19 +160,22 @@ def _is_a(value, annotation: str) -> bool:
     return isinstance(value, accepted) and (accepted is bool or not isinstance(value, bool))
 
 
-def round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+def connected_count(n_tot: int, conn_ratio: float) -> int:
+    """round-half-up(conn_ratio * n_tot), refusing a ratio outside (0, 1]
+    and one that selects nobody."""
+    if not 0.0 < conn_ratio <= 1.0:
+        raise ConfigError(f"conn_ratio must lie in (0, 1], got {conn_ratio}")
+    n_conn = int(np.floor(conn_ratio * n_tot + 0.5))
+    if n_conn < 1:
+        raise ConfigError(f"conn_ratio {conn_ratio} of {n_tot} users selects nobody")
+    return n_conn
 
 
 def select_connected(n_tot: int, conn_ratio: float, seed: int, epoch: int | None = None) -> tuple:
     """The run's connected-user set: uniform sample without replacement of
     round-half-up(ratio * n_tot) users, fixed for the whole run unless the
     per-epoch resampling extension passes an epoch number."""
-    if not 0.0 < conn_ratio <= 1.0:
-        raise ConfigError(f"conn_ratio must lie in (0, 1], got {conn_ratio}")
-    n_conn = round_half_up(conn_ratio * n_tot)
-    if n_conn < 1:
-        raise ConfigError(f"conn_ratio {conn_ratio} of {n_tot} users selects nobody")
+    n_conn = connected_count(n_tot, conn_ratio)
     material = [seed, 104729] if epoch is None else [seed, 104729, epoch]
     rng = np.random.default_rng(material)
     return tuple(sorted(int(u) for u in rng.choice(n_tot, size=n_conn, replace=False)))
@@ -551,12 +553,17 @@ class Federation:
         return self.evaluate(), self.ledger
 
     def evaluate(self) -> metrics.MetricReport:
+        """Test accuracy per user. The calling thread's workspace, grown to
+        evaluation size, is given back afterwards."""
         rows = []
         accs = []
-        for user in self.users:
-            preds = user.pair.student.predict(user.dataset.test_tensor())
-            accs.append(metrics.top1_accuracy(preds, user.dataset.y_test))
-            rows.append(f"{user.user_id:02d}_{user.dataset.name}")
+        try:
+            for user in self.users:
+                preds = user.pair.student.predict(user.dataset.test_tensor())
+                accs.append(metrics.top1_accuracy(preds, user.dataset.y_test))
+                rows.append(f"{user.user_id:02d}_{user.dataset.name}")
+        finally:
+            nncore.release_workspace()
         table = metrics.AccuracyTable(datasets=rows, algorithms=[self.config.strategy],
                                       values=np.array(accs)[:, None])
         return metrics.MetricReport.from_table(table)

@@ -14,12 +14,15 @@ The one shared state is per-thread scratch. The conv and batch-norm ops build
 their internal temporaries (im2col matrices, padded arrays, a transposed
 gradient copy, centered values, squares and backward products) in the calling
 thread's workspace: two flat buffers, each grown to the largest request and
-viewed at the shape and memory order the op needs. No scratch view outlives
-the op that took it, and nothing an op returns or caches lives there, so
-results never alias each other. The arithmetic is the one numpy's own
-expressions perform, in the same order and memory layout, so the bits match.
-Each thread has its own workspace, which makes the module safe to drive from
-parallel workers as long as each worker owns its own layers.
+viewed at the shape and memory order the op needs, until
+``release_workspace`` gives them back. No scratch view outlives the op that
+took it, and nothing an op returns or caches lives there, so results never
+alias each other. The arithmetic is the one numpy's own expressions perform,
+in the same order and memory layout, so the bits match; numpy itself picks
+the layout of each elementwise temporary, from its result on a two-wide
+corner of the operands. Each thread has its own workspace, which makes the
+module safe to drive from parallel workers as long as each worker owns its
+own layers.
 """
 
 from __future__ import annotations
@@ -166,6 +169,11 @@ def workspace_nbytes() -> int:
     return sum(buf.nbytes for buf in _WORKSPACE.buffers if buf is not None)
 
 
+def release_workspace() -> None:
+    """Drop the calling thread's scratch buffers; the next op grows them anew."""
+    _WORKSPACE.buffers = [None, None]
+
+
 def _scratch(role: str, shape, dtype, order=None) -> np.ndarray:
     """The calling thread's buffer for ``role``, viewed as ``shape`` and
     ``dtype`` with its axes stored outermost-first in ``order`` (C order by
@@ -185,40 +193,16 @@ def _scratch(role: str, shape, dtype, order=None) -> np.ndarray:
     return stored.transpose(sorted(range(len(order)), key=order.__getitem__))
 
 
-def _elementwise_order(*arrays) -> list:
-    """The axis order, outermost first, in which numpy lays out a fresh
-    elementwise result over ``arrays`` (all of one shape; broadcast operands
-    never decide it). This is numpy's stable sort of axes by stride, in which
-    C order wins wherever the operands disagree. Reductions sum in memory
-    order, so a scratch temporary must be laid out this way to keep bits."""
-    shape = arrays[0].shape
-    strides = [[0 if n == 1 else abs(s) for n, s in zip(shape, a.strides)] for a in arrays]
-    perm = list(range(len(shape) - 1, -1, -1))  # innermost first
-    for i0 in range(1, len(perm)):
-        ax0 = perm[i0]
-        pos = i0
-        for i1 in range(i0 - 1, -1, -1):
-            ax1 = perm[i1]
-            decided = swap = False
-            for st in strides:
-                if st[ax0] and st[ax1]:
-                    if st[ax1] <= st[ax0]:
-                        swap = False
-                    elif not decided:
-                        swap = True
-                    decided = True
-            if decided:
-                if not swap:
-                    break
-                pos = i1
-        perm.insert(pos, perm.pop(i0))
-    return perm[::-1]
-
-
 def _scratch_like(role: str, dtype, *arrays) -> np.ndarray:
-    """Scratch for an elementwise result over ``arrays``, laid out as numpy
-    would lay out a fresh one."""
-    return _scratch(role, arrays[0].shape, dtype, _elementwise_order(*arrays))
+    """Scratch for an elementwise result over ``arrays`` (all of one shape),
+    laid out as numpy lays out a fresh one. Numpy itself decides, on a
+    two-wide corner of the one or two operands, which keeps every stride its
+    axis sort reads; copysign raises no floating-point warning, whatever the
+    values. Reductions sum in memory order, so this keeps their bits."""
+    corner = (slice(2),) * arrays[0].ndim
+    probe = np.copysign(arrays[0][corner], arrays[-1][corner])
+    order = sorted(range(probe.ndim), key=lambda ax: -probe.strides[ax])
+    return _scratch(role, arrays[0].shape, dtype, order)
 
 
 def _scratch_copy(role: str, a: np.ndarray) -> np.ndarray:
@@ -276,8 +260,7 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
     benchmark harness's operation-count test (``perfbench/tests``) calls the
     op that way.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"conv input must be [batch, channel, length], got shape {x.shape}")
+    _require_3d(x, "conv input")
     if x.shape[1] != layer.kernel.shape[1]:
         raise ShapeError(
             f"conv input channel axis has size {x.shape[1]} but kernel expects C_in={layer.kernel.shape[1]}"

@@ -254,6 +254,34 @@ class TestSweeps:
             rows = list(csv.DictReader(fh))
         assert all("Ghost" in r["error"] for r in rows)
 
+    def test_config_file_is_read_once_per_sweep(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        run_into = cli._run_into
+
+        def run_then_rewrite_seed(config, out_dir, force):
+            summary = run_into(config, out_dir, force)
+            raw = read_json(cfg)
+            raw["seed"] = 99
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(raw, fh)
+            return summary
+
+        monkeypatch.setattr(cli, "_run_into", run_then_rewrite_seed)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep-ratio", "--config", cfg, "--out", str(out),
+                         "--ratios", "0.5,1.0"]) == 0
+        for setting in ("ratio_0.5", "ratio_1"):
+            assert read_json(out / setting / "effective-config")["seed"] == 3
+
+    def test_bad_base_config_exits_before_any_setting(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, strategy="nonsense")
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep-epsilon", "--config", cfg, "--out", str(out),
+                       "--epsilons", "0.5,0.9"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: unknown strategy 'nonsense'")
+        assert not out.exists()
+
 
 class TestEvalTable:
     def test_reference_fixture_reproduces_printed_aggregates(self, capsys):

@@ -175,6 +175,22 @@ class TestBackwardComposition:
         with pytest.raises(ValueError, match="injection"):
             m.backward(cache, {"nonsense": np.zeros(1)})
 
+    @pytest.mark.parametrize("literal", [False, True])
+    @pytest.mark.parametrize("distill", [False, True])
+    def test_returns_exactly_the_parameter_keys_in_order(self, distill, literal):
+        rng = np.random.default_rng(26)
+        m = mini_model(num_classes=3, seed=27, bn_paper_literal=literal)
+        x = rng.standard_normal((4, 1, 10))
+        labels = rng.integers(0, 3, size=4)
+        loss = fbst.SupervisedLoss(labels)
+        if distill:
+            teacher = mini_model(num_classes=3, seed=28, bn_paper_literal=literal)
+            loss = fbst.DistillationLoss(teacher.forward(x, training=True), labels,
+                                         epsilon=0.9)
+        trace, cache = m.forward(x, training=True, want_cache=True)
+        grads = m.backward(cache, loss.output_grads(trace))
+        assert list(grads) == list(m.parameters())
+
     def test_full_extractor_gradcheck(self):
         rng = np.random.default_rng(24)
         m = mini_model(num_classes=3, seed=25)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from efdls import extractor, fbst, nncore
+from efdls import extractor, fbst, federation, metrics, nncore
 from efdls.extractor import FeatureExtractor, ForwardTrace
 
 PAPER_BLOCKS = ((9, 1, 128), (5, 128, 256), (3, 256, 128))  # (K, C_in, C_out)
@@ -165,6 +165,32 @@ class TestBatchNormOracle:
         assert_bitwise(g_alpha, expected_alpha)
 
 
+def random_layout(rng, shape):
+    """Random values of ``shape`` stored in a random axis order, with some
+    axes reversed."""
+    order = rng.permutation(len(shape))
+    a = rng.standard_normal([shape[ax] for ax in order]).transpose(np.argsort(order))
+    for ax in range(len(shape)):
+        if rng.random() < 0.3:
+            a = np.flip(a, ax)
+    return a
+
+
+def test_scratch_layout_is_numpys_fresh_layout():
+    """Scratch for an elementwise result has the strides numpy gives a fresh
+    result over the full operands, on every axis longer than 1 (a size-1
+    axis's stride never moves an element)."""
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        shape = tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(1, 5)))
+        operands = [random_layout(rng, shape) for _ in range(rng.integers(1, 3))]
+        fresh = operands[0] * operands[-1] if len(operands) == 2 else -operands[0]
+        scratch = nncore._scratch_like("prod", np.float64, *operands)
+        assert scratch.shape == shape
+        assert [s for n, s in zip(shape, scratch.strides) if n > 1] == \
+            [s for n, s in zip(shape, fresh.strides) if n > 1]
+
+
 def arrays_in(obj):
     if isinstance(obj, np.ndarray):
         yield obj
@@ -308,3 +334,16 @@ def test_paper_width_batch_allocation_budget():
     assert grown > 0
     epoch()
     assert nncore.workspace_nbytes() == grown
+
+
+def test_evaluation_gives_the_workspace_back():
+    config = federation.FederationConfig(
+        n_tot=2, datasets=[("wavesA", "synthetic"), ("wavesB", "synthetic")], fles=2,
+        seed=4, strategy="efdls", batch_size=8, lr=1e-3, blocks=((3, 4), (3, 6), (3, 4)),
+        hidden_dim=4, workers=1)
+    first, _ = federation.Federation(config).run()
+    assert nncore.workspace_nbytes() == 0
+    second, _ = federation.Federation(config).run()
+    assert nncore.workspace_nbytes() == 0
+    assert metrics.summary_dict(second) == metrics.summary_dict(first)
+    assert second.table.values.tobytes() == first.table.values.tobytes()
