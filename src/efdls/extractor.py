@@ -221,21 +221,27 @@ class FeatureExtractor:
         return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
 
 
-def hidden_arrays(model: FeatureExtractor) -> dict:
-    """Live views of the model's hidden-layer arrays (conv blocks, batch-norm
-    running statistics included, and the hidden dense layer), keyed and
-    ordered as BUNDLE_KEYS. This is the one place that names them; it is
-    rebuilt on every call because a training-mode batch-norm forward rebinds
-    the running-statistic arrays."""
+def _hidden_slots(model: FeatureExtractor) -> list:
+    """(key, layer, leaf) for every hidden-layer array, keyed and ordered as
+    BUNDLE_KEYS: the array is ``getattr(layer, leaf)``. This is the one place
+    that names them; it is rebuilt on every call because a training-mode
+    batch-norm forward rebinds the running-statistic arrays."""
     layers = {"dense": model.hidden}
     for i, (conv, bn) in enumerate(zip(model.convs, model.bns), start=1):
         layers[f"conv{i}"] = conv
         layers[f"bn{i}"] = bn
-    arrays = {}
+    slots = []
     for key in BUNDLE_KEYS:
         layer, leaf = key.split(".")
-        arrays[key] = getattr(layers[layer], leaf)
-    return arrays
+        slots.append((key, layers[layer], leaf))
+    return slots
+
+
+def hidden_arrays(model: FeatureExtractor) -> dict:
+    """Live views of the model's hidden-layer arrays (conv blocks, batch-norm
+    running statistics included, and the hidden dense layer), keyed and
+    ordered as BUNDLE_KEYS."""
+    return {key: getattr(layer, leaf) for key, layer, leaf in _hidden_slots(model)}
 
 
 def extract_hidden_weights(model: FeatureExtractor) -> WeightBundle:
@@ -249,10 +255,9 @@ class IncompatibleBundleError(ShapeError):
     """Bundle arrays do not match the target model's hidden-layer shapes."""
 
 
-def load_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> FeatureExtractor:
-    """Overwrite the model's hidden layers with the bundle's values (copied,
-    cast to the model dtype). The classifier is untouched."""
-    targets = hidden_arrays(model)
+def _check_bundle(targets: dict, bundle: WeightBundle) -> None:
+    """Raise IncompatibleBundleError unless the bundle carries exactly the
+    keys of ``targets`` (a model's ``hidden_arrays``), each at its shape."""
     if set(bundle.arrays.keys()) != set(targets.keys()):
         raise IncompatibleBundleError(
             f"bundle keys {sorted(bundle.arrays)} do not match model hidden layers"
@@ -263,8 +268,28 @@ def load_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> Featur
             raise IncompatibleBundleError(
                 f"bundle array '{key}' has shape {src.shape}, model expects {dst.shape}"
             )
+
+
+def load_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> FeatureExtractor:
+    """Overwrite the model's hidden layers with the bundle's values, copied
+    into the model's own arrays and so cast to their dtype; views of them,
+    such as a student's optimizer holds, stay live. The classifier is
+    untouched."""
+    targets = hidden_arrays(model)
+    _check_bundle(targets, bundle)
     for key, dst in targets.items():
         np.copyto(dst, bundle.arrays[key])
+    return model
+
+
+def replace_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> FeatureExtractor:
+    """Replace the model's hidden arrays with private copies of the bundle's,
+    each kept in the bundle's dtype: a teacher holds a float32 download at
+    float32 and computes with it through the ops' widening. Nothing is
+    replaced unless the whole bundle fits. The classifier is untouched."""
+    _check_bundle(hidden_arrays(model), bundle)
+    for key, layer, leaf in _hidden_slots(model):
+        setattr(layer, leaf, bundle.arrays[key].copy())
     return model
 
 

@@ -3,8 +3,10 @@
 Each user holds a student and, from its first load on, a frozen teacher of
 the same shape. Only the student sees a gradient; the teacher's hidden-layer
 outputs act as regression targets through a feature-matching loss, and its
-weights change only when the server hands down a bundle. Users that never
-receive one (fedavg, baseline, disconnected) never hold a teacher.
+weights change only when the server hands down a bundle. It holds them in the
+bundle's dtype, float32 from the wire, and computes in float64 with the bits
+a float64 copy would give. Users that never receive one (fedavg, baseline,
+disconnected) never hold a teacher.
 
 Loss pieces:
   * feature-matching (KD) loss: for each of the four hidden outputs, squared
@@ -71,8 +73,11 @@ class FBSTPair:
     """A user's student and its frozen teacher twin.
 
     The teacher is None, and training supervised-only, until the server first
-    loads weights into it. That load clones the student and overwrites its
-    hidden layers; the clone's classifier never enters the loss.
+    loads weights into it. That load clones the student; every load then
+    replaces the clone's hidden arrays with private copies of the bundle's,
+    in the bundle's dtype. The clone's classifier never enters the loss. A
+    student load copies into the student's own arrays, which the optimizer
+    holds views of.
     """
 
     def __init__(self, student: ext.FeatureExtractor):
@@ -81,7 +86,7 @@ class FBSTPair:
 
     def load_teacher(self, bundle: ext.WeightBundle) -> None:
         teacher = ext.clone_model(self.student) if self.teacher is None else self.teacher
-        self.teacher = ext.load_hidden_weights(teacher, bundle)
+        self.teacher = ext.replace_hidden_weights(teacher, bundle)
 
     def load_student(self, bundle: ext.WeightBundle) -> None:
         ext.load_hidden_weights(self.student, bundle)

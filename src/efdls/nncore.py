@@ -1,28 +1,36 @@
 """Numerical core: 1-D conv / batch-norm / dense layers with exact reverse-mode
 gradients, the Adam optimizer, and a finite-difference gradient oracle.
 
-Tensors are plain ``numpy.ndarray`` objects in float64 (float32 is accepted),
-with series data laid out as ``[batch, channel, length]``. Layers own their
-parameter arrays, forward functions return fresh outputs, and backward
-functions turn an upstream gradient into fresh parameter/input gradients.
-A backward takes what its forward saw: the input for conv and dense, the
-output for ReLU, and for batch norm the cache its forward derives under
-``want_cache``. The caller holds those arrays by reference, so nothing may
-write to them before the matching backward has run.
+Tensors are plain ``numpy.ndarray`` objects, with series data laid out as
+``[batch, channel, length]``. Layers own their parameter arrays, forward
+functions return fresh outputs, and backward functions turn an upstream
+gradient into fresh parameter/input gradients. A backward takes what its
+forward saw: the input for conv and dense, the output for ReLU, and for batch
+norm the cache its forward derives under ``want_cache``. The caller holds
+those arrays by reference, so nothing may write to them before the matching
+backward has run.
+
+Parameters are stored in the dtype they were given: a student's in float64,
+a teacher's in the float32 of the bundle it downloaded. Each forward reads
+its parameters in the dtype numpy promotes them and the input to
+(``_compute_param``, the one place that decides it). Widening float32 to
+float64 is exact, so float32 weights on float64 data compute the same bits
+as float64 weights holding the same values, and a parameter already in the
+compute dtype is read uncopied.
 
 The one shared state is per-thread scratch. The conv and batch-norm ops build
 their internal temporaries (im2col matrices, padded arrays, a transposed
-gradient copy, centered values, squares and backward products) in the calling
-thread's workspace: two flat buffers, each grown to the largest request and
-viewed at the shape and memory order the op needs, until
-``release_workspace`` gives them back. No scratch view outlives the op that
-took it, and nothing an op returns or caches lives there, so results never
-alias each other. The arithmetic is the one numpy's own expressions perform,
-in the same order and memory layout, so the bits match; numpy itself picks
-the layout of each elementwise temporary, from its result on a two-wide
-corner of the operands. Each thread has its own workspace, which makes the
-module safe to drive from parallel workers as long as each worker owns its
-own layers.
+gradient copy, centered values, squares and backward products), and Adam its
+per-group terms, in the calling thread's workspace: two flat buffers, each
+grown to the largest request and viewed at the shape and memory order the op
+needs, until ``release_workspace`` gives them back. No scratch view outlives
+the op that took it, and nothing an op returns or caches lives there, so
+results never alias each other. The arithmetic is the one numpy's own
+expressions perform, in the same order and memory layout, so the bits match;
+numpy itself picks the layout of each elementwise temporary, from its result
+on a two-wide corner of the operands. Each thread has its own workspace,
+which makes the module safe to drive from parallel workers as long as each
+worker owns its own layers.
 """
 
 from __future__ import annotations
@@ -159,8 +167,8 @@ _WORKSPACE = _Workspace()
 # never live at once: an op holds at most one array from each buffer at a time,
 # and no scratch array outlives its op.
 _BUFFER_OF = {
-    "cols": 0, "centered": 0, "gh": 0,
-    "pad": 1, "gout_t": 1, "kernel_t": 1, "squares": 1, "prod": 1,
+    "cols": 0, "centered": 0, "gh": 0, "adam_grad": 0,
+    "pad": 1, "gout_t": 1, "kernel_t": 1, "squares": 1, "prod": 1, "adam_term": 1,
 }
 
 
@@ -216,6 +224,14 @@ def _scratch_copy(role: str, a: np.ndarray) -> np.ndarray:
 # Forward / backward ops
 # ---------------------------------------------------------------------------
 
+def _compute_param(param: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``param`` as a forward on input ``x`` computes with it: in the dtype
+    numpy promotes the two to, which never narrows it. A float32 parameter on
+    float64 input is widened exactly, so it computes what a float64 copy
+    would; a parameter already in that dtype is returned as it is."""
+    return param.astype(np.result_type(param, x), copy=False)
+
+
 def _pad_length(a: np.ndarray, pad: int) -> np.ndarray:
     """``a`` with ``pad`` zeros at both ends of its length axis, in scratch."""
     b, c, n = a.shape
@@ -254,7 +270,8 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
     This is the product ``np.einsum("bclk,ock->bol", windows, kernel,
     optimize=True)`` runs: [C_out, C_in*K] @ [C_in*K, B*L], returned as a
     [B, C_out, L] view of the [C_out, B, L] result. The output is the only
-    fresh allocation. The backward takes ``x`` itself, which it pads again,
+    fresh allocation, beside the widened copy of a kernel stored narrower
+    than its input. The backward takes ``x`` itself, which it pads again,
     so nothing may write to ``x`` before that backward. ``want_cache``
     returns ``(out, x)``. The library never passes it; it stays because the
     benchmark harness's operation-count test (``perfbench/tests``) calls the
@@ -269,12 +286,13 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
         raise ShapeError(f"conv input length axis must be >= 1, got {x.shape[2]}")
     b, c, length = x.shape
     o, _, k = layer.kernel.shape
+    kernel = _compute_param(layer.kernel, x)
     # overflow here is converted into NumericError by the callers' finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
         cols = _im2col(_pad_length(x, (k - 1) // 2), k)
-        out = np.matmul(layer.kernel.reshape(o, c * k), cols)
+        out = np.matmul(kernel.reshape(o, c * k), cols)
         out = out.reshape(o, b, length).transpose(1, 0, 2)
-        out += layer.bias[None, :, None]
+        out += _compute_param(layer.bias, x)[None, :, None]
     if want_cache:
         return out, x
     return out
@@ -335,8 +353,8 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
     if update_running is None:
         update_running = training
 
-    alpha = _per_channel(layer.alpha)
-    beta = _per_channel(layer.beta)
+    alpha = _per_channel(_compute_param(layer.alpha, x))
+    beta = _per_channel(_compute_param(layer.beta, x))
 
     if training:
         # overflow here is converted into NumericError by the finiteness checks
@@ -369,14 +387,17 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
             raise NumericError("non-finite batch statistics in batchnorm")
         if update_running:
             m = layer.momentum
-            layer.running_mean = m * layer.running_mean + (1.0 - m) * mu
-            layer.running_var = m * layer.running_var + (1.0 - m) * stat
+            layer.running_mean = m * _compute_param(layer.running_mean, x) + (1.0 - m) * mu
+            layer.running_var = m * _compute_param(layer.running_var, x) + (1.0 - m) * stat
     else:
-        mu = layer.running_mean
+        # widened before any arithmetic: a float32 array plus the float zeta
+        # would round in float32
+        mu = _compute_param(layer.running_mean, x)
+        running_var = _compute_param(layer.running_var, x)
         if layer.literal_form:
-            denom = np.sqrt(layer.running_var) + layer.zeta
+            denom = np.sqrt(running_var) + layer.zeta
         else:
-            denom = np.sqrt(layer.running_var + layer.zeta)
+            denom = np.sqrt(running_var + layer.zeta)
         scale = 1.0 / denom
         centered = np.subtract(x, _per_channel(mu), out=None if want_cache
                                else _scratch_like("centered", np.result_type(x, mu), x))
@@ -480,7 +501,7 @@ def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
         raise ShapeError(
             f"dense input feature axis has size {x.shape[1]} but weight expects D_in={layer.weight.shape[1]}"
         )
-    return x @ layer.weight.T + layer.bias[None, :]
+    return x @ _compute_param(layer.weight, x).T + _compute_param(layer.bias, x)[None, :]
 
 
 def dense_backward(gout: np.ndarray, layer: DenseLayer, x: np.ndarray):
@@ -530,7 +551,20 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
-    """One in-place Adam update over a dict of named parameter arrays."""
+    """One in-place Adam update over a dict of named parameter arrays.
+
+    Per group it performs the operations of the plain expressions
+
+        g = g + weight_decay * p               (when weight_decay != 0)
+        m *= beta1;  m += (1 - beta1) * g
+        v *= beta2;  v += (1 - beta2) * (g * g)
+        p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+    in the same order and dtypes, so the bits match, but builds every
+    temporary in scratch: the decayed gradient and then the step's numerator
+    in one buffer; the decay, the moment terms and then the denominator in
+    the other.
+    """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
@@ -542,16 +576,22 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter group '{name}'")
         if state.weight_decay != 0.0:
-            g = g + state.weight_decay * p
+            decay = np.multiply(state.weight_decay, p,
+                                out=_scratch("adam_term", p.shape, p.dtype))
+            g = np.add(g, decay, out=_scratch("adam_grad", p.shape, np.result_type(g, decay)))
         m = state.first_moment[name]
         v = state.second_moment[name]
+        term = _scratch("adam_term", p.shape, g.dtype)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=term)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += np.multiply(1.0 - state.beta2, np.multiply(g, g, out=term), out=term)
+        numerator = np.divide(m, bc1, out=_scratch("adam_grad", p.shape, m.dtype))
+        np.multiply(state.lr, numerator, out=numerator)
+        denominator = np.divide(v, bc2, out=_scratch("adam_term", p.shape, v.dtype))
+        np.sqrt(denominator, out=denominator)
+        denominator += state.eps
+        p -= np.divide(numerator, denominator, out=numerator)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_HIDDEN, mini_model, model_arrays
+from conftest import MINI_HIDDEN, mini_model, model_arrays, random_bundle
 from efdls import dataio, extractor, fbst, metrics, nncore
 from efdls.fbst import (
     ConfigError, FBSTConfig, FBSTPair, kd_loss, local_train_epoch, sup_loss, total_loss,
@@ -152,6 +152,11 @@ class TestBatchIteration:
             assert np.array_equal(x, y)
 
 
+def float32_bundle(bundle: extractor.WeightBundle) -> extractor.WeightBundle:
+    """The bundle as it arrives from the wire."""
+    return extractor.WeightBundle({k: v.astype(np.float32) for k, v in bundle.arrays.items()})
+
+
 class TestTeacherLifecycle:
     def test_no_teacher_until_first_load(self):
         pair = FBSTPair(mini_model(num_classes=2, seed=40))
@@ -195,6 +200,47 @@ class TestTeacherLifecycle:
         with pytest.raises(extractor.IncompatibleBundleError):
             pair.load_teacher(bundle)
         assert pair.teacher is None
+
+    def test_teacher_holds_each_bundle_in_its_dtype(self):
+        pair = FBSTPair(mini_model(num_classes=2, seed=47))
+        wide = extractor.extract_hidden_weights(mini_model(num_classes=2, seed=48))
+        wire = float32_bundle(extractor.extract_hidden_weights(mini_model(num_classes=2, seed=49)))
+        pair.load_teacher(wide)
+        teacher = pair.teacher
+        for source in (wire, wide, wire):
+            pair.load_teacher(source)
+            assert pair.teacher is teacher
+            for key, arr in extractor.hidden_arrays(teacher).items():
+                assert arr.dtype == source.arrays[key].dtype, key
+                assert arr.tobytes() == source.arrays[key].tobytes(), key
+                assert not np.shares_memory(arr, source.arrays[key]), key
+        # a rejected later load leaves every array as it was
+        held = {k: v.copy() for k, v in extractor.hidden_arrays(teacher).items()}
+        bad = wide.copy()
+        bad.arrays["dense.bias"] = np.zeros(MINI_HIDDEN + 1)
+        with pytest.raises(extractor.IncompatibleBundleError):
+            pair.load_teacher(bad)
+        for key, arr in extractor.hidden_arrays(teacher).items():
+            assert arr.dtype == np.float32 and np.array_equal(arr, held[key]), key
+
+    @pytest.mark.parametrize("literal", [False, True])
+    @pytest.mark.parametrize("teacher_bn_mode", ["batch", "running"])
+    def test_float32_teacher_traces_as_its_float64_copy(self, literal, teacher_bn_mode):
+        # oracle: a float64 clone of the student loaded with the same values
+        student = mini_model(num_classes=2, seed=50, bn_paper_literal=literal)
+        wire = float32_bundle(random_bundle(np.random.default_rng(51)))
+        pair = FBSTPair(student)
+        pair.load_teacher(wire)
+        oracle = extractor.load_hidden_weights(extractor.clone_model(student), wire)
+        assert all(a.dtype == np.float32 for a in extractor.hidden_arrays(pair.teacher).values())
+        assert all(a.dtype == np.float64 for a in extractor.hidden_arrays(oracle).values())
+        x = np.random.default_rng(52).standard_normal((6, 1, 20))
+        training = teacher_bn_mode == "batch"
+        got = pair.teacher.forward(x, training=training, update_running=False)
+        want = oracle.forward(x, training=training, update_running=False)
+        for name in (*extractor.ForwardTrace.HIDDEN_FIELDS, "logits", "probs"):
+            assert getattr(got, name).dtype == np.float64, name
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestLocalTrainEpoch:

@@ -772,6 +772,31 @@ class TestTeacherLifecycle:
             for key, arr in teacher.items():
                 assert not any(np.shares_memory(arr, other) for other in student.values()), key
 
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("strategy", ["efdls", "fkd"])
+    def test_teacher_keeps_its_last_download_at_wire_precision(self, monkeypatch, strategy,
+                                                               transport):
+        last = {}
+        real = fbst.FBSTPair.load_teacher
+
+        def recording(pair, bundle):
+            last[id(pair)] = bundle
+            real(pair, bundle)
+
+        monkeypatch.setattr(fbst.FBSTPair, "load_teacher", recording)
+        datasets = [(f"w{i}", "synthetic") for i in range(3)]
+        fed = Federation(toy_config(n_tot=3, fles=3, strategy=strategy, datasets=datasets,
+                                    transport=transport))
+        fed.run()
+        assert len(last) == 3
+        for user in fed.users:
+            download = last[id(user.pair)]
+            for key, arr in extractor.hidden_arrays(user.pair.teacher).items():
+                wire = download.arrays[key]
+                assert wire.dtype == arr.dtype == np.float32, (user.user_id, key)
+                assert arr.tobytes() == wire.tobytes(), (user.user_id, key)
+                assert not np.shares_memory(arr, wire), (user.user_id, key)
+
 
 class TestBlockShapeLimits:
     @pytest.mark.parametrize("ndim,dims,payload", [

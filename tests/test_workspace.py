@@ -274,6 +274,71 @@ class TestNoAliasing:
                                     model.backward(cache2, loss.output_grads(trace2)))
 
 
+def expression_adam_step(params, grads, state):
+    """The Adam update as plain numpy expressions, each temporary fresh."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        if state.weight_decay != 0.0:
+            g = g + state.weight_decay * p
+        m = state.first_moment[name]
+        v = state.second_moment[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+class TestAdamOracle:
+    SHAPES = {"conv.kernel": (12, 8, 5), "conv.bias": (12,), "dense.weight": (6, 12),
+              "scalar": ()}
+
+    @pytest.mark.parametrize("param_dtype,grad_dtype", [
+        (np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_steps_match_the_expressions(self, param_dtype, grad_dtype, weight_decay):
+        rng = np.random.default_rng(5)
+        params = {k: rng.standard_normal(s).astype(param_dtype) for k, s in self.SHAPES.items()}
+        expected = {k: v.copy() for k, v in params.items()}
+        kwargs = dict(lr=3e-3, weight_decay=weight_decay)
+        state = nncore.AdamState.for_params(params, **kwargs)
+        oracle = nncore.AdamState.for_params(expected, **kwargs)
+        nncore.release_workspace()
+        for _ in range(5):
+            # large and tiny gradients, so the second moment spans many scales
+            grads = {k: (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3, s)).astype(grad_dtype)
+                     for k, s in self.SHAPES.items()}
+            held = {k: v.copy() for k, v in grads.items()}
+            nncore.adam_step(params, grads, state)
+            expression_adam_step(expected, held, oracle)
+            for k in params:
+                assert_bitwise(params[k], expected[k])
+                assert_bitwise(state.first_moment[k], oracle.first_moment[k])
+                assert_bitwise(state.second_moment[k], oracle.second_moment[k])
+                assert np.array_equal(grads[k], held[k])
+            scratch = [buf for buf in nncore._WORKSPACE.buffers if buf is not None]
+            assert len(scratch) == 2
+            for buf in scratch:
+                for arrays in (params, grads, state.first_moment, state.second_moment):
+                    assert not any(np.shares_memory(buf, a) for a in arrays.values())
+        assert state.step_count == oracle.step_count == 5
+
+    def test_checks_keep_their_messages(self):
+        params = {"w": np.zeros((2, 3))}
+        state = nncore.AdamState.for_params(params)
+        with pytest.raises(nncore.ShapeError, match="gradient for 'w' has shape"):
+            nncore.adam_step(params, {"w": np.zeros((3, 2))}, state)
+        with pytest.raises(nncore.NumericError, match="non-finite gradient for parameter group 'w'"):
+            nncore.adam_step(params, {"w": np.full((2, 3), np.nan)}, state)
+        assert np.array_equal(params["w"], np.zeros((2, 3)))
+
+
 def train_user(seed):
     """Two federated epochs of local training with a loaded teacher; returns
     the loss reports and the student's hidden arrays."""
