@@ -33,29 +33,29 @@ from . import extractor, fbst, federation, metrics, nncore, strategies
 DATA_DIR_ENV = "EFDLS_DATA_DIR"
 GRADCHECK_TOLERANCE = 1e-4
 RUN_OUTPUTS = ("effective-config", "results.csv", "summary.json")
+# subcommand: (setting name, config key, subcommand help, help of its list flag);
+# the list flag is the setting name plus "s", and each setting writes into
+# <out>/<setting name>_<value>
+SWEEPS = {
+    "sweep-ratio": ("ratio", "conn_ratio", "run once per connected-user ratio",
+                    "comma-separated ratios, e.g. 0.4,0.6,0.8,1.0"),
+    "sweep-epsilon": ("epsilon", "epsilon", "run once per loss-mixing epsilon",
+                      "comma-separated epsilons, e.g. 0.5,0.9"),
+}
 
 
-def _resolve_dataset_entry(entry, data_dir: str | None):
-    if isinstance(entry, str):
-        entry = {"name": entry, "path": entry}
-    if isinstance(entry, dict):
-        name, path = entry.get("name"), entry.get("path", entry.get("name"))
-    elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-        name, path = entry
-    else:
-        raise fbst.ConfigError("each dataset entry must be a name, an object or a "
-                               f"[name, path] list, got {entry!r}")
-    # a path that is not a string is refused by FederationConfig
-    if (isinstance(path, str) and path != "synthetic" and not os.path.isabs(path)
-            and not os.path.isdir(path)):
-        if data_dir:
-            candidate = os.path.join(data_dir, path)
-            if os.path.isdir(candidate):
-                path = candidate
-    return {"name": name, "path": path}
+def _resolve_path(path: str, data_dir: str | None) -> str:
+    if (data_dir and path != "synthetic" and not os.path.isabs(path)
+            and not os.path.isdir(path) and os.path.isdir(os.path.join(data_dir, path))):
+        return os.path.join(data_dir, path)
+    return path
 
 
 def load_config(path: str, overrides: dict) -> federation.FederationConfig:
+    """Read a config file; each non-None value of ``overrides`` that is keyed
+    by a config field replaces the file's. A relative dataset path that names
+    no directory under the working directory resolves under $EFDLS_DATA_DIR
+    when one is there."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -64,13 +64,13 @@ def load_config(path: str, overrides: dict) -> federation.FederationConfig:
     if not isinstance(raw, dict):
         raise fbst.ConfigError(
             f"config file {path} must hold a JSON object, got {type(raw).__name__}")
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
-    if isinstance(raw.get("datasets"), list):  # anything else fails FederationConfig's type check
-        data_dir = os.environ.get(DATA_DIR_ENV)
-        raw["datasets"] = [_resolve_dataset_entry(e, data_dir) for e in raw["datasets"]]
-    return federation.FederationConfig.from_dict(raw)
+    for f in dataclasses.fields(federation.FederationConfig):
+        if overrides.get(f.name) is not None:
+            raw[f.name] = overrides[f.name]
+    config = federation.FederationConfig.from_dict(raw)
+    data_dir = os.environ.get(DATA_DIR_ENV)
+    config.datasets = [(name, _resolve_path(p, data_dir)) for name, p in config.datasets]
+    return config
 
 
 def _refuse_overwrite(out_dir: str, names, force: bool) -> None:
@@ -138,7 +138,7 @@ def _out_dir(args, config: federation.FederationConfig) -> str:
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config, _config_overrides(args))
+    config = load_config(args.config, vars(args))
     out_dir = _out_dir(args, config)
     summary = _run_into(config, out_dir, args.force)
     mean = summary["algorithms"][config.strategy]["mean_acc"]
@@ -148,12 +148,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep(args, parameter: str, values) -> int:
-    base = load_config(args.config, _config_overrides(args))  # the one read of the file
+def _sweep(args) -> int:
+    parameter, key, *_ = SWEEPS[args.command]
+    values = _parse_float_list(getattr(args, f"{parameter}s"), f"{parameter}s")
+    base = load_config(args.config, vars(args))  # the one read of the file
     out_dir = _out_dir(args, base)
     os.makedirs(out_dir, exist_ok=True)
     _refuse_overwrite(out_dir, ("sweep.csv",), args.force)
-    key = "conn_ratio" if parameter == "ratio" else "epsilon"
     rows = []
     failures = 0
     for value in values:
@@ -184,14 +185,6 @@ def _sweep(args, parameter: str, values) -> int:
         writer.writerows(rows)
     print(f"sweep results written to {os.path.join(out_dir, 'sweep.csv')}")
     return 1 if failures == len(values) else 0
-
-
-def cmd_sweep_ratio(args) -> int:
-    return _sweep(args, "ratio", _parse_float_list(args.ratios, "ratios"))
-
-
-def cmd_sweep_epsilon(args) -> int:
-    return _sweep(args, "epsilon", _parse_float_list(args.epsilons, "epsilons"))
 
 
 def cmd_eval_table(args) -> int:
@@ -252,18 +245,6 @@ def _parse_float_list(text: str, what: str):
     return values
 
 
-def _config_overrides(args) -> dict:
-    return {
-        "seed": getattr(args, "seed", None),
-        "strategy": getattr(args, "strategy", None),
-        "conn_ratio": getattr(args, "ratio", None),
-        "epsilon": getattr(args, "epsilon", None),
-        "fles": getattr(args, "fles", None),
-        "transport": getattr(args, "transport", None),
-        "port": getattr(args, "port", None),
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="efdls",
@@ -278,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, help="override the run seed")
             p.add_argument("--strategy", choices=strategies.STRATEGY_TAGS,
                            help="override the aggregation strategy")
-            p.add_argument("--ratio", type=float, help="override conn_ratio")
+            p.add_argument("--ratio", dest="conn_ratio", metavar="RATIO", type=float,
+                           help="override conn_ratio")
             p.add_argument("--epsilon", type=float, help="override the loss-mixing epsilon")
             p.add_argument("--fles", type=int, help="override the number of federated epochs")
             p.add_argument("--transport", choices=federation.TRANSPORTS,
@@ -290,15 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_sr = sub.add_parser("sweep-ratio", help="run once per connected-user ratio")
-    add_common(p_sr)
-    p_sr.add_argument("--ratios", required=True, help="comma-separated ratios, e.g. 0.4,0.6,0.8,1.0")
-    p_sr.set_defaults(func=cmd_sweep_ratio)
-
-    p_se = sub.add_parser("sweep-epsilon", help="run once per loss-mixing epsilon")
-    add_common(p_se)
-    p_se.add_argument("--epsilons", required=True, help="comma-separated epsilons, e.g. 0.5,0.9")
-    p_se.set_defaults(func=cmd_sweep_epsilon)
+    for command, (parameter, _, help_text, values_help) in SWEEPS.items():
+        p_sweep = sub.add_parser(command, help=help_text)
+        add_common(p_sweep)
+        p_sweep.add_argument(f"--{parameter}s", required=True, help=values_help)
+        p_sweep.set_defaults(func=_sweep)
 
     p_et = sub.add_parser("eval-table", help="recompute metrics from an accuracy CSV")
     p_et.add_argument("table", help="CSV with a dataset column plus one column per algorithm")

@@ -272,9 +272,9 @@ def _check_bundle(targets: dict, bundle: WeightBundle) -> None:
 
 def load_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> FeatureExtractor:
     """Overwrite the model's hidden layers with the bundle's values, copied
-    into the model's own arrays and so cast to their dtype; views of them,
-    such as a student's optimizer holds, stay live. The classifier is
-    untouched."""
+    into the model's own arrays and so cast to their dtype: a student keeps
+    the float64 storage that its float64 Adam moments and updates assume.
+    The classifier is untouched."""
     targets = hidden_arrays(model)
     _check_bundle(targets, bundle)
     for key, dst in targets.items():

@@ -44,7 +44,7 @@ def check_epsilon(epsilon: float) -> None:
 @dataclass
 class FBSTConfig:
     epsilon: float = 0.9
-    local_epochs_per_round: int = 1
+    local_epochs: int = 1
     batch_size: int = 16
     # "batch": the teacher normalizes with the statistics of the batch at
     # hand (no side effects), so a teacher holding the student's own weights
@@ -54,8 +54,8 @@ class FBSTConfig:
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
-        if self.local_epochs_per_round < 1:
-            raise ConfigError("local_epochs_per_round must be >= 1")
+        if self.local_epochs < 1:
+            raise ConfigError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.teacher_bn_mode not in ("batch", "running"):
@@ -76,8 +76,8 @@ class FBSTPair:
     loads weights into it. That load clones the student; every load then
     replaces the clone's hidden arrays with private copies of the bundle's,
     in the bundle's dtype. The clone's classifier never enters the loss. A
-    student load copies into the student's own arrays, which the optimizer
-    holds views of.
+    student load copies into the student's own arrays, so the student keeps
+    the float64 storage that its float64 Adam moments and updates assume.
     """
 
     def __init__(self, student: ext.FeatureExtractor):
@@ -203,7 +203,7 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
                       rng: np.random.Generator) -> LossReport:
     """One federated epoch of local training on (x, y).
 
-    Runs ``local_epochs_per_round`` shuffled passes. The combined loss is
+    Runs ``config.local_epochs`` shuffled passes. The combined loss is
     used only when k > 1 and a teacher has been loaded; otherwise training is
     supervised-only and the report records kd = 0. Only the student is
     updated. Returns the averaged loss report; a caller that uploads takes
@@ -215,7 +215,7 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
     params = pair.student.parameters()
     kd_sum = sup_sum = total_sum = 0.0
     n_batches = 0
-    for _ in range(config.local_epochs_per_round):
+    for _ in range(config.local_epochs):
         for idx in iter_batches(x.shape[0], config.batch_size, rng):
             xb, yb = x[idx], y[idx]
             trace, cache = pair.student.forward(xb, training=True, want_cache=True)

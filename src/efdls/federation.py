@@ -44,6 +44,9 @@ MESSAGE_VERSION = 1
 # array of this rank (numpy 1.x caps it at 32, 2.x at 64).
 MAX_WIRE_NDIM = 32
 TRANSPORTS = ("inproc", "socket")
+# Seconds any one socket operation may block: a connect, an accept, one
+# receive, or the whole send of a frame.
+SOCKET_TIMEOUT_S = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +55,12 @@ TRANSPORTS = ("inproc", "socket")
 
 @dataclass
 class FederationConfig:
-    """Everything a run needs. ``datasets`` lists (name, path) pairs assigned
-    to users in order (cycled if shorter than n_tot); a path of "synthetic"
-    generates the built-in separable two-class set seeded per user."""
+    """Everything a run needs. ``datasets`` lists the entries assigned to
+    users in order (cycled if shorter than n_tot), each a bare name (its own
+    path), an object {name[, path]} or a [name, path] list, and holds them
+    as (name, path) pairs; a path of "synthetic" generates the built-in
+    separable two-class set seeded per user. The local-training fields take
+    their defaults from ``fbst.FBSTConfig``."""
 
     n_tot: int
     datasets: list
@@ -62,13 +68,13 @@ class FederationConfig:
     fles: int = 1
     seed: int = 0
     strategy: str = "efdls"
-    epsilon: float = 0.9
-    batch_size: int = 16
-    local_epochs: int = 1
+    epsilon: float = fbst.FBSTConfig.epsilon
+    batch_size: int = fbst.FBSTConfig.batch_size
+    local_epochs: int = fbst.FBSTConfig.local_epochs
     lr: float = 1e-4
     weight_decay: float = 1e-4
     bn_paper_literal: bool = False
-    teacher_bn_mode: str = "batch"
+    teacher_bn_mode: str = fbst.FBSTConfig.teacher_bn_mode
     blocks: tuple = ext.DEFAULT_BLOCKS
     hidden_dim: int = ext.DEFAULT_HIDDEN_DIM
     normalize: bool = True
@@ -93,6 +99,14 @@ class FederationConfig:
             raise ConfigError("at least one dataset assignment is required")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.port <= 65535:
+            raise ConfigError(f"port must lie in [0, 65535], got {self.port}")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.transport not in TRANSPORTS:
             raise ConfigError(f"transport must be {' or '.join(map(repr, TRANSPORTS))}, "
                               f"got '{self.transport}'")
@@ -110,12 +124,19 @@ class FederationConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         datasets = []
-        for d in self.datasets:
-            pair = (d.get("name"), d.get("path")) if isinstance(d, dict) else d
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(isinstance(v, str) for v in pair)):
+        for entry in self.datasets:
+            if isinstance(entry, str):
+                pair = (entry, entry)
+            elif isinstance(entry, dict):
+                pair = (entry.get("name"), entry.get("path", entry.get("name")))
+            elif isinstance(entry, (list, tuple)) and len(entry) == 2:
+                pair = tuple(entry)
+            else:
+                raise ConfigError("each dataset entry must be a name, an object or a "
+                                  f"[name, path] list, got {entry!r}")
+            if not all(isinstance(v, str) for v in pair):
                 raise ConfigError(f"each dataset must be a (name, path) pair of strings, got {pair!r}")
-            datasets.append(tuple(pair))
+            datasets.append(pair)
         self.datasets = datasets
         self.fbst_config()  # validates the local-training fields
 
@@ -124,10 +145,7 @@ class FederationConfig:
         return connected_count(self.n_tot, self.conn_ratio)
 
     def fbst_config(self) -> fbst.FBSTConfig:
-        return fbst.FBSTConfig(epsilon=self.epsilon,
-                               local_epochs_per_round=self.local_epochs,
-                               batch_size=self.batch_size,
-                               teacher_bn_mode=self.teacher_bn_mode)
+        return fbst.FBSTConfig(**{f.name: getattr(self, f.name) for f in fields(fbst.FBSTConfig)})
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -356,10 +374,13 @@ def _recv_frame(sock: socket.socket) -> bytes:
 class SocketTransport:
     """Loopback TCP transport carrying the same length-prefixed weight
     messages; one persistent connection per user. The send side runs on a
-    helper thread so arbitrarily large frames cannot deadlock the process."""
+    helper thread so arbitrarily large frames cannot deadlock the process.
+    Every socket times out after SOCKET_TIMEOUT_S, so a dead or stalled peer
+    raises an OSError instead of blocking forever."""
 
     def __init__(self, port: int = 0):
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.settimeout(SOCKET_TIMEOUT_S)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind(("127.0.0.1", port))
         self._listener.listen()
@@ -369,17 +390,28 @@ class SocketTransport:
 
     def connect(self, user_ids) -> None:
         for uid in user_ids:
-            client = socket.create_connection(("127.0.0.1", self.port))
+            client = socket.create_connection(("127.0.0.1", self.port),
+                                              timeout=SOCKET_TIMEOUT_S)
             conn, _ = self._listener.accept()
+            conn.settimeout(SOCKET_TIMEOUT_S)
             self._user_side[uid] = client
             self._server_side[uid] = conn
 
     def _pump(self, sender: socket.socket, receiver: socket.socket, data: bytes) -> bytes:
-        t = threading.Thread(target=_send_frame, args=(sender, data))
+        def send():
+            # a send that fails leaves the frame short, so the receive fails
+            # too and reports it
+            try:
+                _send_frame(sender, data)
+            except OSError:
+                pass
+
+        t = threading.Thread(target=send)
         t.start()
-        out = _recv_frame(receiver)
-        t.join()
-        return out
+        try:
+            return _recv_frame(receiver)
+        finally:
+            t.join()
 
     def upload(self, user_id: int, data: bytes) -> bytes:
         return self._pump(self._user_side[user_id], self._server_side[user_id], data)
@@ -416,6 +448,11 @@ class UserState:
 
 class BarrierError(RuntimeError):
     """The strategy was about to run on an incomplete set of epoch uploads."""
+
+
+class TransportError(RuntimeError):
+    """A message did not cross the transport: its peer closed, or a socket
+    operation timed out."""
 
 
 def _load_dataset(name: str, path: str, user_id: int, config: FederationConfig,
@@ -471,6 +508,7 @@ class Federation:
         self.config = config
         self.round = strategies.ROUNDS[config.strategy]
         self.users = build_users(config)
+        self.local_training = config.fbst_config()
         self.ledger = CommLedger()
         self._own_transport = transport is None
         self.transport = make_transport(config) if transport is None else transport
@@ -479,7 +517,7 @@ class Federation:
         try:
             return fbst.local_train_epoch(
                 user.pair, user.dataset.train_tensor(), user.dataset.y_train,
-                self.config.fbst_config(), k, user.adam, user.rng)
+                self.local_training, k, user.adam, user.rng)
         except nncore.NumericError as exc:
             raise nncore.NumericError(
                 f"user {user.user_id} failed at federated epoch {k}: {exc}") from exc
@@ -488,9 +526,14 @@ class Federation:
                     user_id: int) -> tuple:
         """Encode one message, carry it over the transport's ``direction``
         ("upload" or "download"), record its size in the ledger, and return
-        the decoded (user_id, bundle)."""
+        the decoded (user_id, bundle). A transport OSError becomes a
+        TransportError naming the user, the direction and the epoch."""
         data = encode_weight_message(bundle, epoch=k, user_id=user_id)
-        received = getattr(self.transport, direction)(user_id, data)
+        try:
+            received = getattr(self.transport, direction)(user_id, data)
+        except OSError as exc:
+            raise TransportError(
+                f"user {user_id} {direction} failed at federated epoch {k}: {exc}") from exc
         self.ledger.record(k, user_id, direction, len(data))
         decoded, _, uid = decode_weight_message(received)
         return uid, decoded

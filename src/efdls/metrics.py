@@ -164,6 +164,8 @@ def load_accuracy_csv(path: str) -> AccuracyTable:
             values.append([float(v) for v in r[1:]])
         except ValueError as exc:
             raise ValueError(f"{path}: row '{r[0]}' holds a non-numeric cell ({exc})") from None
+        if not np.isfinite(values[-1]).all():
+            raise ValueError(f"{path}: row '{r[0]}' holds a non-finite cell")
     return AccuracyTable(datasets=datasets, algorithms=algorithms, values=np.array(values))
 
 

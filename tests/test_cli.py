@@ -137,6 +137,59 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("port", -1, "port must lie in [0, 65535], got -1"),
+        ("port", 65536, "port must lie in [0, 65535], got 65536"),
+        ("lr", float("nan"), "lr must be finite and > 0, got nan"),
+        ("lr", float("inf"), "lr must be finite and > 0, got inf"),
+        ("lr", -0.001, "lr must be finite and > 0, got -0.001"),
+        ("lr", 0.0, "lr must be finite and > 0, got 0.0"),
+        ("weight_decay", -1, "weight_decay must be finite and >= 0, got -1"),
+        ("weight_decay", float("nan"), "weight_decay must be finite and >= 0, got nan"),
+    ])
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, field, value,
+                                                  message):
+        cfg = write_config(tmp_path, strategy="efdls", **{field: value})
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry,message", [
+        (5, "each dataset entry must be a name, an object or a [name, path] list, got 5"),
+        (["a", "b", "c"], "each dataset entry must be a name, an object or a [name, path] "
+                          "list, got ['a', 'b', 'c']"),
+        ([5, "synthetic"], "each dataset must be a (name, path) pair of strings, "
+                           "got (5, 'synthetic')"),
+        ({"path": "synthetic"}, "each dataset must be a (name, path) pair of strings, "
+                                "got (None, 'synthetic')"),
+        ({"name": 3}, "each dataset must be a (name, path) pair of strings, got (3, 3)"),
+    ])
+    def test_rejected_dataset_entry_is_a_config_error(self, tmp_path, capsys, entry, message):
+        cfg = write_config(tmp_path, n_tot=1, datasets=[entry])
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,value,key,expected", [
+        ("--seed", "4", "seed", 4),
+        ("--strategy", "fkd", "strategy", "fkd"),
+        ("--ratio", "0.5", "conn_ratio", 0.5),
+        ("--epsilon", "0.7", "epsilon", 0.7),
+        ("--fles", "1", "fles", 1),
+        ("--transport", "socket", "transport", "socket"),
+        ("--port", "0", "port", 0),
+    ])
+    def test_each_override_flag_lands_in_effective_config(self, tmp_path, flag, value, key,
+                                                          expected):
+        cfg = write_config(tmp_path, port=9)
+        assert getattr(cli.load_config(cfg, {}), key) != expected  # the file's value differs
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out), flag, value]) == 0
+        assert read_json(out / "effective-config")[key] == expected
+
     @pytest.mark.parametrize("key", ["n_tot", "datasets"])
     def test_missing_required_key_is_a_config_error(self, tmp_path, capsys, key):
         cfg = write_config(tmp_path)
@@ -321,6 +374,15 @@ class TestEvalTable:
         assert cli.main(["eval-table", str(p)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_errors_naming_the_row(self, tmp_path, capsys, cell):
+        p = tmp_path / "t.csv"
+        p.write_text(f"dataset,A,B\nd1,0.5,0.9\nd2,{cell},0.7\n")
+        assert cli.main(["eval-table", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p}: row 'd2' holds a non-finite cell\n"
+
     def test_out_flag_emits_report_files(self, tmp_path):
         out = tmp_path / "report"
         rc = cli.main(["eval-table", metrics.reference_table_path(), "--out", str(out)])
@@ -340,6 +402,25 @@ class TestGradcheckCommand:
 
 
 class TestDataDirResolution:
+    @pytest.mark.parametrize("entry,name", [
+        ("Crafted", "Crafted"),
+        ({"name": "Crafted"}, "Crafted"),
+        ({"name": "Mine", "path": "Crafted"}, "Mine"),
+        (["Mine", "Crafted"], "Mine"),
+    ])
+    def test_each_entry_form_resolves_under_env_dir(self, tmp_path, monkeypatch, entry, name):
+        root = tmp_path / "archive"
+        ds = root / "Crafted"
+        ds.mkdir(parents=True)
+        (ds / "Crafted_TRAIN.tsv").write_text("0\t1.0\t2.0\n1\t2.0\t1.0\n")
+        (ds / "Crafted_TEST.tsv").write_text("0\t1.0\t2.0\n1\t0.0\t1.0\n")
+        monkeypatch.setenv(cli.DATA_DIR_ENV, str(root))
+        cfg = write_config(tmp_path, n_tot=1, fles=1, datasets=[entry])
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        effective = read_json(out / "effective-config")
+        assert effective["datasets"] == [{"name": name, "path": str(ds)}]
+
     def test_bare_name_resolves_under_env_dir(self, tmp_path, monkeypatch):
         root = tmp_path / "archive"
         ds = root / "Crafted"

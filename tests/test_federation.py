@@ -434,7 +434,7 @@ class TestRunFederation:
     @pytest.mark.parametrize("field,value,message", [
         ("epsilon", 1.5, "epsilon must lie strictly inside"),
         ("batch_size", 0, "batch_size must be >= 1"),
-        ("local_epochs", 0, "local_epochs_per_round must be >= 1"),
+        ("local_epochs", 0, "local_epochs must be >= 1"),
         ("teacher_bn_mode", "bogus", "teacher_bn_mode must be 'batch' or 'running'"),
     ])
     def test_local_training_fields_checked_when_config_is_built(self, field, value, message):
@@ -444,6 +444,22 @@ class TestRunFederation:
     def test_ratio_that_connects_nobody_rejected_when_config_is_built(self):
         with pytest.raises(ConfigError, match=r"^conn_ratio 0.2 of 2 users selects nobody$"):
             toy_config(conn_ratio=0.2)
+
+    @pytest.mark.parametrize("entry,pair", [
+        ("Chinatown", ("Chinatown", "Chinatown")),
+        ({"name": "Chinatown"}, ("Chinatown", "Chinatown")),
+        ({"name": "waves", "path": "synthetic"}, ("waves", "synthetic")),
+        (["waves", "synthetic"], ("waves", "synthetic")),
+        (("waves", "synthetic"), ("waves", "synthetic")),
+    ])
+    def test_each_dataset_entry_form_becomes_a_pair(self, entry, pair):
+        config = FederationConfig(n_tot=1, datasets=[entry])
+        assert config.datasets == [pair]
+        assert config.to_dict()["datasets"] == [{"name": pair[0], "path": pair[1]}]
+
+    def test_local_training_defaults_are_fbst_defaults(self):
+        config = FederationConfig(n_tot=1, datasets=["w"])
+        assert config.fbst_config() == fbst.FBSTConfig()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
@@ -596,6 +612,38 @@ class TestStreamedRound:
         assert len(sockets) == 1 + 2 * 2
         assert all(s.fileno() == -1 for s in sockets)
         assert len(fed.ledger) == 0
+
+    # frames go: epoch 1 uploads of users 0 and 1, their downloads, then epoch 2
+    @pytest.mark.parametrize("stalled,message", [
+        (0, "user 0 upload failed at federated epoch 1"),
+        (2, "user 0 download failed at federated epoch 1"),
+        (5, "user 1 upload failed at federated epoch 2"),
+    ])
+    def test_stalled_frame_times_out_naming_user_epoch_and_direction(self, monkeypatch,
+                                                                     stalled, message):
+        real = federation._send_frame
+        frames = []
+
+        def send_frame(sock, data):
+            frames.append(len(data))
+            if len(frames) - 1 == stalled:
+                sock.sendall(struct.pack("<I", len(data)))  # the length prefix only
+            else:
+                real(sock, data)
+
+        monkeypatch.setattr(federation, "_send_frame", send_frame)
+        monkeypatch.setattr(federation, "SOCKET_TIMEOUT_S", 0.2)
+        fed = Federation(toy_config(transport="socket"))
+        threads_before = threading.active_count()
+        with pytest.raises(federation.TransportError, match=rf"^{message}: timed out$"):
+            fed.run()
+        transport = fed.transport
+        sockets = [transport._listener, *transport._user_side.values(),
+                   *transport._server_side.values()]
+        assert len(sockets) == 1 + 2 * 2
+        assert all(s.fileno() == -1 for s in sockets)
+        assert threading.active_count() == threads_before
+        assert len(fed.ledger) == stalled
 
 
 class TestRoundTable:
