@@ -13,8 +13,10 @@ The config keys are listed under "Config schema" in the README.
 
 A run writes the RUN_OUTPUTS files (its effective config, per-user accuracies
 and summary) into <out>; a sweep writes them into one subdirectory of <out>
-per setting and adds <out>/sweep.csv. Existing outputs are never overwritten
-unless --force is given.
+per setting and adds <out>/sweep.csv. A setting's subdirectory is named
+<setting>_<value formatted with %g>, and a value list in which two names
+coincide is refused before anything is written. Existing outputs are never
+overwritten unless --force is given.
 """
 
 from __future__ import annotations
@@ -151,17 +153,22 @@ def cmd_run(args) -> int:
 def _sweep(args) -> int:
     parameter, key, *_ = SWEEPS[args.command]
     values = _parse_float_list(getattr(args, f"{parameter}s"), f"{parameter}s")
+    names = [f"{parameter}_{value:g}" for value in values]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise fbst.ConfigError(f"--{parameter}s: settings would share the output "
+                               f"directories {shared}; give values that differ within "
+                               f"six significant digits")
     base = load_config(args.config, vars(args))  # the one read of the file
     out_dir = _out_dir(args, base)
     os.makedirs(out_dir, exist_ok=True)
     _refuse_overwrite(out_dir, ("sweep.csv",), args.force)
     rows = []
     failures = 0
-    for value in values:
+    for value, name in zip(values, names):
         try:
             config = dataclasses.replace(base, **{key: value})
-            summary = _run_into(config, os.path.join(out_dir, f"{parameter}_{value:g}"),
-                                args.force)
+            summary = _run_into(config, os.path.join(out_dir, name), args.force)
             losses = summary["final_train_loss"].values()
             rows.append({
                 "parameter": parameter,
@@ -218,12 +225,12 @@ def cmd_gradcheck(args) -> int:
     worst = 0.0
     for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, trial])
-        model = extractor.FeatureExtractor(
+        # an independently seeded teacher, so every KD gradient is non-zero
+        model, teacher = (extractor.FeatureExtractor(
             num_classes=3, blocks=((3, 6), (3, 8), (3, 6)), hidden_dim=6,
-            seed=[args.seed, trial, 1])
+            seed=[args.seed, trial, role]) for role in (1, 2))
         x = rng.standard_normal((3, 1, 16))
         labels = rng.integers(0, 3, size=3)
-        teacher = extractor.clone_model(model)
         teacher_trace = teacher.forward(x, training=True, update_running=False)
         for loss in (fbst.SupervisedLoss(labels),
                      fbst.DistillationLoss(teacher_trace, labels, epsilon=0.9)):

@@ -180,9 +180,10 @@ def load_ucr_tsv(path: str, meta: DatasetMeta | None = None,
                  normalize: bool = True) -> TimeSeriesDataset:
     """Load <Name>_TRAIN.tsv / <Name>_TEST.tsv from a dataset directory.
 
-    ``path`` is the directory; its basename is the dataset name. If ``meta``
-    is given (or the name is in the registry) the loaded shape is validated
-    against it, with the length check skipped for variable-length sets.
+    ``path`` is the directory; its basename is the dataset name. The loaded
+    shape is validated only against an explicitly given ``meta`` (a name in
+    the registry alone triggers no check), with the length check skipped for
+    variable-length sets.
     """
     path = os.path.normpath(path)
     name = os.path.basename(path)

@@ -15,10 +15,15 @@ Loss pieces:
   * supervised loss: mean cross-entropy of the softmax probabilities;
   * total: epsilon * supervised + (1 - epsilon) * feature-matching.
 
-On the very first federated epoch (and while a user has no teacher) training
-is supervised-only. Local training returns only its loss report; the
-federation snapshots the student's hidden weights itself, and only for the
-users that upload.
+The objective is written once, as a loss object: ``SupervisedLoss`` on the
+very first federated epoch (and while a user has no teacher), otherwise
+``DistillationLoss`` against the teacher's trace of the same batch. Its
+``parts(trace)`` gives the batch's loss report, ``value(trace)`` the total
+that ``nncore.finite_diff_gradcheck`` differentiates, and
+``output_grads(trace)`` the gradients injected into the student's backward
+pass. Local training takes all three from that one object and returns the
+mean of the batch reports; the federation snapshots the student's hidden
+weights itself, and only for the users that upload.
 """
 
 from __future__ import annotations
@@ -157,32 +162,37 @@ def total_loss(sup: float, kd: float, epsilon: float) -> float:
 
 
 class SupervisedLoss:
-    """Cross-entropy as a gradcheck-compatible loss object."""
+    """Cross-entropy alone: the objective until a teacher is loaded."""
 
     def __init__(self, labels: np.ndarray):
         self.labels = np.asarray(labels)
 
+    def parts(self, trace: ext.ForwardTrace) -> LossReport:
+        sup = sup_loss(trace.probs, self.labels)
+        return LossReport(kd=0.0, sup=sup, total=sup)
+
     def value(self, trace: ext.ForwardTrace) -> float:
-        return sup_loss(trace.probs, self.labels)
+        return self.parts(trace).total
 
     def output_grads(self, trace: ext.ForwardTrace) -> dict:
         return {"logits": sup_loss_logit_grad(trace.probs, self.labels)}
 
 
-class DistillationLoss:
+class DistillationLoss(SupervisedLoss):
     """Combined supervised + feature-matching loss against a fixed teacher
     trace, with gradient injection at the logits and all four hidden
     outputs."""
 
     def __init__(self, teacher_trace: ext.ForwardTrace, labels: np.ndarray, epsilon: float):
         check_epsilon(epsilon)
+        super().__init__(labels)
         self.teacher_trace = teacher_trace
-        self.labels = np.asarray(labels)
         self.epsilon = epsilon
 
-    def value(self, trace: ext.ForwardTrace) -> float:
-        return total_loss(sup_loss(trace.probs, self.labels),
-                          kd_loss(trace, self.teacher_trace), self.epsilon)
+    def parts(self, trace: ext.ForwardTrace) -> LossReport:
+        sup = sup_loss(trace.probs, self.labels)
+        kd = kd_loss(trace, self.teacher_trace)
+        return LossReport(kd=kd, sup=sup, total=total_loss(sup, kd, self.epsilon))
 
     def output_grads(self, trace: ext.ForwardTrace) -> dict:
         grads = kd_loss_grads(trace, self.teacher_trace, scale=1.0 - self.epsilon)
@@ -219,24 +229,20 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
         for idx in iter_batches(x.shape[0], config.batch_size, rng):
             xb, yb = x[idx], y[idx]
             trace, cache = pair.student.forward(xb, training=True, want_cache=True)
-            sup = sup_loss(trace.probs, yb)
             if use_teacher:
                 teacher_trace = pair.teacher.forward(
                     xb, training=config.teacher_bn_mode == "batch", update_running=False)
-                kd = kd_loss(trace, teacher_trace)
-                loss = total_loss(sup, kd, config.epsilon)
                 objective = DistillationLoss(teacher_trace, yb, config.epsilon)
             else:
-                kd = 0.0
-                loss = sup
                 objective = SupervisedLoss(yb)
-            if not np.isfinite(loss):
+            report = objective.parts(trace)
+            if not np.isfinite(report.total):
                 raise nncore.NumericError(f"non-finite training loss at federated epoch {k}")
             grads = pair.student.backward(cache, objective.output_grads(trace))
             nncore.adam_step(params, grads, adam)
-            kd_sum += kd
-            sup_sum += sup
-            total_sum += loss
+            kd_sum += report.kd
+            sup_sum += report.sup
+            total_sum += report.total
             n_batches += 1
     return LossReport(kd=kd_sum / n_batches, sup=sup_sum / n_batches,
                       total=total_sum / n_batches)

@@ -37,6 +37,11 @@ class AccuracyTable:
     values: np.ndarray  # [n_datasets, n_algorithms]
 
     def __post_init__(self):
+        for i, name in enumerate(self.algorithms):
+            if not name.strip():
+                raise ValueError(f"algorithm {i + 1} has an empty name")
+            if name in self.algorithms[:i]:
+                raise ValueError(f"algorithm '{name}' names more than one column")
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.datasets), len(self.algorithms)):
             raise ValueError(

@@ -642,6 +642,12 @@ def finite_diff_grads(model, x: np.ndarray, loss, epsilon: float = 1e-5,
     return out
 
 
+def _relative_errors(analytic, numeric, denom_floor: float):
+    """|a - n| / max(|a|, |n|, denom_floor), elementwise."""
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), denom_floor)
+    return np.abs(analytic - numeric) / denom
+
+
 def max_relative_error(analytic: dict, numeric: dict, denom_floor: float = 1e-5) -> float:
     """max over all compared entries of |a - n| / max(|a|, |n|, denom_floor).
 
@@ -652,18 +658,16 @@ def max_relative_error(analytic: dict, numeric: dict, denom_floor: float = 1e-5)
     subtraction cancels it), and individual kernel entries can sit below
     1e-6, so both sides are noise-dominated there and a smaller floor would
     report spurious errors. Genuine defects above ~1e-9 absolute still
-    register. NaN entries in ``numeric`` (unsampled positions) are skipped.
+    register. NaN entries in ``numeric`` (unsampled positions) are skipped;
+    a NaN analytic entry makes the result NaN, which no tolerance accepts.
     """
     worst = 0.0
     for name, a in analytic.items():
         n = numeric[name]
         mask = ~np.isnan(n)
-        if not mask.any():
-            continue
-        av = a[mask]
-        nv = n[mask]
-        denom = np.maximum(np.maximum(np.abs(av), np.abs(nv)), denom_floor)
-        worst = max(worst, float(np.max(np.abs(av - nv) / denom)))
+        if mask.any():
+            errors = _relative_errors(a[mask], n[mask], denom_floor)
+            worst = float(np.maximum(worst, np.max(errors)))
     return worst
 
 
@@ -678,8 +682,8 @@ def finite_diff_gradcheck(model, x: np.ndarray, loss, epsilon: float = 1e-5,
     into (e.g. ``{"logits": ..., "o1": ...}``).
 
     The probe is multi-scale: entries disagreeing at the base epsilon are
-    re-probed at epsilon/10 per refinement level and scored against their
-    best-agreeing scale. A ReLU kink inside the base probe window shrinks
+    re-probed at epsilon/10 per refinement level, and each keeps its
+    best-agreeing quotient. A ReLU kink inside the base probe window shrinks
     away at smaller scales, while a genuinely wrong analytic gradient
     disagrees with the difference quotient at every scale, so refinement
     cannot mask real defects.
@@ -689,23 +693,17 @@ def finite_diff_gradcheck(model, x: np.ndarray, loss, epsilon: float = 1e-5,
     numeric = finite_diff_grads(model, x, loss, epsilon=epsilon,
                                 max_entries_per_param=max_entries_per_param, rng=rng)
     params = model.parameters()
-    worst = 0.0
     for name, a in analytic.items():
-        n = numeric[name]
-        flat_a = a.reshape(-1)
-        flat_n = n.reshape(-1)
-        for i in range(flat_a.size):
-            if np.isnan(flat_n[i]):
-                continue
-            av, nv = flat_a[i], flat_n[i]
-            err = abs(av - nv) / max(abs(av), abs(nv), denom_floor)
-            level = 0
+        flat_a, flat_n = a.reshape(-1), numeric[name].reshape(-1)
+        errors = _relative_errors(flat_a, flat_n, denom_floor)
+        for i in np.flatnonzero(errors > refine_threshold):
             eps = epsilon
-            while err > refine_threshold and level < refine_levels:
+            for _ in range(refine_levels):
                 eps /= 10.0
-                level += 1
                 refined = _central_diff_entry(model, x, loss, params[name], i, eps)
-                refined_err = abs(av - refined) / max(abs(av), abs(refined), denom_floor)
-                err = min(err, refined_err)
-            worst = max(worst, err)
-    return worst
+                refined_error = _relative_errors(flat_a[i], refined, denom_floor)
+                if refined_error < errors[i]:
+                    flat_n[i], errors[i] = refined, refined_error
+                if errors[i] <= refine_threshold:
+                    break
+    return max_relative_error(analytic, numeric, denom_floor)

@@ -29,12 +29,13 @@ def test_c1_gradient_correctness():
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng([seed, 91])
-        model = extractor.FeatureExtractor(num_classes=3, blocks=((3, 5), (5, 6), (3, 4)),
-                                           hidden_dim=5, seed=[seed, 17])
+        # an independently seeded teacher, so all four hidden outputs differ
+        # and every KD injection carries gradient
+        model, teacher = (extractor.FeatureExtractor(
+            num_classes=3, blocks=((3, 5), (5, 6), (3, 4)), hidden_dim=5, seed=[seed, role])
+            for role in (17, 18))
         x = rng.standard_normal((3, 1, 17))
         labels = rng.integers(0, 3, size=3)
-        teacher = extractor.clone_model(model)
-        teacher.hidden.weight += 0.05 * rng.standard_normal(teacher.hidden.weight.shape)
         teacher_trace = teacher.forward(x, training=True, update_running=False)
         for loss in (fbst.SupervisedLoss(labels),
                      fbst.DistillationLoss(teacher_trace, labels, epsilon=0.9)):

@@ -335,6 +335,18 @@ class TestSweeps:
         assert capsys.readouterr().err.startswith("error: unknown strategy 'nonsense'")
         assert not out.exists()
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_values_sharing_a_directory_name_exit_before_anything_is_made(
+            self, tmp_path, capsys, force):
+        # 0.8000001 formats as 0.8 under %g, so both settings would write ratio_0.8
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep-ratio", "--config", cfg, "--out", str(out),
+                       "--ratios", "0.5,0.8,0.8000001", *force])
+        assert rc == 2
+        assert "['ratio_0.8']" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalTable:
     def test_reference_fixture_reproduces_printed_aggregates(self, capsys):
@@ -382,6 +394,19 @@ class TestEvalTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {p}: row 'd2' holds a non-finite cell\n"
+
+    @pytest.mark.parametrize("header,message", [
+        ("dataset,A,A,B", "algorithm 'A' names more than one column"),
+        ("dataset,A,,B", "algorithm 2 has an empty name"),
+    ])
+    def test_repeated_or_empty_algorithm_column_errors(self, tmp_path, capsys, header,
+                                                       message):
+        p = tmp_path / "t.csv"
+        p.write_text(f"{header}\nd1,0.5,0.9,0.1\nd2,0.6,0.7,0.8\n")
+        assert cli.main(["eval-table", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_out_flag_emits_report_files(self, tmp_path):
         out = tmp_path / "report"

@@ -191,12 +191,20 @@ class TestBackwardComposition:
         grads = m.backward(cache, loss.output_grads(trace))
         assert list(grads) == list(m.parameters())
 
-    def test_full_extractor_gradcheck(self):
+    @pytest.mark.parametrize("literal", [False, True])
+    @pytest.mark.parametrize("distill", [False, True])
+    def test_full_extractor_gradcheck(self, distill, literal):
         rng = np.random.default_rng(24)
-        m = mini_model(num_classes=3, seed=25)
+        m = mini_model(num_classes=3, seed=25, bn_paper_literal=literal)
         x = rng.standard_normal((3, 1, 14))
         labels = rng.integers(0, 3, size=3)
-        err = nncore.finite_diff_gradcheck(m, x, fbst.SupervisedLoss(labels), epsilon=1e-5)
+        loss = fbst.SupervisedLoss(labels)
+        if distill:
+            # an independently seeded teacher: every KD injection is non-zero
+            teacher = mini_model(num_classes=3, seed=29, bn_paper_literal=literal)
+            loss = fbst.DistillationLoss(teacher.forward(x, training=True), labels,
+                                         epsilon=0.9)
+        err = nncore.finite_diff_gradcheck(m, x, loss, epsilon=1e-5)
         assert err < 1e-4
 
     def test_inference_mode_backward_matches_finite_differences(self):

@@ -287,6 +287,45 @@ class TestLocalTrainEpoch:
         assert report.kd > 0.0
         assert report.total == pytest.approx(0.9 * report.sup + 0.1 * report.kd, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [1, 3])  # supervised-only, distillation
+    def test_report_is_the_mean_of_the_objectives_parts(self, k):
+        # lr = 0 keeps the student fixed, so every batch's parts can be replayed
+        pair = FBSTPair(mini_model(num_classes=2, seed=30))
+        pair.load_teacher(extractor.extract_hidden_weights(mini_model(num_classes=2, seed=31)))
+        x, y = small_problem(seed=32)
+        cfg = FBSTConfig(local_epochs=2, batch_size=5)
+        adam = nncore.AdamState.for_params(pair.student.parameters(), lr=0.0)
+        report = local_train_epoch(pair, x, y, cfg, k=k, adam=adam,
+                                   rng=np.random.default_rng(33))
+        replay = np.random.default_rng(33)
+        parts = []
+        for _ in range(cfg.local_epochs):
+            for idx in fbst.iter_batches(x.shape[0], cfg.batch_size, replay):
+                objective = fbst.SupervisedLoss(y[idx])
+                if k > 1:
+                    teacher_trace = pair.teacher.forward(x[idx], training=True,
+                                                         update_running=False)
+                    objective = fbst.DistillationLoss(teacher_trace, y[idx], cfg.epsilon)
+                parts.append(objective.parts(pair.student.forward(x[idx], training=True)))
+        assert len(parts) == 6
+        assert (report.kd > 0.0) == (k > 1)
+        for field in ("kd", "sup", "total"):
+            mean = sum(getattr(p, field) for p in parts) / len(parts)
+            assert getattr(report, field) == pytest.approx(mean, rel=1e-12, abs=0.0)
+
+    def test_loss_objects_value_is_the_total_of_their_parts(self):
+        rng = np.random.default_rng(34)
+        student, teacher = make_trace(rng), make_trace(rng)
+        labels = np.array([0, 2])
+        supervised = fbst.SupervisedLoss(labels)
+        distillation = fbst.DistillationLoss(teacher, labels, epsilon=0.7)
+        sup, kd = sup_loss(student.probs, labels), kd_loss(student, teacher)
+        assert supervised.parts(student) == fbst.LossReport(kd=0.0, sup=sup, total=sup)
+        assert distillation.parts(student) == fbst.LossReport(
+            kd=kd, sup=sup, total=total_loss(sup, kd, 0.7))
+        for objective in (supervised, distillation):
+            assert objective.value(student) == objective.parts(student).total
+
     def test_lr_zero_leaves_learnables_bitwise_unchanged(self):
         pair = FBSTPair(mini_model(num_classes=2, seed=11))
         before = {k: v.copy() for k, v in pair.student.parameters().items()}

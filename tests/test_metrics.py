@@ -42,6 +42,17 @@ def rank_oracle(row):
     return ranks
 
 
+class TestAccuracyTable:
+    @pytest.mark.parametrize("algorithms,message", [
+        (["A", "A", "B"], "algorithm 'A' names more than one column"),
+        (["A", "", "B"], "algorithm 2 has an empty name"),
+        (["A", "B", " "], "algorithm 3 has an empty name"),
+    ])
+    def test_repeated_or_empty_algorithm_name_rejected(self, algorithms, message):
+        with pytest.raises(ValueError, match=message):
+            AccuracyTable(datasets=["d1"], algorithms=algorithms, values=np.zeros((1, 3)))
+
+
 class TestTop1Accuracy:
     def test_all_correct(self):
         assert top1_accuracy(np.array([1, 2, 3]), np.array([1, 2, 3])) == 1.0

@@ -401,6 +401,22 @@ class TestGradCheck:
         numeric = finite_diff_grads(model, x, loss, epsilon=1e-6)
         assert max_relative_error(analytic, numeric) > 1e-2
 
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 3)])
+    def test_nan_analytic_gradient_fails_the_check(self, entry, monkeypatch):
+        model = _LinearModel(seed=25)
+        x = np.random.default_rng(26).standard_normal((5, 4))
+        loss = _LinearLoss(np.random.default_rng(27).standard_normal((5, 3)))
+        backward = model.backward
+
+        def nan_backward(cache, output_grads):
+            grads = backward(cache, output_grads)
+            grads["weight"][entry] = np.nan
+            return grads
+
+        monkeypatch.setattr(model, "backward", nan_backward)
+        err = nncore.finite_diff_gradcheck(model, x, loss, epsilon=1e-6)
+        assert not err < 1e-4
+
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(ValueError):
             finite_diff_grads(_LinearModel(), np.zeros((1, 4)), _LinearLoss(np.zeros((1, 3))),
