@@ -210,14 +210,13 @@ def cmd_eval_table(args) -> int:
         else:
             print(f"{a:<12} {report.win[a]:>4} {report.tie[a]:>4} {report.lose[a]:>5} "
                   f"{report.best[a]:>5} {mean:>9.4f} {report.avg_rank[a]:>9.4f}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _refuse_overwrite(args.out, ("results.csv", "summary.json"), args.force)
-        metrics.emit_report(report, args.out)
     if report.win is None:
         print("error: win/tie/lose and ranks need at least 2 algorithm columns",
               file=sys.stderr)
         return 1
+    if args.out:
+        _refuse_overwrite(args.out, ("results.csv", "summary.json"), args.force)
+        metrics.emit_report(report, args.out)
     return 0
 
 

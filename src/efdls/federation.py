@@ -257,7 +257,8 @@ _KEY_TO_TAG = {key: tag for tag, key in enumerate(ext.BUNDLE_KEYS)}
 def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) -> bytes:
     """Serialize a bundle: magic, version, epoch/user ids, then one block per
     array (tag byte, dim count, little-endian u32 dims, float32 payload).
-    Arrays need at most MAX_WIRE_NDIM dims, each in [1, 2**32)."""
+    Arrays need at most MAX_WIRE_NDIM dims, each in [1, 2**32), and values
+    that are finite in float32, since the decoder rejects any other."""
     for name, value in (("epoch", epoch), ("user_id", user_id)):
         if not isinstance(value, numbers.Integral) or not 0 <= value < 2 ** 32:
             raise ValueError(f"{name} must be an integer in [0, 2**32), got {value!r}")
@@ -268,9 +269,14 @@ def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) ->
             raise ValueError(f"bundle array '{key}' has no wire tag")
         if arr.ndim > MAX_WIRE_NDIM or any(not 0 < d < 2 ** 32 for d in arr.shape):
             raise ValueError(f"bundle array '{key}' has dims outside the wire format range")
+        with np.errstate(over="ignore"):
+            payload = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.isfinite(payload).all():
+            raise ValueError(f"bundle array '{key}' of user {user_id} at epoch {epoch} "
+                             f"holds values that are not finite in float32")
         parts.append(bytes([_KEY_TO_TAG[key], arr.ndim]))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        parts.append(payload.tobytes())
     return b"".join(parts)
 
 

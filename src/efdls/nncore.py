@@ -31,6 +31,12 @@ numpy itself picks the layout of each elementwise temporary, from its result
 on a two-wide corner of the operands. Each thread has its own workspace,
 which makes the module safe to drive from parallel workers as long as each
 worker owns its own layers.
+
+``finite_diff_gradcheck`` is the one finite-difference oracle. It visits each
+probed parameter entry once, compares its central-difference quotient with
+the analytic gradient, and folds the entry's relative error into the worst
+with ``np.maximum``, so a NaN from the loss or the gradient fails the check.
+Its refinement and denominator settings are the ``FD_*`` constants.
 """
 
 from __future__ import annotations
@@ -598,112 +604,78 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _central_diff_entry(model, x, loss, param: np.ndarray, flat_index: int,
-                        epsilon: float) -> float:
-    flat = param.reshape(-1)
-    orig = flat[flat_index]
-    flat[flat_index] = orig + epsilon
-    plus = loss.value(model.forward(x, training=True, update_running=False))
-    flat[flat_index] = orig - epsilon
-    minus = loss.value(model.forward(x, training=True, update_running=False))
-    flat[flat_index] = orig
-    return (plus - minus) / (2.0 * epsilon)
-
-
-def finite_diff_grads(model, x: np.ndarray, loss, epsilon: float = 1e-5,
-                      max_entries_per_param: int | None = None,
-                      rng: np.random.Generator | None = None) -> dict:
-    """Central-difference gradients of ``loss.value(model.forward(x))`` with
-    respect to every model parameter.
-
-    ``model`` must expose ``parameters() -> dict[str, ndarray]`` (live views)
-    and ``forward(x, training=..., update_running=...)``; ``loss`` must expose
-    ``value(trace) -> float``. Forward passes run in training mode with
-    running-statistic updates disabled so the model is left untouched.
-
-    With ``max_entries_per_param`` set, only a random subset of entries per
-    tensor is probed (the rest are returned as NaN and should be masked by the
-    caller); this keeps wide production layers tractable.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    out = {}
-    for name, p in model.parameters().items():
-        g = np.full_like(p, np.nan)
-        flat_g = g.reshape(-1)
-        idx = np.arange(p.size)
-        if max_entries_per_param is not None and p.size > max_entries_per_param:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            idx = rng.choice(p.size, size=max_entries_per_param, replace=False)
-        for i in idx:
-            flat_g[i] = _central_diff_entry(model, x, loss, p, i, epsilon)
-        out[name] = g
-    return out
-
-
-def _relative_errors(analytic, numeric, denom_floor: float):
-    """|a - n| / max(|a|, |n|, denom_floor), elementwise."""
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), denom_floor)
-    return np.abs(analytic - numeric) / denom
-
-
-def max_relative_error(analytic: dict, numeric: dict, denom_floor: float = 1e-5) -> float:
-    """max over all compared entries of |a - n| / max(|a|, |n|, denom_floor).
-
-    The floor absorbs central-difference noise (empirically up to ~2e-10
-    absolute for unit-scale losses at double precision after a deep-net
-    forward), which matters wherever the true gradient is at or near zero:
-    a conv bias followed by batch norm is provably inert (the mean
-    subtraction cancels it), and individual kernel entries can sit below
-    1e-6, so both sides are noise-dominated there and a smaller floor would
-    report spurious errors. Genuine defects above ~1e-9 absolute still
-    register. NaN entries in ``numeric`` (unsampled positions) are skipped;
-    a NaN analytic entry makes the result NaN, which no tolerance accepts.
-    """
-    worst = 0.0
-    for name, a in analytic.items():
-        n = numeric[name]
-        mask = ~np.isnan(n)
-        if mask.any():
-            errors = _relative_errors(a[mask], n[mask], denom_floor)
-            worst = float(np.maximum(worst, np.max(errors)))
-    return worst
+# The oracle's fixed settings. An entry whose relative error is above
+# FD_REFINE_THRESHOLD is re-probed at a tenth of the step, at most
+# FD_REFINE_LEVELS times. FD_DENOM_FLOOR floors the denominator of the
+# relative error: it absorbs central-difference noise (empirically up to
+# ~2e-10 absolute for unit-scale losses at double precision after a deep-net
+# forward) wherever the true gradient is at or near zero. A conv bias
+# followed by batch norm is provably inert (the mean subtraction cancels it),
+# and single kernel entries can sit below 1e-6, so both sides are noise there
+# and a smaller floor would report spurious errors. Genuine defects above
+# ~1e-9 absolute still register.
+FD_REFINE_LEVELS = 2
+FD_REFINE_THRESHOLD = 1e-4
+FD_DENOM_FLOOR = 1e-5
 
 
 def finite_diff_gradcheck(model, x: np.ndarray, loss, epsilon: float = 1e-5,
                           max_entries_per_param: int | None = None,
-                          rng: np.random.Generator | None = None,
-                          refine_levels: int = 2, refine_threshold: float = 1e-4,
-                          denom_floor: float = 1e-5) -> float:
-    """Compare the model's analytic gradients against central differences and
-    return the max relative error. ``loss`` additionally needs
-    ``output_grads(trace) -> dict`` naming the trace fields it feeds gradient
-    into (e.g. ``{"logits": ..., "o1": ...}``).
+                          rng: np.random.Generator | None = None) -> float:
+    """The max over probed parameter entries of |a - n| / max(|a|, |n|,
+    FD_DENOM_FLOOR), where a is the model's analytic gradient of
+    ``loss.value(model.forward(x))`` and n its central-difference quotient.
 
-    The probe is multi-scale: entries disagreeing at the base epsilon are
-    re-probed at epsilon/10 per refinement level, and each keeps its
+    ``model`` must expose ``parameters() -> dict[str, ndarray]`` (live views),
+    ``forward(x, training=..., update_running=..., want_cache=...)`` and
+    ``backward(cache, output_grads) -> dict``; ``loss`` must expose
+    ``value(trace) -> float`` and ``output_grads(trace) -> dict`` naming the
+    trace fields it feeds gradient into (e.g. ``{"logits": ..., "o1": ...}``).
+    Forward passes run in training mode with running-statistic updates
+    disabled, and every perturbed entry is restored, so the model is left
+    untouched.
+
+    Every entry is probed, unless ``max_entries_per_param`` is set: then an
+    array larger than it is probed at that many entries, drawn without
+    replacement from ``rng`` (seeded 0 when absent), which keeps wide
+    production layers tractable. The probe is multi-scale: an entry that
+    disagrees at ``epsilon`` is re-probed at smaller steps and keeps its
     best-agreeing quotient. A ReLU kink inside the base probe window shrinks
-    away at smaller scales, while a genuinely wrong analytic gradient
-    disagrees with the difference quotient at every scale, so refinement
-    cannot mask real defects.
+    away at smaller scales, while a wrong analytic gradient disagrees at
+    every scale, so refinement cannot mask real defects. A NaN from the loss
+    or the analytic gradient makes the result NaN, which no tolerance
+    accepts.
     """
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+
+    def relative_error(flat: np.ndarray, i: int, a, eps: float):
+        orig = flat[i]
+        flat[i] = orig + eps
+        plus = loss.value(model.forward(x, training=True, update_running=False))
+        flat[i] = orig - eps
+        minus = loss.value(model.forward(x, training=True, update_running=False))
+        flat[i] = orig
+        n = (plus - minus) / (2.0 * eps)
+        return np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), FD_DENOM_FLOOR)
+
     trace, cache = model.forward(x, training=True, update_running=False, want_cache=True)
     analytic = model.backward(cache, loss.output_grads(trace))
-    numeric = finite_diff_grads(model, x, loss, epsilon=epsilon,
-                                max_entries_per_param=max_entries_per_param, rng=rng)
-    params = model.parameters()
-    for name, a in analytic.items():
-        flat_a, flat_n = a.reshape(-1), numeric[name].reshape(-1)
-        errors = _relative_errors(flat_a, flat_n, denom_floor)
-        for i in np.flatnonzero(errors > refine_threshold):
+    worst = 0.0
+    for name, p in model.parameters().items():
+        flat, flat_a = p.reshape(-1), analytic[name].reshape(-1)
+        entries = range(p.size)
+        if max_entries_per_param is not None and p.size > max_entries_per_param:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            entries = rng.choice(p.size, size=max_entries_per_param, replace=False)
+        for i in entries:
             eps = epsilon
-            for _ in range(refine_levels):
-                eps /= 10.0
-                refined = _central_diff_entry(model, x, loss, params[name], i, eps)
-                refined_error = _relative_errors(flat_a[i], refined, denom_floor)
-                if refined_error < errors[i]:
-                    flat_n[i], errors[i] = refined, refined_error
-                if errors[i] <= refine_threshold:
+            error = relative_error(flat, i, flat_a[i], eps)
+            for _ in range(FD_REFINE_LEVELS):
+                if error <= FD_REFINE_THRESHOLD:
                     break
-    return max_relative_error(analytic, numeric, denom_floor)
+                eps /= 10.0
+                error = min(error, relative_error(flat, i, flat_a[i], eps))
+            worst = np.maximum(worst, error)
+    return float(worst)

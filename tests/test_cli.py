@@ -368,6 +368,14 @@ class TestEvalTable:
         assert "0.6000" in captured.out
         assert "at least 2" in captured.err
 
+    def test_single_column_with_out_writes_nothing(self, tmp_path, capsys):
+        p = tmp_path / "one.csv"
+        p.write_text("dataset,Solo\nd1,0.5\nd2,0.7\n")
+        out = tmp_path / "report"
+        assert cli.main(["eval-table", str(p), "--out", str(out)]) == 1
+        assert "at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synthetic_3x3_matches_module_results(self, tmp_path, capsys):
         table = metrics.AccuracyTable(
             datasets=["d1", "d2", "d3"], algorithms=["A", "B", "C"],

@@ -1,5 +1,6 @@
 import struct
 import threading
+import warnings
 import weakref
 from dataclasses import fields
 
@@ -190,11 +191,19 @@ class TestWeightMessageCodec:
         assert (epoch, uid) == (0, 2 ** 32 - 1)
 
     def test_nonfinite_payload_rejected(self):
-        bundle = random_bundle(np.random.default_rng(9))
-        bundle.arrays["dense.bias"][0] = np.nan
-        data = encode_weight_message(bundle, 0, 0)
+        # the encoder refuses such values, so the message is built by hand
+        data = _single_block_message(1, (2,), np.array([0.5, np.nan], dtype="<f4").tobytes())
         with pytest.raises(MalformedMessageError, match="non-finite"):
             decode_weight_message(data)
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
+    def test_encoder_refuses_values_not_finite_in_float32(self, value):
+        bundle = random_bundle(np.random.default_rng(9))
+        bundle.arrays["dense.bias"][0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="'dense.bias' of user 4 at epoch 3 holds"):
+                encode_weight_message(bundle, epoch=3, user_id=4)
 
     @given(mutation=st.one_of(
         st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, len(ZERO_MESSAGE) - 1),

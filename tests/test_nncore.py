@@ -7,9 +7,8 @@ from efdls import nncore
 from efdls.nncore import (
     AdamState, BatchNormLayer, ConvLayer, DenseLayer, NumericError, ShapeError,
     adam_step, batchnorm_backward, batchnorm_forward, conv1d_backward, conv1d_forward,
-    dense_backward, dense_forward, finite_diff_grads, global_avg_pool,
-    global_avg_pool_backward, init_batchnorm, max_relative_error, relu_backward,
-    relu_forward, softmax,
+    dense_backward, dense_forward, global_avg_pool, global_avg_pool_backward,
+    init_batchnorm, relu_backward, relu_forward, softmax,
 )
 
 
@@ -372,6 +371,27 @@ class _LinearModel:
         return {"weight": output_grads["out"].T @ cache}
 
 
+class _AffineModel(_LinearModel):
+    """Two parameter arrays of different sizes: y = x @ W.T + b."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.bias = np.random.default_rng([seed, 1]).standard_normal(3)
+
+    def parameters(self):
+        return {"weight": self.weight, "bias": self.bias}
+
+    def forward(self, x, training=False, update_running=None, want_cache=False):
+        out = x @ self.weight.T + self.bias
+        if want_cache:
+            return out, x
+        return out
+
+    def backward(self, cache, output_grads):
+        g = output_grads["out"]
+        return {"weight": g.T @ cache, "bias": g.sum(axis=0)}
+
+
 class _LinearLoss:
     def __init__(self, coeffs):
         self.coeffs = coeffs
@@ -383,6 +403,45 @@ class _LinearLoss:
         return {"out": self.coeffs}
 
 
+class _ProbeRecordingLoss(_LinearLoss):
+    """A linear loss that records, at each ``value`` call, the parameter
+    entries that differ from their values when it was built."""
+
+    def __init__(self, coeffs, model):
+        super().__init__(coeffs)
+        self.model = model
+        self.start = {name: p.copy() for name, p in model.parameters().items()}
+        self.probes = []
+
+    def value(self, out):
+        self.probes.append([(name, int(i)) for name, p in self.model.parameters().items()
+                            for i in np.flatnonzero(p != self.start[name])])
+        return super().value(out)
+
+
+class _NaNWhenPerturbedLoss(_LinearLoss):
+    """A linear loss whose value is NaN while one weight entry is moved off
+    its starting value."""
+
+    def __init__(self, coeffs, model, entry):
+        super().__init__(coeffs)
+        self.model, self.entry = model, entry
+        self.start = model.weight[entry]
+
+    def value(self, out):
+        if self.model.weight[self.entry] != self.start:
+            return float("nan")
+        return super().value(out)
+
+
+def _linear_case(seed):
+    """A linear model, an input and loss coefficients from three seeds."""
+    model = _LinearModel(seed=seed)
+    x = np.random.default_rng(seed + 1).standard_normal((5, 4))
+    coeffs = np.random.default_rng(seed + 2).standard_normal((5, 3))
+    return model, x, coeffs
+
+
 class TestGradCheck:
     def test_linear_model_is_exact(self):
         model = _LinearModel(seed=19)
@@ -391,15 +450,17 @@ class TestGradCheck:
         err = nncore.finite_diff_gradcheck(model, x, loss, epsilon=1e-6)
         assert err < 1e-8
 
-    def test_corrupted_gradient_detected(self):
-        model = _LinearModel(seed=22)
-        x = np.random.default_rng(23).standard_normal((5, 4))
-        loss = _LinearLoss(np.random.default_rng(24).standard_normal((5, 3)))
-        out, cache = model.forward(x, want_cache=True)
-        analytic = model.backward(cache, loss.output_grads(out))
-        analytic["weight"][0, 0] += 0.3
-        numeric = finite_diff_grads(model, x, loss, epsilon=1e-6)
-        assert max_relative_error(analytic, numeric) > 1e-2
+    def test_corrupted_gradient_detected(self, monkeypatch):
+        model, x, coeffs = _linear_case(22)
+        backward = model.backward
+
+        def corrupted_backward(cache, output_grads):
+            grads = backward(cache, output_grads)
+            grads["weight"][0, 0] += 0.3
+            return grads
+
+        monkeypatch.setattr(model, "backward", corrupted_backward)
+        assert nncore.finite_diff_gradcheck(model, x, _LinearLoss(coeffs), epsilon=1e-6) > 1e-2
 
     @pytest.mark.parametrize("entry", [(0, 0), (2, 3)])
     def test_nan_analytic_gradient_fails_the_check(self, entry, monkeypatch):
@@ -417,10 +478,43 @@ class TestGradCheck:
         err = nncore.finite_diff_gradcheck(model, x, loss, epsilon=1e-6)
         assert not err < 1e-4
 
+    def test_nan_loss_fails_the_check(self):
+        model, x, coeffs = _linear_case(30)
+        loss = _LinearLoss(coeffs)
+        loss.value = lambda out: float("nan")
+        assert np.isnan(nncore.finite_diff_gradcheck(model, x, loss, epsilon=1e-6))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 3)])
+    def test_loss_nan_at_one_perturbed_entry_fails_the_check(self, entry):
+        model, x, coeffs = _linear_case(33)
+        loss = _NaNWhenPerturbedLoss(coeffs, model, entry)
+        assert np.isnan(nncore.finite_diff_gradcheck(model, x, loss, epsilon=1e-6))
+        assert model.weight[entry] == loss.start
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_each_larger_array_is_probed_at_exactly_k_entries(self, k):
+        # weight has 12 entries and bias 3: with k < 3 both are sampled, with
+        # k = 5 only weight is; an exact gradient needs no refinement, so
+        # each probed entry costs one +epsilon and one -epsilon value call
+        model = _AffineModel(seed=36)
+        x = np.random.default_rng(37).standard_normal((5, 4))
+        loss = _ProbeRecordingLoss(np.random.default_rng(38).standard_normal((5, 3)), model)
+        err = nncore.finite_diff_gradcheck(model, x, loss, epsilon=1e-6,
+                                           max_entries_per_param=k,
+                                           rng=np.random.default_rng(39))
+        assert err < 1e-8
+        probed = {"weight": min(k, 12), "bias": min(k, 3)}
+        assert len(loss.probes) == 2 * sum(probed.values())
+        assert all(len(moved) == 1 for moved in loss.probes)
+        for name, count in probed.items():
+            entries = [i for ((n, i),) in loss.probes if n == name]
+            assert len(entries) == 2 * count
+            assert len(set(entries)) == count
+
     def test_invalid_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            finite_diff_grads(_LinearModel(), np.zeros((1, 4)), _LinearLoss(np.zeros((1, 3))),
-                              epsilon=0.0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            nncore.finite_diff_gradcheck(_LinearModel(), np.zeros((1, 4)),
+                                         _LinearLoss(np.zeros((1, 3))), epsilon=0.0)
 
 
 class TestBatchNormRank:
