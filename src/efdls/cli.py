@@ -15,8 +15,10 @@ A run writes the RUN_OUTPUTS files (its effective config, per-user accuracies
 and summary) into <out>; a sweep writes them into one subdirectory of <out>
 per setting and adds <out>/sweep.csv. A setting's subdirectory is named
 <setting>_<value formatted with %g>, and a value list in which two names
-coincide is refused before anything is written. Existing outputs are never
-overwritten unless --force is given.
+coincide is refused before anything is written. eval-table --out writes the
+REPORT_OUTPUTS files: the table as results.csv and {"algorithms": ...} as
+summary.json, the same block a run's summary holds. Existing outputs are
+never overwritten unless --force is given.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from . import extractor, fbst, federation, metrics, nncore, strategies
 
 DATA_DIR_ENV = "EFDLS_DATA_DIR"
 GRADCHECK_TOLERANCE = 1e-4
-RUN_OUTPUTS = ("effective-config", "results.csv", "summary.json")
+# what eval-table --out writes; a run adds its effective config
+REPORT_OUTPUTS = ("results.csv", "summary.json")
+RUN_OUTPUTS = ("effective-config",) + REPORT_OUTPUTS
 # subcommand: (setting name, config key, subcommand help, help of its list flag);
 # the list flag is the setting name plus "s", and each setting writes into
 # <out>/<setting name>_<value>
@@ -83,6 +87,17 @@ def _refuse_overwrite(out_dir: str, names, force: bool) -> None:
         )
 
 
+def _write_outputs(out_dir: str, table: metrics.AccuracyTable, documents: dict) -> None:
+    """Make ``out_dir``, write ``table`` to results.csv and each JSON document
+    to its file name: the one writer of a run's and eval-table's outputs."""
+    os.makedirs(out_dir, exist_ok=True)
+    metrics.write_accuracy_csv(table, os.path.join(out_dir, "results.csv"))
+    for name, document in documents.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            json.dump(document, fh, indent=2)
+            fh.write("\n")
+
+
 def _run_into(config: federation.FederationConfig, out_dir: str, force: bool) -> dict:
     """Run the federation into ``out_dir``, write RUN_OUTPUTS there and
     return the summary payload. The directory is made only once the run has
@@ -120,15 +135,8 @@ def _run_into(config: federation.FederationConfig, out_dir: str, force: bool) ->
         },
     }
 
-    os.makedirs(out_dir, exist_ok=True)
-    config_path, results_path, summary_path = (os.path.join(out_dir, n) for n in RUN_OUTPUTS)
-    with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2)
-        fh.write("\n")
-    metrics.write_accuracy_csv(report.table, results_path)
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_outputs(out_dir, report.table,
+                   {"effective-config": config.to_dict(), "summary.json": summary})
     return summary
 
 
@@ -215,8 +223,9 @@ def cmd_eval_table(args) -> int:
               file=sys.stderr)
         return 1
     if args.out:
-        _refuse_overwrite(args.out, ("results.csv", "summary.json"), args.force)
-        metrics.emit_report(report, args.out)
+        _refuse_overwrite(args.out, REPORT_OUTPUTS, args.force)
+        _write_outputs(args.out, table,
+                       {"summary.json": {"algorithms": metrics.summary_dict(report)}})
     return 0
 
 
@@ -258,20 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config file")
-            p.add_argument("--out", help="output directory (overrides config output_dir)")
-            p.add_argument("--seed", type=int, help="override the run seed")
-            p.add_argument("--strategy", choices=strategies.STRATEGY_TAGS,
-                           help="override the aggregation strategy")
-            p.add_argument("--ratio", dest="conn_ratio", metavar="RATIO", type=float,
-                           help="override conn_ratio")
-            p.add_argument("--epsilon", type=float, help="override the loss-mixing epsilon")
-            p.add_argument("--fles", type=int, help="override the number of federated epochs")
-            p.add_argument("--transport", choices=federation.TRANSPORTS,
-                           help="message transport (socket uses loopback TCP)")
-            p.add_argument("--port", type=int, help="socket transport port (0 = ephemeral)")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON config file")
+        p.add_argument("--out", help="output directory (overrides config output_dir)")
+        p.add_argument("--seed", type=int, help="override the run seed")
+        p.add_argument("--strategy", choices=strategies.STRATEGY_TAGS,
+                       help="override the aggregation strategy")
+        p.add_argument("--ratio", dest="conn_ratio", metavar="RATIO", type=float,
+                       help="override conn_ratio")
+        p.add_argument("--epsilon", type=float, help="override the loss-mixing epsilon")
+        p.add_argument("--fles", type=int, help="override the number of federated epochs")
+        p.add_argument("--transport", choices=federation.TRANSPORTS,
+                       help="message transport (socket uses loopback TCP)")
+        p.add_argument("--port", type=int, help="socket transport port (0 = ephemeral)")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
     p_run = sub.add_parser("run", help="execute one federated run")

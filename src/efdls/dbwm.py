@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extractor import WeightBundle
-from .nncore import ShapeError
+from .extractor import WeightBundle, check_bundle
 
 
 class InsufficientUsersError(ValueError):
@@ -52,8 +51,7 @@ class InsufficientUsersError(ValueError):
 def bundle_distance(a: WeightBundle, b: WeightBundle) -> float:
     """Squared L2 distance over learnable parameters only; running statistics
     are carried in bundles but never measured. Accumulates in float64."""
-    if not a.same_shapes(b):
-        raise ShapeError("cannot measure distance between bundles of different shapes")
+    check_bundle(b, a.arrays)
     total = 0.0
     for key, av in a.learnable_items():
         diff = av.astype(np.float64, copy=False) - b.arrays[key].astype(np.float64, copy=False)
@@ -86,12 +84,8 @@ def pairwise_distances(bundles: list) -> np.ndarray:
         raise InsufficientUsersError(
             f"pairwise matching needs at least 2 uploaded bundles, got {n}"
         )
-    for i, b in enumerate(bundles[1:], start=1):
-        if not bundles[0].same_shapes(b):
-            raise ShapeError(
-                f"cannot measure distance between bundles of different shapes "
-                f"(bundles 0 and {i})"
-            )
+    for b in bundles[1:]:
+        check_bundle(b, bundles[0].arrays)
     gram = _gram_matrix(bundles)
     diag = np.diag(gram)
     norms = diag[:, None] + diag[None, :]

@@ -5,7 +5,8 @@ Architecture (fixed topology, configurable widths): three conv blocks
 layer, then a classifier dense layer + softmax. The conv blocks, the pool and
 the hidden dense layer form the "hidden layers"; only their parameters travel
 between users, which keeps bundle shapes independent of both the series
-length and the number of classes.
+length and the number of classes. Every consumer of a bundle checks its keys
+and shapes with ``check_bundle``, which raises ``IncompatibleBundleError``.
 """
 
 from __future__ import annotations
@@ -58,11 +59,6 @@ class WeightBundle:
 
     def copy(self) -> "WeightBundle":
         return WeightBundle(arrays={k: v.copy() for k, v in self.arrays.items()})
-
-    def same_shapes(self, other: "WeightBundle") -> bool:
-        if self.arrays.keys() != other.arrays.keys():
-            return False
-        return all(self.arrays[k].shape == other.arrays[k].shape for k in self.arrays)
 
 
 @dataclass
@@ -252,21 +248,24 @@ def extract_hidden_weights(model: FeatureExtractor) -> WeightBundle:
 
 
 class IncompatibleBundleError(ShapeError):
-    """Bundle arrays do not match the target model's hidden-layer shapes."""
+    """A bundle's keys or array shapes do not match the ones it must share."""
 
 
-def _check_bundle(targets: dict, bundle: WeightBundle) -> None:
+def check_bundle(bundle: WeightBundle, reference: dict) -> None:
     """Raise IncompatibleBundleError unless the bundle carries exactly the
-    keys of ``targets`` (a model's ``hidden_arrays``), each at its shape."""
-    if set(bundle.arrays.keys()) != set(targets.keys()):
-        raise IncompatibleBundleError(
-            f"bundle keys {sorted(bundle.arrays)} do not match model hidden layers"
-        )
-    for key, dst in targets.items():
-        src = bundle.arrays[key]
-        if src.shape != dst.shape:
+    keys of ``reference``, a dict of arrays (a model's ``hidden_arrays`` or
+    another bundle's ``arrays``), each at its shape. This is the one schema
+    check of every bundle consumer: both loaders, the DBWM distances and the
+    fedavg mean."""
+    keys, wanted = bundle.arrays.keys(), reference.keys()
+    if keys != wanted:
+        raise IncompatibleBundleError(f"bundle keys do not match: missing {sorted(wanted - keys)}, "
+                                      f"unexpected {sorted(keys - wanted)}")
+    for key, ref in reference.items():
+        if bundle.arrays[key].shape != ref.shape:
             raise IncompatibleBundleError(
-                f"bundle array '{key}' has shape {src.shape}, model expects {dst.shape}"
+                f"bundle array '{key}' has shape {bundle.arrays[key].shape}, "
+                f"expected {ref.shape}"
             )
 
 
@@ -276,7 +275,7 @@ def load_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> Featur
     the float64 storage that its float64 Adam moments and updates assume.
     The classifier is untouched."""
     targets = hidden_arrays(model)
-    _check_bundle(targets, bundle)
+    check_bundle(bundle, targets)
     for key, dst in targets.items():
         np.copyto(dst, bundle.arrays[key])
     return model
@@ -287,7 +286,7 @@ def replace_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> Fea
     each kept in the bundle's dtype: a teacher holds a float32 download at
     float32 and computes with it through the ops' widening. Nothing is
     replaced unless the whole bundle fits. The classifier is untouched."""
-    _check_bundle(hidden_arrays(model), bundle)
+    check_bundle(bundle, hidden_arrays(model))
     for key, layer, leaf in _hidden_slots(model):
         setattr(layer, leaf, bundle.arrays[key].copy())
     return model

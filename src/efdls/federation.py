@@ -1,17 +1,20 @@
 """Synchronous federation orchestrator.
 
 One run owns ``n_tot`` users, each holding a student/teacher pair and a
-private dataset; a subset of ``n_conn`` users is connected to the server for
-the whole run. Every federated epoch:
+private dataset. The ``n_conn`` users connected to the server in epoch k are
+``Federation.connected(k)``, derived from the config and never stored: one
+sample for the whole run, or a fresh one from epoch 2 on under
+``conn_resample``. Every federated epoch:
 
-  1. every user trains locally (supervised-only until it has a teacher;
-     disconnected users are supervised-only for the whole run);
+  1. every user trains locally (supervised-only until it has a teacher; a
+     user that is never connected is supervised-only for the whole run);
   2. as soon as a connected user has trained, its hidden layers are
      snapshotted into a float64 bundle, uploaded and released; no other
      user's hidden layers are copied;
-  3. once ALL connected uploads for the epoch are in (hard barrier), the
-     server applies the strategy's row of ``strategies.ROUNDS`` and
-     dispatches one bundle back per user;
+  3. once ALL connected uploads for the epoch are in, the server applies the
+     strategy's row of ``strategies.ROUNDS`` and dispatches one bundle back
+     per user. The barrier is structural: the uploads are built from the
+     epoch's one connected set before the strategy runs;
   4. each download is loaded as soon as it is decoded, by the row's
      ``FBSTPair`` method (teachers for efdls/fkd, students for fedavg). The
      last epoch's downloads are carried and recorded but never loaded.
@@ -446,14 +449,9 @@ class UserState:
     user_id: int
     pair: fbst.FBSTPair
     dataset: dataio.TimeSeriesDataset
-    connected: bool
     rng: np.random.Generator
     adam: nncore.AdamState
     last_report: fbst.LossReport | None = None
-
-
-class BarrierError(RuntimeError):
-    """The strategy was about to run on an incomplete set of epoch uploads."""
 
 
 class TransportError(RuntimeError):
@@ -482,7 +480,6 @@ def seed_material(seed: int, user_id: int, salt: int = 0) -> list:
 
 
 def build_users(config: FederationConfig) -> list:
-    connected_set = set(select_connected(config.n_tot, config.conn_ratio, config.seed))
     cache = {}
     users = []
     for uid in range(config.n_tot):
@@ -497,7 +494,6 @@ def build_users(config: FederationConfig) -> list:
             user_id=uid,
             pair=fbst.FBSTPair(student),
             dataset=ds,
-            connected=uid in connected_set,
             rng=np.random.default_rng(seed_material(config.seed, uid, salt=2)),
             adam=nncore.AdamState.for_params(student.parameters(), lr=config.lr,
                                              weight_decay=config.weight_decay),
@@ -518,6 +514,13 @@ class Federation:
         self.ledger = CommLedger()
         self._own_transport = transport is None
         self.transport = make_transport(config) if transport is None else transport
+
+    def connected(self, k: int) -> tuple:
+        """The sorted ids of the users connected in federated epoch ``k``: the
+        run's one sample, or under ``conn_resample`` a fresh one from epoch 2."""
+        config = self.config
+        return select_connected(config.n_tot, config.conn_ratio, config.seed,
+                                epoch=k if config.conn_resample and k > 1 else None)
 
     def _train_one(self, user: UserState, k: int):
         try:
@@ -546,12 +549,7 @@ class Federation:
 
     def _run_epoch(self, k: int, on_epoch=None) -> None:
         config = self.config
-        if config.conn_resample and k > 1:
-            resampled = set(select_connected(config.n_tot, config.conn_ratio,
-                                             config.seed, epoch=k))
-            for user in self.users:
-                user.connected = user.user_id in resampled
-        connected_users = [u for u in self.users if u.connected]
+        connected = self.connected(k) if self.round is not None else ()
 
         def train(user):
             return self._train_one(user, k)
@@ -564,7 +562,7 @@ class Federation:
                 user.last_report = report
                 if on_epoch is not None:
                     on_epoch(user.user_id, k, report)
-                if user.connected and self.round is not None:
+                if user.user_id in connected:
                     uploads.append(self._round_trip(
                         "upload", ext.extract_hidden_weights(user.pair.student), k,
                         user.user_id))
@@ -572,11 +570,7 @@ class Federation:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-        if self.round is not None and connected_users:
-            if len(uploads) != len(connected_users):
-                raise BarrierError(
-                    f"epoch {k}: {len(uploads)} uploads present, "
-                    f"{len(connected_users)} connected users expected")
+        if self.round is not None:
             _, load = self.round
             for uid, bundle in strategies.apply_round(config.strategy, uploads):
                 # Downloads may share one bundle; decoding gives each user
@@ -591,9 +585,8 @@ class Federation:
         config = self.config
         try:
             if self.round is not None:
-                reachable = self.users if config.conn_resample \
-                    else [u for u in self.users if u.connected]
-                self.transport.connect([u.user_id for u in reachable])
+                self.transport.connect(range(config.n_tot) if config.conn_resample
+                                       else self.connected(1))
             for k in range(1, config.fles + 1):
                 self._run_epoch(k, on_epoch=on_epoch)
         finally:

@@ -1,4 +1,4 @@
-"""Evaluation metrics and report emission.
+"""Evaluation metrics and accuracy-table I/O.
 
 Works over an accuracy table (datasets x algorithms). Aggregates:
 
@@ -17,8 +17,6 @@ and is used to validate these implementations end to end.
 from __future__ import annotations
 
 import csv
-import json
-import os
 from dataclasses import dataclass
 from importlib import resources
 
@@ -172,18 +170,6 @@ def load_accuracy_csv(path: str) -> AccuracyTable:
         if not np.isfinite(values[-1]).all():
             raise ValueError(f"{path}: row '{r[0]}' holds a non-finite cell")
     return AccuracyTable(datasets=datasets, algorithms=algorithms, values=np.array(values))
-
-
-def emit_report(report: MetricReport, out_dir: str) -> dict:
-    """Write results.csv and summary.json; returns the paths written."""
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "results.csv")
-    json_path = os.path.join(out_dir, "summary.json")
-    write_accuracy_csv(report.table, csv_path)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary_dict(report), fh, indent=2)
-        fh.write("\n")
-    return {"results": csv_path, "summary": json_path}
 
 
 def reference_table_path() -> str:

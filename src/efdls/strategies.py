@@ -23,14 +23,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import dbwm
-from .extractor import WeightBundle
+from .extractor import WeightBundle, check_bundle
 
 
 def fedavg_aggregate(bundles: list) -> WeightBundle:
     """Elementwise arithmetic mean over every array in every bundle,
-    running statistics included."""
+    running statistics included. Every bundle must share the first one's
+    keys and shapes."""
     if not bundles:
         raise ValueError("cannot average an empty list of bundles")
+    for b in bundles[1:]:
+        check_bundle(b, bundles[0].arrays)
     mean_arrays = {}
     for key in bundles[0].arrays:
         stacked = np.stack([b.arrays[key].astype(np.float64, copy=False) for b in bundles])

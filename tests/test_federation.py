@@ -352,7 +352,7 @@ class TestRunFederation:
         fed_cfg = toy_config(n_tot=3, conn_ratio=0.67, fles=3, datasets=datasets)
         assert fed_cfg.n_conn == 2
         fed = Federation(fed_cfg)
-        connected = {u.user_id for u in fed.users if u.connected}
+        connected = set(fed.connected(1))
         isolated_uid = ({0, 1, 2} - connected).pop()
         fed.run()
 
@@ -377,18 +377,22 @@ class TestRunFederation:
         r2, _ = run_federation(toy_config(n_tot=4, datasets=datasets, workers=3))
         assert np.array_equal(r1.table.values, r2.table.values)
 
-    def test_barrier_error_when_upload_missing(self):
-        # flipping a user to disconnected between the epoch's connected-set
-        # snapshot and its upload leaves the table incomplete; the server
-        # must refuse to run the strategy on it
-        fed = Federation(toy_config(fles=1))
+    def test_fedavg_upload_missing_a_block_is_refused(self):
+        # a peer that drops one block from its upload reaches the server as a
+        # well-formed message; the mean must refuse it with the typed error
+        class DroppingTransport(federation.InProcTransport):
+            def upload(self, user_id, data):
+                if user_id != 1:
+                    return data
+                bundle, epoch, uid = decode_weight_message(data)
+                del bundle.arrays["conv2.bias"]
+                return encode_weight_message(bundle, epoch, uid)
 
-        def drop_user_zero(uid, k, report):
-            if uid == 0:
-                fed.users[0].connected = False
-
-        with pytest.raises(federation.BarrierError, match="1 uploads"):
-            fed.run(on_epoch=drop_user_zero)
+        datasets = [(f"w{i}", "synthetic") for i in range(3)]
+        fed = Federation(toy_config(n_tot=3, fles=1, strategy="fedavg", datasets=datasets),
+                         transport=DroppingTransport())
+        with pytest.raises(extractor.IncompatibleBundleError, match=r"missing \['conv2.bias'\]"):
+            fed.run()
 
     def test_config_round_trip(self):
         config = toy_config()
@@ -428,6 +432,19 @@ class TestRunFederation:
                      for k in range(1, 7)}
         assert all(len(u) == 2 for u in per_epoch.values())
         assert len({tuple(u) for u in per_epoch.values()}) > 1  # the set moved
+
+    @pytest.mark.parametrize("conn_resample", [False, True])
+    def test_each_epoch_exchanges_with_exactly_its_connected_set(self, conn_resample):
+        datasets = [(f"w{i}", "synthetic") for i in range(5)]
+        fed = Federation(toy_config(n_tot=5, conn_ratio=0.6, fles=4, datasets=datasets,
+                                    conn_resample=conn_resample))
+        _, ledger = fed.run()
+        for k in range(1, 5):
+            for direction in ("upload", "download"):
+                users = [e.user_id for e in ledger.entries
+                         if e.epoch == k and e.direction == direction]
+                assert tuple(sorted(users)) == fed.connected(k), (k, direction)
+        assert (len({fed.connected(k) for k in range(1, 5)}) > 1) == conn_resample
 
     def test_n_conn_rounds_half_up(self):
         config = toy_config(n_tot=44, conn_ratio=0.4,
@@ -799,8 +816,8 @@ class TestTeacherLifecycle:
         fed = Federation(toy_config(n_tot=5, conn_ratio=0.6, datasets=datasets))
         fed.run()
         assert [u.pair.teacher is not None for u in fed.users] == \
-            [u.connected for u in fed.users]
-        assert sum(u.connected for u in fed.users) == 3
+            [u.user_id in fed.connected(1) for u in fed.users]
+        assert len(fed.connected(1)) == 3
 
     def test_resampled_user_gets_teacher_at_first_load(self):
         datasets = [(f"w{i}", "synthetic") for i in range(5)]

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efdls import metrics
+from efdls import cli, metrics
 from efdls.metrics import (
-    AccuracyTable, MetricReport, avg_rank, emit_report, load_accuracy_csv,
+    AccuracyTable, MetricReport, avg_rank, load_accuracy_csv,
     load_reference_table, mean_acc, top1_accuracy, win_tie_lose, win_tie_lose_best,
 )
 
@@ -199,27 +199,36 @@ class TestReferenceTable:
         assert ranks["FedAvg"] == pytest.approx(7.5, abs=0.05)
 
 
+def emit_report(tmp_path, table) -> str:
+    """Write ``table`` as a CSV and report it with ``eval-table --out``;
+    returns the output directory."""
+    table_path = tmp_path / "table.csv"
+    metrics.write_accuracy_csv(table, str(table_path))
+    out = tmp_path / "report"
+    assert cli.main(["eval-table", str(table_path), "--out", str(out)]) == 0
+    return out
+
+
 class TestEmitReport:
     def test_round_trip(self, tmp_path):
         report = MetricReport.from_table(small_table())
-        paths = emit_report(report, str(tmp_path))
-        back = load_accuracy_csv(paths["results"])
+        out = emit_report(tmp_path, small_table())
+        back = load_accuracy_csv(str(out / "results.csv"))
         assert back.datasets == report.table.datasets
         assert back.algorithms == report.table.algorithms
         np.testing.assert_array_equal(back.values, report.table.values)
-        with open(paths["summary"], "r", encoding="utf-8") as fh:
+        with open(out / "summary.json", "r", encoding="utf-8") as fh:
             summary = json.load(fh)
-        assert summary == metrics.summary_dict(report)
+        assert summary == {"algorithms": metrics.summary_dict(report)}
 
     def test_documented_file_names(self, tmp_path):
-        emit_report(MetricReport.from_table(small_table()), str(tmp_path))
-        assert (tmp_path / "results.csv").exists()
-        assert (tmp_path / "summary.json").exists()
+        out = emit_report(tmp_path, small_table())
+        assert sorted(p.name for p in out.iterdir()) == ["results.csv", "summary.json"]
 
     def test_csv_cell_count(self, tmp_path):
         report = MetricReport.from_table(small_table())
-        paths = emit_report(report, str(tmp_path))
-        with open(paths["results"], "r", encoding="utf-8") as fh:
+        out = emit_report(tmp_path, small_table())
+        with open(out / "results.csv", "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln]
         cells = sum(len(ln.split(",")) for ln in lines)
         rows, cols = report.table.values.shape

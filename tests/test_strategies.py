@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_bundle
 from efdls import dbwm, strategies
-from efdls.extractor import WeightBundle
+from efdls.extractor import IncompatibleBundleError, WeightBundle
 from efdls.federation import FederationConfig
 from efdls.strategies import ROUNDS, STRATEGY_TAGS, apply_round, fedavg_aggregate
 
@@ -62,6 +62,21 @@ class TestFedavgAggregate:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             fedavg_aggregate([])
+
+    @pytest.mark.parametrize("lacking", [0, 1])
+    def test_bundle_missing_a_block_rejected(self, lacking):
+        rng = np.random.default_rng(5)
+        bundles = [random_bundle(rng) for _ in range(2)]
+        del bundles[lacking].arrays["conv2.bias"]
+        with pytest.raises(IncompatibleBundleError, match=r"conv2\.bias"):
+            fedavg_aggregate(bundles)
+
+    def test_reshaped_block_rejected(self):
+        rng = np.random.default_rng(6)
+        bundles = [random_bundle(rng) for _ in range(3)]
+        bundles[2].arrays["dense.weight"] = bundles[2].arrays["dense.weight"].reshape(1, -1)
+        with pytest.raises(IncompatibleBundleError, match="'dense.weight' has shape"):
+            fedavg_aggregate(bundles)
 
 
 class TestApplyRound:
