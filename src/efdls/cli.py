@@ -230,6 +230,8 @@ def cmd_eval_table(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise fbst.ConfigError(f"--trials must be >= 1, got {args.trials}")
     worst = 0.0
     for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, trial])
@@ -241,7 +243,7 @@ def cmd_gradcheck(args) -> int:
         labels = rng.integers(0, 3, size=3)
         teacher_trace = teacher.forward(x, training=True, update_running=False)
         for loss in (fbst.SupervisedLoss(labels),
-                     fbst.DistillationLoss(teacher_trace, labels, epsilon=0.9)):
+                     fbst.DistillationLoss(teacher_trace, labels, epsilon=fbst.FBSTConfig.epsilon)):
             err = nncore.finite_diff_gradcheck(model, x, loss, epsilon=args.fd_epsilon)
             worst = max(worst, err)
     ok = worst < GRADCHECK_TOLERANCE
@@ -300,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient self-check")
     p_gc.add_argument("--seed", type=int, default=0)
-    p_gc.add_argument("--trials", type=int, default=3)
-    p_gc.add_argument("--fd-epsilon", type=float, default=1e-5)
+    p_gc.add_argument("--trials", type=int, default=3, help="networks to check, at least 1")
+    p_gc.add_argument("--fd-epsilon", type=float, default=nncore.FD_EPSILON)
     p_gc.set_defaults(func=cmd_gradcheck)
 
     return parser

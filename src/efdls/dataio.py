@@ -231,6 +231,7 @@ def load_ucr_tsv(path: str, meta: DatasetMeta | None = None,
 
 
 def _check_meta(ds: TimeSeriesDataset, meta: DatasetMeta) -> None:
+    """Counts only: ``load_ucr_tsv`` checks the series length before padding."""
     problems = []
     if ds.x_train.shape[0] != meta.train:
         problems.append(f"train count {ds.x_train.shape[0]} != {meta.train}")
@@ -238,8 +239,6 @@ def _check_meta(ds: TimeSeriesDataset, meta: DatasetMeta) -> None:
         problems.append(f"test count {ds.x_test.shape[0]} != {meta.test}")
     if ds.num_classes != meta.classes:
         problems.append(f"class count {ds.num_classes} != {meta.classes}")
-    if meta.length is not None and ds.series_length != meta.length:
-        problems.append(f"series length {ds.series_length} != {meta.length}")
     if problems:
         raise MetaMismatchError(f"{ds.name}: " + "; ".join(problems))
 

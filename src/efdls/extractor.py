@@ -21,6 +21,7 @@ from .nncore import NumericError, ShapeError
 
 DEFAULT_BLOCKS = ((9, 128), (5, 256), (3, 128))
 DEFAULT_HIDDEN_DIM = 128
+PREDICT_BATCH = 256  # rows per forward in predict, which bounds evaluation's scratch
 
 # Canonical serialization/order for everything a bundle carries. Keys ending
 # in running_mean/running_var are carried for the teacher's inference-mode
@@ -208,11 +209,11 @@ class FeatureExtractor:
             blocks = conv + bn + blocks
         return dict(zip(self.parameters(), blocks + dense + classifier, strict=True))
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Top-1 class index per row, ties broken toward the lowest index."""
         preds = []
-        for start in range(0, x.shape[0], batch_size):
-            trace = self.forward(x[start:start + batch_size], training=False)
+        for start in range(0, x.shape[0], PREDICT_BATCH):
+            trace = self.forward(x[start:start + PREDICT_BATCH], training=False)
             preds.append(np.argmax(trace.probs, axis=1))
         return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
 
@@ -255,8 +256,8 @@ def check_bundle(bundle: WeightBundle, reference: dict) -> None:
     """Raise IncompatibleBundleError unless the bundle carries exactly the
     keys of ``reference``, a dict of arrays (a model's ``hidden_arrays`` or
     another bundle's ``arrays``), each at its shape. This is the one schema
-    check of every bundle consumer: both loaders, the DBWM distances and the
-    fedavg mean."""
+    check of every bundle consumer: the round, both loaders, the DBWM
+    distances and the fedavg mean."""
     keys, wanted = bundle.arrays.keys(), reference.keys()
     if keys != wanted:
         raise IncompatibleBundleError(f"bundle keys do not match: missing {sorted(wanted - keys)}, "

@@ -19,6 +19,12 @@ sample for the whole run, or a fresh one from epoch 2 on under
      ``FBSTPair`` method (teachers for efdls/fkd, students for fedavg). The
      last epoch's downloads are carried and recorded but never loaded.
 
+Every message the round receives is checked before anything uses it: its
+header must carry the epoch and user id it was sent with, and its bundle
+must fit the user's hidden arrays (``extractor.check_bundle``). A failure
+names the user, the direction and the epoch, and each bundle goes to the user
+it was sent for, never to the id its header claims.
+
 Uploads and downloads travel as encoded weight messages (float32 on the
 wire) even in-process, so ledger byte counts are real message sizes and the
 in-process and socket transports produce identical results. Per connected
@@ -62,8 +68,8 @@ class FederationConfig:
     users in order (cycled if shorter than n_tot), each a bare name (its own
     path), an object {name[, path]} or a [name, path] list, and holds them
     as (name, path) pairs; a path of "synthetic" generates the built-in
-    separable two-class set seeded per user. The local-training fields take
-    their defaults from ``fbst.FBSTConfig``."""
+    separable two-class set seeded per user. The local-training and optimizer
+    fields default to ``fbst.FBSTConfig``'s and ``nncore.AdamState``'s."""
 
     n_tot: int
     datasets: list
@@ -74,8 +80,8 @@ class FederationConfig:
     epsilon: float = fbst.FBSTConfig.epsilon
     batch_size: int = fbst.FBSTConfig.batch_size
     local_epochs: int = fbst.FBSTConfig.local_epochs
-    lr: float = 1e-4
-    weight_decay: float = 1e-4
+    lr: float = nncore.AdamState.lr
+    weight_decay: float = nncore.AdamState.weight_decay
     bn_paper_literal: bool = False
     teacher_bn_mode: str = fbst.FBSTConfig.teacher_bn_mode
     blocks: tuple = ext.DEFAULT_BLOCKS
@@ -532,11 +538,15 @@ class Federation:
                 f"user {user.user_id} failed at federated epoch {k}: {exc}") from exc
 
     def _round_trip(self, direction: str, bundle: ext.WeightBundle, k: int,
-                    user_id: int) -> tuple:
-        """Encode one message, carry it over the transport's ``direction``
-        ("upload" or "download"), record its size in the ledger, and return
-        the decoded (user_id, bundle). A transport OSError becomes a
-        TransportError naming the user, the direction and the epoch."""
+                    user_id: int) -> ext.WeightBundle:
+        """Encode one message for ``user_id``, carry it over the transport's
+        ``direction`` ("upload" or "download"), record its size in the
+        ledger, and return the decoded bundle. A transport OSError becomes a
+        TransportError, a header whose ids differ from the ones sent a
+        MalformedMessageError, and a bundle that does not fit the user's
+        hidden arrays an IncompatibleBundleError, each naming the user, the
+        direction and the epoch."""
+        where = f"user {user_id} {direction} at federated epoch {k}"
         data = encode_weight_message(bundle, epoch=k, user_id=user_id)
         try:
             received = getattr(self.transport, direction)(user_id, data)
@@ -544,8 +554,16 @@ class Federation:
             raise TransportError(
                 f"user {user_id} {direction} failed at federated epoch {k}: {exc}") from exc
         self.ledger.record(k, user_id, direction, len(data))
-        decoded, _, uid = decode_weight_message(received)
-        return uid, decoded
+        decoded, epoch, uid = decode_weight_message(received)
+        if (epoch, uid) != (k, user_id):
+            # the header ids start after the magic and the version byte
+            raise MalformedMessageError(f"{where}: header carries epoch {epoch} and user {uid}",
+                                        len(MESSAGE_MAGIC) + 1)
+        try:
+            ext.check_bundle(decoded, ext.hidden_arrays(self.users[user_id].pair.student))
+        except ext.IncompatibleBundleError as exc:
+            raise ext.IncompatibleBundleError(f"{where}: {exc}") from exc
+        return decoded
 
     def _run_epoch(self, k: int, on_epoch=None) -> None:
         config = self.config
@@ -563,9 +581,9 @@ class Federation:
                 if on_epoch is not None:
                     on_epoch(user.user_id, k, report)
                 if user.user_id in connected:
-                    uploads.append(self._round_trip(
+                    uploads.append((user.user_id, self._round_trip(
                         "upload", ext.extract_hidden_weights(user.pair.student), k,
-                        user.user_id))
+                        user.user_id)))
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
@@ -575,7 +593,7 @@ class Federation:
             for uid, bundle in strategies.apply_round(config.strategy, uploads):
                 # Downloads may share one bundle; decoding gives each user
                 # its own copy.
-                uid, bundle = self._round_trip("download", bundle, k, uid)
+                bundle = self._round_trip("download", bundle, k, uid)
                 # The last epoch's downloads are carried and recorded but
                 # never loaded: training is over.
                 if k < config.fles:

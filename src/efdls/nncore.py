@@ -36,7 +36,12 @@ worker owns its own layers.
 probed parameter entry once, compares its central-difference quotient with
 the analytic gradient, and folds the entry's relative error into the worst
 with ``np.maximum``, so a NaN from the loss or the gradient fails the check.
-Its refinement and denominator settings are the ``FD_*`` constants.
+Its default step, refinement and denominator settings are the ``FD_*``
+constants.
+
+Settings no caller varies are constants: ``BN_ZETA`` and ``BN_MOMENTUM``,
+which every user's network must share since a bundle carries neither, and
+Adam's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 """
 
 from __future__ import annotations
@@ -82,17 +87,21 @@ class ConvLayer:
             raise ShapeError(f"conv bias shape {self.bias.shape} does not match C_out={self.kernel.shape[0]}")
 
 
+BN_ZETA = 1e-5
+BN_MOMENTUM = 0.9
+
+
 @dataclass
 class BatchNormLayer:
     """Per-channel batch normalization over the batch and length axes.
 
-    ``alpha`` scales and ``beta`` shifts the normalized value; ``zeta`` keeps
-    the denominator positive. Two normalization modes exist:
+    ``alpha`` scales and ``beta`` shifts the normalized value; ``BN_ZETA``
+    keeps the denominator positive. Two normalization modes exist:
 
-    * standard (default): divide by sqrt(population variance + zeta), and
-      track running mean/variance with ``momentum`` decay for inference.
-    * literal: divide by (sqrt(summed squared deviations) + zeta). This form
-      is batch-size dependent; it is kept behind a flag for fidelity
+    * standard (default): divide by sqrt(population variance + BN_ZETA), and
+      track running mean/variance with ``BN_MOMENTUM`` decay for inference.
+    * literal: divide by (sqrt(summed squared deviations) + BN_ZETA). This
+      form is batch-size dependent; it is kept behind a flag for fidelity
       experiments. Its tracked running statistic is the summed-squared
       deviation itself, so inference applies the same normalization the
       training mode used.
@@ -100,22 +109,9 @@ class BatchNormLayer:
 
     alpha: np.ndarray
     beta: np.ndarray
-    zeta: float = 1e-5
-    momentum: float = 0.9
-    running_mean: np.ndarray = None
-    running_var: np.ndarray = None
+    running_mean: np.ndarray
+    running_var: np.ndarray
     literal_form: bool = False
-
-    def __post_init__(self):
-        if self.zeta <= 0:
-            raise ValueError(f"zeta must be positive, got {self.zeta}")
-        if not 0.0 < self.momentum < 1.0:
-            raise ValueError(f"momentum must be in (0,1), got {self.momentum}")
-        c = self.alpha.shape[0]
-        if self.running_mean is None:
-            self.running_mean = np.zeros(c, dtype=self.alpha.dtype)
-        if self.running_var is None:
-            self.running_var = np.ones(c, dtype=self.alpha.dtype)
 
 
 @dataclass
@@ -140,13 +136,12 @@ def init_conv(c_out: int, c_in: int, k: int, rng: np.random.Generator, dtype=np.
     return ConvLayer(kernel, bias)
 
 
-def init_batchnorm(c: int, zeta: float = 1e-5, momentum: float = 0.9,
-                   literal_form: bool = False, dtype=np.float64) -> BatchNormLayer:
+def init_batchnorm(c: int, literal_form: bool = False, dtype=np.float64) -> BatchNormLayer:
     return BatchNormLayer(
         alpha=np.ones(c, dtype=dtype),
         beta=np.zeros(c, dtype=dtype),
-        zeta=zeta,
-        momentum=momentum,
+        running_mean=np.zeros(c, dtype=dtype),
+        running_var=np.ones(c, dtype=dtype),
         literal_form=literal_form,
     )
 
@@ -376,13 +371,13 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
             if layer.literal_form:
                 sumsq = np.sum(squares, axis=_BN_REDUCE_AXES)
                 delta = np.sqrt(sumsq)
-                denom = delta + layer.zeta
+                denom = delta + BN_ZETA
                 out = alpha * centered / _per_channel(denom) + beta
                 stat = sumsq
                 cache = ("literal", centered, delta, denom)
             else:
                 var = np.mean(squares, axis=_BN_REDUCE_AXES)
-                inv = 1.0 / np.sqrt(var + layer.zeta)
+                inv = 1.0 / np.sqrt(var + BN_ZETA)
                 # an uncached xhat takes the squares' place
                 xhat = np.multiply(centered, _per_channel(inv),
                                    out=None if want_cache else squares)
@@ -392,18 +387,18 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
         if not np.isfinite(stat).all():
             raise NumericError("non-finite batch statistics in batchnorm")
         if update_running:
-            m = layer.momentum
+            m = BN_MOMENTUM
             layer.running_mean = m * _compute_param(layer.running_mean, x) + (1.0 - m) * mu
             layer.running_var = m * _compute_param(layer.running_var, x) + (1.0 - m) * stat
     else:
-        # widened before any arithmetic: a float32 array plus the float zeta
+        # widened before any arithmetic: a float32 array plus the float BN_ZETA
         # would round in float32
         mu = _compute_param(layer.running_mean, x)
         running_var = _compute_param(layer.running_var, x)
         if layer.literal_form:
-            denom = np.sqrt(running_var) + layer.zeta
+            denom = np.sqrt(running_var) + BN_ZETA
         else:
-            denom = np.sqrt(running_var + layer.zeta)
+            denom = np.sqrt(running_var + BN_ZETA)
         scale = 1.0 / denom
         centered = np.subtract(x, _per_channel(mu), out=None if want_cache
                                else _scratch_like("centered", np.result_type(x, mu), x))
@@ -424,7 +419,7 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache):
         dL/dx_k = alpha * [ (g_k - mean(g)) / D - c_k * sum(g*c) / (delta * D^2) ]
 
     with c the centered input, delta the root summed-squared deviation and
-    D = delta + zeta. Every temporary but g_input lives in scratch.
+    D = delta + BN_ZETA. Every temporary but g_input lives in scratch.
     """
     if cache is None:
         raise GradientStateError("batchnorm_backward called without a cached forward")
@@ -529,19 +524,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # Adam
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam with L2 regularization folded into the gradient.
 
     The L2 term (``weight_decay * param``) is added to each gradient before
     the moment updates, matching optimizer-side L2 rather than decoupled
-    weight decay.
+    weight decay. The decays and the denominator's floor are ``ADAM_*``.
     """
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
@@ -562,9 +559,9 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     Per group it performs the operations of the plain expressions
 
         g = g + weight_decay * p               (when weight_decay != 0)
-        m *= beta1;  m += (1 - beta1) * g
-        v *= beta2;  v += (1 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1;  m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2;  v += (1 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS)
 
     in the same order and dtypes, so the bits match, but builds every
     temporary in scratch: the decayed gradient and then the step's numerator
@@ -573,8 +570,8 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -588,15 +585,15 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         m = state.first_moment[name]
         v = state.second_moment[name]
         term = _scratch("adam_term", p.shape, g.dtype)
-        m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, g, out=term)
-        v *= state.beta2
-        v += np.multiply(1.0 - state.beta2, np.multiply(g, g, out=term), out=term)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=term)
+        v *= ADAM_BETA2
+        v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=term), out=term)
         numerator = np.divide(m, bc1, out=_scratch("adam_grad", p.shape, m.dtype))
         np.multiply(state.lr, numerator, out=numerator)
         denominator = np.divide(v, bc2, out=_scratch("adam_term", p.shape, v.dtype))
         np.sqrt(denominator, out=denominator)
-        denominator += state.eps
+        denominator += ADAM_EPS
         p -= np.divide(numerator, denominator, out=numerator)
 
 
@@ -604,9 +601,9 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
-# The oracle's fixed settings. An entry whose relative error is above
-# FD_REFINE_THRESHOLD is re-probed at a tenth of the step, at most
-# FD_REFINE_LEVELS times. FD_DENOM_FLOOR floors the denominator of the
+# The oracle's fixed settings. FD_EPSILON is the default probe step, and an
+# entry whose relative error is above FD_REFINE_THRESHOLD is re-probed at a
+# tenth of the step, at most FD_REFINE_LEVELS times. FD_DENOM_FLOOR floors the denominator of the
 # relative error: it absorbs central-difference noise (empirically up to
 # ~2e-10 absolute for unit-scale losses at double precision after a deep-net
 # forward) wherever the true gradient is at or near zero. A conv bias
@@ -614,12 +611,13 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
 # and single kernel entries can sit below 1e-6, so both sides are noise there
 # and a smaller floor would report spurious errors. Genuine defects above
 # ~1e-9 absolute still register.
+FD_EPSILON = 1e-5
 FD_REFINE_LEVELS = 2
 FD_REFINE_THRESHOLD = 1e-4
 FD_DENOM_FLOOR = 1e-5
 
 
-def finite_diff_gradcheck(model, x: np.ndarray, loss, epsilon: float = 1e-5,
+def finite_diff_gradcheck(model, x: np.ndarray, loss, epsilon: float = FD_EPSILON,
                           max_entries_per_param: int | None = None,
                           rng: np.random.Generator | None = None) -> float:
     """The max over probed parameter entries of |a - n| / max(|a|, |n|,

@@ -433,6 +433,15 @@ class TestGradcheckCommand:
         assert "max relative error" in captured
         assert "OK" in captured
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trial_count_below_one_is_refused(self, capsys, trials):
+        # a run that checks no network must not report OK
+        rc = cli.main(["gradcheck", "--trials", str(trials)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --trials must be >= 1, got {trials}\n"
+
 
 class TestDataDirResolution:
     @pytest.mark.parametrize("entry,name", [

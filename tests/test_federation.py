@@ -391,7 +391,9 @@ class TestRunFederation:
         datasets = [(f"w{i}", "synthetic") for i in range(3)]
         fed = Federation(toy_config(n_tot=3, fles=1, strategy="fedavg", datasets=datasets),
                          transport=DroppingTransport())
-        with pytest.raises(extractor.IncompatibleBundleError, match=r"missing \['conv2.bias'\]"):
+        with pytest.raises(extractor.IncompatibleBundleError,
+                           match=r"^user 1 upload at federated epoch 1: bundle keys do not "
+                                 r"match: missing \['conv2.bias'\]"):
             fed.run()
 
     def test_config_round_trip(self):
@@ -670,6 +672,95 @@ class TestStreamedRound:
         assert all(s.fileno() == -1 for s in sockets)
         assert threading.active_count() == threads_before
         assert len(fed.ledger) == stalled
+
+
+class RewritingTransport(federation.InProcTransport):
+    """Carries every message unchanged, except user 1's message in
+    ``direction`` at federated epoch ``epoch``, which ``rewrite`` edits."""
+
+    def __init__(self, direction, epoch, rewrite):
+        self.direction, self.epoch, self.rewrite = direction, epoch, rewrite
+
+    def _carry(self, direction, user_id, data):
+        (epoch,) = struct.unpack_from("<I", data, 5)
+        if (direction, user_id, epoch) == (self.direction, 1, self.epoch):
+            return self.rewrite(data)
+        return data
+
+    def upload(self, user_id, data):
+        return self._carry("upload", user_id, data)
+
+    def download(self, user_id, data):
+        return self._carry("download", user_id, data)
+
+
+def relabelled(epoch=None, user_id=None):
+    """A rewrite that puts ``epoch`` and/or ``user_id`` into the header."""
+    def rewrite(data):
+        sent = struct.unpack_from("<II", data, 5)
+        ids = (sent[0] if epoch is None else epoch, sent[1] if user_id is None else user_id)
+        return data[:5] + struct.pack("<II", *ids) + data[13:]
+    return rewrite
+
+
+def drop_block(arrays):
+    del arrays["conv2.bias"]
+
+
+def reshape_block(arrays):
+    arrays["conv2.kernel"] = arrays["conv2.kernel"].reshape(4, 9)
+
+
+def bundle_edited(edit):
+    """A rewrite that applies ``edit`` to the decoded bundle's arrays."""
+    def rewrite(data):
+        bundle, epoch, user_id = decode_weight_message(data)
+        edit(bundle.arrays)
+        return encode_weight_message(bundle, epoch, user_id)
+    return rewrite
+
+
+class TestRoundChecks:
+    """The round refuses a message that is not the one sent for its user,
+    direction and epoch, naming all three, before any strategy or loader
+    sees it."""
+
+    def federation(self, strategy, transport):
+        datasets = [(f"w{i}", "synthetic") for i in range(3)]
+        return Federation(toy_config(n_tot=3, fles=2, strategy=strategy, datasets=datasets),
+                          transport=transport)
+
+    @pytest.mark.parametrize("direction,epoch,user_id", [
+        ("upload", None, 2), ("upload", None, 7), ("download", None, 2),
+        ("download", None, 7), ("upload", 99, None), ("download", 99, None),
+    ])
+    def test_header_ids_must_be_the_ones_sent(self, direction, epoch, user_id):
+        fed = self.federation("efdls", RewritingTransport(direction, 1,
+                                                          relabelled(epoch, user_id)))
+        carried = (1 if epoch is None else epoch, 1 if user_id is None else user_id)
+        with pytest.raises(MalformedMessageError,
+                           match=rf"^user 1 {direction} at federated epoch 1: header carries "
+                                 rf"epoch {carried[0]} and user {carried[1]} "
+                                 rf"\(at byte offset 5\)$") as info:
+            fed.run()
+        assert info.value.offset == 5
+
+    @pytest.mark.parametrize("edit,message", [
+        (drop_block, r"bundle keys do not match: missing \['conv2.bias'\], unexpected \[\]"),
+        (reshape_block, r"bundle array 'conv2.kernel' has shape \(4, 9\), "
+                        r"expected \(4, 3, 3\)"),
+    ], ids=["dropped", "reshaped"])
+    @pytest.mark.parametrize("epoch", [1, 2])
+    @pytest.mark.parametrize("direction", ["upload", "download"])
+    @pytest.mark.parametrize("strategy", ["efdls", "fedavg"])
+    def test_bundle_that_does_not_fit_names_user_direction_and_epoch(
+            self, strategy, direction, epoch, edit, message):
+        # the last epoch's downloads are never loaded, yet are checked too
+        fed = self.federation(strategy, RewritingTransport(direction, epoch,
+                                                           bundle_edited(edit)))
+        with pytest.raises(extractor.IncompatibleBundleError,
+                           match=rf"^user 1 {direction} at federated epoch {epoch}: {message}$"):
+            fed.run()
 
 
 class TestRoundTable:

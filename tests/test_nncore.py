@@ -117,7 +117,7 @@ class TestBatchNorm:
         x = np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1)
         out = batchnorm_forward(x, layer, training=True)
         var = np.mean((x - 2.0) ** 2)
-        expected = (x - 2.0) / np.sqrt(var + layer.zeta)
+        expected = (x - 2.0) / np.sqrt(var + nncore.BN_ZETA)
         np.testing.assert_allclose(out, expected, atol=1e-9)
         np.testing.assert_allclose(out.ravel(), [-1.2247, 0.0, 1.2247], atol=1e-3)
 
@@ -128,7 +128,7 @@ class TestBatchNorm:
         out = batchnorm_forward(x, layer, training=True)
         mu = x.mean()
         delta = np.sqrt(np.sum((x - mu) ** 2))
-        np.testing.assert_allclose(out, (x - mu) / (delta + layer.zeta), atol=1e-12)
+        np.testing.assert_allclose(out, (x - mu) / (delta + nncore.BN_ZETA), atol=1e-12)
 
     def test_training_normalizes_per_channel(self):
         layer = init_batchnorm(3)
@@ -141,7 +141,7 @@ class TestBatchNorm:
         assert np.all(np.abs(stds - 1.0) < 1e-3)
 
     def test_running_stats_used_in_inference(self):
-        layer = init_batchnorm(1, momentum=0.9)
+        layer = init_batchnorm(1)
         rng = np.random.default_rng(8)
         for _ in range(300):
             batchnorm_forward(rng.standard_normal((16, 1, 8)) * 2.0 + 5.0, layer, training=True)
@@ -330,8 +330,7 @@ class TestAdam:
             trace.append(w_ref)
 
         params = {"w": np.array([2.0])}
-        state = AdamState.for_params(params, lr=lr, beta1=b1, beta2=b2, eps=eps_,
-                                     weight_decay=0.0)
+        state = AdamState.for_params(params, lr=lr, weight_decay=0.0)
         for t in range(3):
             g = 2.0 * (params["w"] - 0.5)
             adam_step(params, {"w": g}, state)

@@ -103,10 +103,10 @@ def expression_batchnorm_forward(x, layer):
     centered = x - mu[None, :, None]
     if layer.literal_form:
         delta = np.sqrt(np.sum(centered * centered, axis=axes))
-        denom = delta + layer.zeta
+        denom = delta + nncore.BN_ZETA
         return alpha * centered / denom[None, :, None] + beta, ("literal", centered, delta, denom)
     var = np.mean(centered * centered, axis=axes)
-    inv = 1.0 / np.sqrt(var + layer.zeta)
+    inv = 1.0 / np.sqrt(var + nncore.BN_ZETA)
     xhat = centered * inv[None, :, None]
     return alpha * xhat + beta, ("standard", xhat, inv)
 
@@ -278,21 +278,21 @@ def expression_adam_step(params, grads, state):
     """The Adam update as plain numpy expressions, each temporary fresh."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - nncore.ADAM_BETA1 ** t
+    bc2 = 1.0 - nncore.ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         if state.weight_decay != 0.0:
             g = g + state.weight_decay * p
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= nncore.ADAM_BETA1
+        m += (1.0 - nncore.ADAM_BETA1) * g
+        v *= nncore.ADAM_BETA2
+        v += (1.0 - nncore.ADAM_BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + nncore.ADAM_EPS)
 
 
 class TestAdamOracle:
