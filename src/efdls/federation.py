@@ -19,11 +19,11 @@ sample for the whole run, or a fresh one from epoch 2 on under
      ``FBSTPair`` method (teachers for efdls/fkd, students for fedavg). The
      last epoch's downloads are carried and recorded but never loaded.
 
-Every message the round receives is checked before anything uses it: its
-header must carry the epoch and user id it was sent with, and its bundle
-must fit the user's hidden arrays (``extractor.check_bundle``). A failure
-names the user, the direction and the epoch, and each bundle goes to the user
-it was sent for, never to the id its header claims.
+Every message the round receives is checked before anything uses it: it
+must decode, its header must carry the epoch and user id it was sent with,
+and its bundle must fit the user's hidden arrays (``extractor.check_bundle``).
+A failure names the user, the direction and the epoch, and each bundle goes
+to the user it was sent for, never to the id its header claims.
 
 Uploads and downloads travel as encoded weight messages (float32 on the
 wire) even in-process, so ledger byte counts are real message sizes and the
@@ -253,21 +253,35 @@ class CommLedger:
 
 class MalformedMessageError(ValueError):
     """Raised when a weight message cannot be decoded; ``offset`` is the byte
-    position where parsing failed (== len(data) when the buffer ran out)."""
+    position where parsing failed (== len(data) when the buffer ran out) and
+    ``reason`` the message without it."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte offset {offset})")
+    def __init__(self, reason: str, offset: int):
+        super().__init__(f"{reason} (at byte offset {offset})")
+        self.reason = reason
         self.offset = offset
 
 
 _KEY_TO_TAG = {key: tag for tag, key in enumerate(ext.BUNDLE_KEYS)}
 
 
+def _value_fault(key: str, values: np.ndarray) -> str | None:
+    """Why the float32 ``values`` of block ``key`` may not travel, or None.
+    Every value must be finite, and a running variance is never negative:
+    both batch-norm forms keep a variance or a summed squared deviation."""
+    if not np.isfinite(values).all():
+        return "non-finite values"
+    if key.endswith("running_var") and (values < 0).any():
+        return "negative running-variance values"
+    return None
+
+
 def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) -> bytes:
     """Serialize a bundle: magic, version, epoch/user ids, then one block per
     array (tag byte, dim count, little-endian u32 dims, float32 payload).
     Arrays need at most MAX_WIRE_NDIM dims, each in [1, 2**32), and values
-    that are finite in float32, since the decoder rejects any other."""
+    that are finite in float32, never negative in a running variance, since
+    the decoder rejects any other."""
     for name, value in (("epoch", epoch), ("user_id", user_id)):
         if not isinstance(value, numbers.Integral) or not 0 <= value < 2 ** 32:
             raise ValueError(f"{name} must be an integer in [0, 2**32), got {value!r}")
@@ -280,9 +294,10 @@ def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) ->
             raise ValueError(f"bundle array '{key}' has dims outside the wire format range")
         with np.errstate(over="ignore"):
             payload = np.ascontiguousarray(arr, dtype="<f4")
-        if not np.isfinite(payload).all():
+        fault = _value_fault(key, payload)
+        if fault is not None:
             raise ValueError(f"bundle array '{key}' of user {user_id} at epoch {epoch} "
-                             f"holds values that are not finite in float32")
+                             f"holds {fault} in float32")
         parts.append(bytes([_KEY_TO_TAG[key], arr.ndim]))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(payload.tobytes())
@@ -294,7 +309,7 @@ def decode_weight_message(data: bytes) -> tuple:
 
     Validation is strict: magic and version are checked, block shapes must
     be ones the encoder writes, every byte must be accounted for, and payload
-    values must be finite."""
+    values must be finite and, in a running variance, not negative."""
     offset = 0
 
     def skip(n: int, what: str) -> int:
@@ -339,8 +354,9 @@ def decode_weight_message(data: bytes) -> tuple:
         # any error below, so ``data`` is never left exported
         arr = np.frombuffer(data, dtype="<f4", count=numel,
                             offset=payload_offset).reshape(dims).copy()
-        if not np.isfinite(arr).all():
-            raise MalformedMessageError(f"non-finite values in block {b}", payload_offset)
+        fault = _value_fault(key, arr)
+        if fault is not None:
+            raise MalformedMessageError(f"{fault} in block {b}", payload_offset)
         arrays[key] = arr
     if offset != len(data):
         raise MalformedMessageError(f"{len(data) - offset} trailing bytes after last block", offset)
@@ -542,10 +558,10 @@ class Federation:
         """Encode one message for ``user_id``, carry it over the transport's
         ``direction`` ("upload" or "download"), record its size in the
         ledger, and return the decoded bundle. A transport OSError becomes a
-        TransportError, a header whose ids differ from the ones sent a
-        MalformedMessageError, and a bundle that does not fit the user's
-        hidden arrays an IncompatibleBundleError, each naming the user, the
-        direction and the epoch."""
+        TransportError, a message that does not decode or whose header ids
+        differ from the ones sent a MalformedMessageError, and a bundle that
+        does not fit the user's hidden arrays an IncompatibleBundleError, each
+        naming the user, the direction and the epoch."""
         where = f"user {user_id} {direction} at federated epoch {k}"
         data = encode_weight_message(bundle, epoch=k, user_id=user_id)
         try:
@@ -554,7 +570,10 @@ class Federation:
             raise TransportError(
                 f"user {user_id} {direction} failed at federated epoch {k}: {exc}") from exc
         self.ledger.record(k, user_id, direction, len(data))
-        decoded, epoch, uid = decode_weight_message(received)
+        try:
+            decoded, epoch, uid = decode_weight_message(received)
+        except MalformedMessageError as exc:
+            raise MalformedMessageError(f"{where}: {exc.reason}", exc.offset) from exc
         if (epoch, uid) != (k, user_id):
             # the header ids start after the magic and the version byte
             raise MalformedMessageError(f"{where}: header carries epoch {epoch} and user {uid}",

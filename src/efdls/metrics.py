@@ -7,7 +7,11 @@ Works over an accuracy table (datasets x algorithms). Aggregates:
                      below the max loses. best = win + tie.
   mean_acc           column mean.
   avg_rank           mean tie-averaged rank (rank 1 = best accuracy; tied
-                     values receive the mean of the positions they span).
+                     values receive the mean of the positions they span),
+                     computed in numpy by counting, per row, the cells above
+                     and equal to each cell.
+
+Every table cell must be finite: a NaN has no place in a ranking.
 
 A reference accuracy table for the eight comparison algorithms on the
 44-dataset benchmark ships with the package (``data/reference_results.csv``)
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.stats import rankdata
 
 # Equality tolerance when deciding whether two published 4-decimal accuracies
 # share a maximum.
@@ -46,6 +49,11 @@ class AccuracyTable:
                 f"value grid {self.values.shape} does not match "
                 f"{len(self.datasets)} datasets x {len(self.algorithms)} algorithms"
             )
+        bad = np.argwhere(~np.isfinite(self.values))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"dataset '{self.datasets[i]}' holds a non-finite value "
+                             f"for algorithm '{self.algorithms[j]}'")
 
     def column(self, algorithm: str) -> np.ndarray:
         return self.values[:, self.algorithms.index(algorithm)]
@@ -118,7 +126,11 @@ def avg_rank(table: AccuracyTable) -> dict:
     """Mean tie-averaged rank per algorithm (1 = most accurate)."""
     if len(table.algorithms) < 2:
         raise ValueError("ranking needs at least 2 algorithms")
-    ranks = np.stack([rankdata(-row, method="average") for row in table.values])
+    # A cell's tie-averaged rank is 1 + (cells above it) + (cells equal to it,
+    # itself excluded) / 2: a half-integer, so exact in float64.
+    cell = table.values[:, :, None]
+    others = table.values[:, None, :]
+    ranks = 1.0 + (others > cell).sum(axis=2) + ((others == cell).sum(axis=2) - 1) / 2
     return {a: float(ranks[:, j].mean()) for j, a in enumerate(table.algorithms)}
 
 

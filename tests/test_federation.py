@@ -205,6 +205,32 @@ class TestWeightMessageCodec:
             with pytest.raises(ValueError, match="'dense.bias' of user 4 at epoch 3 holds"):
                 encode_weight_message(bundle, epoch=3, user_id=4)
 
+    def test_encoder_refuses_a_negative_running_variance(self):
+        bundle = random_bundle(np.random.default_rng(15))
+        bundle.arrays["bn3.running_var"][0] = -1.0
+        bundle.arrays["bn3.running_mean"][0] = -1.0  # a mean may be negative
+        with pytest.raises(ValueError, match=r"^bundle array 'bn3.running_var' of user 4 at "
+                                             r"epoch 3 holds negative running-variance values"):
+            encode_weight_message(bundle, epoch=3, user_id=4)
+
+    @pytest.mark.parametrize("value", [-1e-3, -0.0])
+    def test_running_variance_below_zero_rejected_at_its_payload(self, value):
+        bundle = random_bundle(np.random.default_rng(16))
+        data = encode_weight_message(bundle, epoch=0, user_id=0)
+        block = list(bundle.arrays).index("bn2.running_var")
+        payload = block_payload_offset(data, block)
+        second = payload + 4  # the block's second value
+        mutated = data[:second] + struct.pack("<f", value) + data[second + 4:]
+        if value < 0:
+            with pytest.raises(MalformedMessageError,
+                               match=rf"^negative running-variance values in block {block} "
+                                     rf"\(at byte offset {payload}\)$") as err:
+                decode_weight_message(mutated)
+            assert err.value.offset == payload
+        else:  # -0.0 is not below zero: it decodes and encodes back unchanged
+            decoded, epoch, uid = decode_weight_message(mutated)
+            assert encode_weight_message(decoded, epoch, uid) == mutated
+
     @given(mutation=st.one_of(
         st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, len(ZERO_MESSAGE) - 1),
                                                         st.integers(1, 255)),
@@ -245,6 +271,8 @@ class TestWeightMessageCodec:
             ndim = int(rng.integers(1, 4))
             shape = tuple(int(rng.integers(1, 6)) for _ in range(ndim))
             arrays[key] = rng.standard_normal(shape).astype(np.float32)
+            if key.endswith("running_var"):
+                arrays[key] = np.abs(arrays[key])
         bundle = WeightBundle(arrays=arrays)
         decoded, _, _ = decode_weight_message(encode_weight_message(bundle, 7, 8))
         for key, arr in arrays.items():
@@ -711,6 +739,24 @@ def reshape_block(arrays):
     arrays["conv2.kernel"] = arrays["conv2.kernel"].reshape(4, 9)
 
 
+def block_payload_offset(data, block):
+    """Byte offset of the payload of block ``block`` in an encoded message."""
+    offset = 14  # magic + version + epoch + user + block count
+    for b in range(block + 1):
+        ndim = data[offset + 1]
+        dims = struct.unpack_from(f"<{ndim}I", data, offset + 2)
+        offset += 2 + 4 * ndim
+        if b == block:
+            return offset
+        offset += 4 * int(np.prod(dims))
+
+
+def negative_running_var(data):
+    """A rewrite that sets the first value of bn1.running_var to -1."""
+    offset = block_payload_offset(data, extractor.BUNDLE_KEYS.index("bn1.running_var"))
+    return data[:offset] + struct.pack("<f", -1.0) + data[offset + 4:]
+
+
 def bundle_edited(edit):
     """A rewrite that applies ``edit`` to the decoded bundle's arrays."""
     def rewrite(data):
@@ -761,6 +807,41 @@ class TestRoundChecks:
         with pytest.raises(extractor.IncompatibleBundleError,
                            match=rf"^user 1 {direction} at federated epoch {epoch}: {message}$"):
             fed.run()
+
+    @pytest.mark.parametrize("direction", ["upload", "download"])
+    @pytest.mark.parametrize("strategy", ["efdls", "fedavg"])
+    def test_message_that_does_not_decode_names_user_direction_and_epoch(
+            self, strategy, direction):
+        sent = []
+
+        def cut_last_byte(data):
+            sent.append(len(data))
+            return data[:-1]
+
+        fed = self.federation(strategy, RewritingTransport(direction, 1, cut_last_byte))
+        with pytest.raises(MalformedMessageError) as info:
+            fed.run()
+        offset = sent[0] - 1
+        assert str(info.value) == (f"user 1 {direction} at federated epoch 1: message truncated "
+                                   f"while reading block 19 payload (at byte offset {offset})")
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize("direction", ["upload", "download"])
+    @pytest.mark.parametrize("strategy", ["efdls", "fedavg"])
+    def test_negative_running_variance_names_user_direction_and_epoch(
+            self, strategy, direction):
+        # a download holding it once completed silently under efdls and broke
+        # fedavg's next forward with an error that named no user
+        fed = self.federation(strategy, RewritingTransport(direction, 1, negative_running_var))
+        block = extractor.BUNDLE_KEYS.index("bn1.running_var")
+        offset = block_payload_offset(encode_weight_message(
+            extractor.extract_hidden_weights(fed.users[1].pair.student), 1, 1), block)
+        with pytest.raises(MalformedMessageError) as info:
+            fed.run()
+        assert str(info.value) == (f"user 1 {direction} at federated epoch 1: negative "
+                                   f"running-variance values in block {block} "
+                                   f"(at byte offset {offset})")
+        assert info.value.offset == offset
 
 
 class TestRoundTable:

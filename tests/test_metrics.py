@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import efdls
 from efdls import cli, metrics
 from efdls.metrics import (
     AccuracyTable, MetricReport, avg_rank, load_accuracy_csv,
@@ -51,6 +55,15 @@ class TestAccuracyTable:
     def test_repeated_or_empty_algorithm_name_rejected(self, algorithms, message):
         with pytest.raises(ValueError, match=message):
             AccuracyTable(datasets=["d1"], algorithms=algorithms, values=np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_naming_dataset_and_algorithm(self, value):
+        values = np.full((3, 3), 0.5)
+        values[1, 2] = value
+        with pytest.raises(ValueError,
+                           match=r"^dataset 'd2' holds a non-finite value for algorithm 'C'$"):
+            AccuracyTable(datasets=["d1", "d2", "d3"], algorithms=["A", "B", "C"],
+                          values=values)
 
 
 class TestTop1Accuracy:
@@ -162,6 +175,19 @@ class TestAvgRank:
         for j, a in enumerate(table.algorithms):
             assert got[a] == pytest.approx(expected[j], abs=1e-12)
 
+    @given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                             min_size=4, max_size=4), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_rank_exactly_as_the_oracle(self, rows):
+        algorithms = list("ABCD")
+        for row in rows:
+            one = AccuracyTable(datasets=["d"], algorithms=algorithms, values=np.array([row]))
+            assert list(avg_rank(one).values()) == rank_oracle(row)
+        table = AccuracyTable(datasets=[f"d{i}" for i in range(len(rows))],
+                              algorithms=algorithms, values=np.array(rows))
+        expected = np.mean([rank_oracle(row) for row in rows], axis=0)
+        assert list(avg_rank(table).values()) == list(expected)
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_rank_sum_invariant(self, seed):
@@ -197,6 +223,24 @@ class TestReferenceTable:
         ranks = avg_rank(load_reference_table())
         assert ranks["EFDLS"] == pytest.approx(2.1478, abs=0.05)
         assert ranks["FedAvg"] == pytest.approx(7.5, abs=0.05)
+
+    def test_avg_ranks_are_bit_for_bit_the_tie_averaged_ranks(self):
+        ranks = avg_rank(load_reference_table())
+        assert {a: r.hex() for a, r in ranks.items()} == {
+            "Baseline": "0x1.c5d1745d1745dp+1", "FedAvg": "0x1.e000000000000p+2",
+            "FedAvgM": "0x1.d5d1745d1745dp+2", "FedGrad": "0x1.80ba2e8ba2e8cp+2",
+            "FTL": "0x1.f5d1745d1745dp+1", "FTLS": "0x1.72e8ba2e8ba2fp+1",
+            "FKD": "0x1.51745d1745d17p+1", "EFDLS": "0x1.12e8ba2e8ba2fp+1",
+        }
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    code = ("import sys, efdls, efdls.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(efdls.__file__)))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout == "[]\n"
 
 
 def emit_report(tmp_path, table) -> str:
