@@ -4,7 +4,8 @@ One run owns ``n_tot`` users, each holding a student/teacher pair and a
 private dataset. The ``n_conn`` users connected to the server in epoch k are
 ``Federation.connected(k)``, derived from the config and never stored: one
 sample for the whole run, or a fresh one from epoch 2 on under
-``conn_resample``. Every federated epoch:
+``conn_resample``; nobody under baseline. It is the one statement of who
+takes part in a round. Every federated epoch:
 
   1. every user trains locally (supervised-only until it has a teacher; a
      user that is never connected is supervised-only for the whole run);
@@ -27,7 +28,9 @@ to the user it was sent for, never to the id its header claims.
 
 Uploads and downloads travel as encoded weight messages (float32 on the
 wire) even in-process, so ledger byte counts are real message sizes and the
-in-process and socket transports produce identical results. Per connected
+in-process and socket transports produce identical results. The socket
+transport opens a user's connection at the user's first message, so a failed
+connect or accept is reported like any other transport failure. Per connected
 user per epoch there is exactly one upload and one download, which makes the
 run's ledger total exactly 2 * bundle_bytes * FLEs * N_conn.
 """
@@ -370,9 +373,6 @@ def decode_weight_message(data: bytes) -> tuple:
 class InProcTransport:
     """Default transport: messages stay in memory."""
 
-    def connect(self, user_ids) -> None:
-        pass
-
     def upload(self, user_id: int, data: bytes) -> bytes:
         return data
 
@@ -404,8 +404,9 @@ def _recv_frame(sock: socket.socket) -> bytes:
 
 class SocketTransport:
     """Loopback TCP transport carrying the same length-prefixed weight
-    messages; one persistent connection per user. The send side runs on a
-    helper thread so arbitrarily large frames cannot deadlock the process.
+    messages; one persistent connection per user, opened at the user's first
+    message. The send side runs on a helper thread so arbitrarily large
+    frames cannot deadlock the process.
     Every socket times out after SOCKET_TIMEOUT_S, so a dead or stalled peer
     raises an OSError instead of blocking forever."""
 
@@ -419,14 +420,17 @@ class SocketTransport:
         self._user_side = {}
         self._server_side = {}
 
-    def connect(self, user_ids) -> None:
-        for uid in user_ids:
-            client = socket.create_connection(("127.0.0.1", self.port),
-                                              timeout=SOCKET_TIMEOUT_S)
+    def _pair(self, user_id: int) -> tuple:
+        """The user's (user side, server side) sockets, connected at its first
+        message. Each side is kept as soon as it exists, so ``close`` closes
+        it even when the other side fails to open."""
+        if user_id not in self._server_side:
+            self._user_side[user_id] = socket.create_connection(("127.0.0.1", self.port),
+                                                                timeout=SOCKET_TIMEOUT_S)
             conn, _ = self._listener.accept()
+            self._server_side[user_id] = conn
             conn.settimeout(SOCKET_TIMEOUT_S)
-            self._user_side[uid] = client
-            self._server_side[uid] = conn
+        return self._user_side[user_id], self._server_side[user_id]
 
     def _pump(self, sender: socket.socket, receiver: socket.socket, data: bytes) -> bytes:
         def send():
@@ -445,10 +449,12 @@ class SocketTransport:
             t.join()
 
     def upload(self, user_id: int, data: bytes) -> bytes:
-        return self._pump(self._user_side[user_id], self._server_side[user_id], data)
+        user_side, server_side = self._pair(user_id)
+        return self._pump(user_side, server_side, data)
 
     def download(self, user_id: int, data: bytes) -> bytes:
-        return self._pump(self._server_side[user_id], self._user_side[user_id], data)
+        user_side, server_side = self._pair(user_id)
+        return self._pump(server_side, user_side, data)
 
     def close(self) -> None:
         for s in list(self._user_side.values()) + list(self._server_side.values()):
@@ -539,10 +545,12 @@ class Federation:
 
     def connected(self, k: int) -> tuple:
         """The sorted ids of the users connected in federated epoch ``k``: the
-        run's one sample, or under ``conn_resample`` a fresh one from epoch 2."""
+        run's one sample, or under ``conn_resample`` a fresh one from epoch 2.
+        Baseline connects nobody."""
         config = self.config
-        return select_connected(config.n_tot, config.conn_ratio, config.seed,
-                                epoch=k if config.conn_resample and k > 1 else None)
+        return () if self.round is None else select_connected(
+            config.n_tot, config.conn_ratio, config.seed,
+            epoch=k if config.conn_resample and k > 1 else None)
 
     def _train_one(self, user: UserState, k: int):
         try:
@@ -586,7 +594,7 @@ class Federation:
 
     def _run_epoch(self, k: int, on_epoch=None) -> None:
         config = self.config
-        connected = self.connected(k) if self.round is not None else ()
+        connected = self.connected(k)
 
         def train(user):
             return self._train_one(user, k)
@@ -607,23 +615,18 @@ class Federation:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-        if self.round is not None:
-            _, load = self.round
-            for uid, bundle in strategies.apply_round(config.strategy, uploads):
-                # Downloads may share one bundle; decoding gives each user
-                # its own copy.
-                bundle = self._round_trip("download", bundle, k, uid)
-                # The last epoch's downloads are carried and recorded but
-                # never loaded: training is over.
-                if k < config.fles:
-                    getattr(self.users[uid].pair, load)(bundle)
+        for uid, bundle in strategies.apply_round(config.strategy, uploads):
+            # Downloads may share one bundle; decoding gives each user its
+            # own copy.
+            bundle = self._round_trip("download", bundle, k, uid)
+            # The last epoch's downloads are carried and recorded but never
+            # loaded: training is over.
+            if k < config.fles:
+                getattr(self.users[uid].pair, self.round[1])(bundle)
 
     def run(self, on_epoch=None):
         config = self.config
         try:
-            if self.round is not None:
-                self.transport.connect(range(config.n_tot) if config.conn_resample
-                                       else self.connected(1))
             for k in range(1, config.fles + 1):
                 self._run_epoch(k, on_epoch=on_epoch)
         finally:

@@ -642,7 +642,7 @@ class TestStreamedRound:
         transport = fed.transport
         sockets = [transport._listener, *transport._user_side.values(),
                    *transport._server_side.values()]
-        assert len(sockets) == 1 + 2 * 4
+        assert len(sockets) == 1 + 2 * 2  # pairs open only for users that sent
         assert all(s.fileno() == -1 for s in sockets)
         assert threading.active_count() == threads_before  # the pool has shut down
         assert [e.user_id for e in fed.ledger.entries] == [0, 1]  # uploads before user 2
@@ -660,14 +660,52 @@ class TestStreamedRound:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(federation.socket, "create_connection", connect)
-        with pytest.raises(ConnectionRefusedError, match="injected"):
+        with pytest.raises(federation.TransportError,
+                           match=r"^user 2 upload failed at federated epoch 1: "
+                                 r"injected connect failure$"):
             fed.run()
         transport = fed.transport
         sockets = [transport._listener, *transport._user_side.values(),
                    *transport._server_side.values()]
         assert len(sockets) == 1 + 2 * 2
         assert all(s.fileno() == -1 for s in sockets)
-        assert len(fed.ledger) == 0
+        assert [(e.epoch, e.user_id, e.direction) for e in fed.ledger.entries] == [
+            (1, 0, "upload"), (1, 1, "upload")]
+
+    def test_failed_accept_names_the_user_and_closes_its_client_socket(self):
+        fed = Federation(toy_config(transport="socket"))
+        transport = fed.transport
+        listener = transport._listener
+
+        class SecondAcceptTimesOut:
+            accepts = 0
+
+            def accept(self):
+                self.accepts += 1
+                if self.accepts == 2:  # user 1's client has connected by now
+                    raise TimeoutError("timed out")
+                return listener.accept()
+
+            def close(self):
+                listener.close()
+
+        transport._listener = SecondAcceptTimesOut()
+        with pytest.raises(federation.TransportError,
+                           match=r"^user 1 upload failed at federated epoch 1: timed out$"):
+            fed.run()
+        assert sorted(transport._user_side) == [0, 1]
+        assert sorted(transport._server_side) == [0]
+        sockets = [listener, *transport._user_side.values(), *transport._server_side.values()]
+        assert all(s.fileno() == -1 for s in sockets)
+
+    def test_resampled_socket_run_connects_exactly_the_users_that_ever_connect(self):
+        datasets = [(f"w{i}", "synthetic") for i in range(6)]
+        fed = Federation(toy_config(n_tot=6, conn_ratio=0.34, fles=3, datasets=datasets,
+                                    conn_resample=True, transport="socket"))
+        fed.run()
+        ever = set().union(*(fed.connected(k) for k in range(1, 4)))
+        assert ever != set(range(6))
+        assert set(fed.transport._user_side) == set(fed.transport._server_side) == ever
 
     # frames go: epoch 1 uploads of users 0 and 1, their downloads, then epoch 2
     @pytest.mark.parametrize("stalled,message", [
@@ -696,7 +734,9 @@ class TestStreamedRound:
         transport = fed.transport
         sockets = [transport._listener, *transport._user_side.values(),
                    *transport._server_side.values()]
-        assert len(sockets) == 1 + 2 * 2
+        # a user's sockets open at its first frame, and frames 0 and 1 are
+        # the first of users 0 and 1
+        assert len(sockets) == 1 + 2 * min(stalled + 1, 2)
         assert all(s.fileno() == -1 for s in sockets)
         assert threading.active_count() == threads_before
         assert len(fed.ledger) == stalled

@@ -101,6 +101,7 @@ def test_run_matches_reference_round(strategy, case):
         for key, arr in arrays.items():
             assert run_arrays[key].dtype == arr.dtype and np.array_equal(run_arrays[key], arr), \
                 (user.user_id, key)
+    assert [fed.connected(k) for k in range(1, config.fles + 1)] == connected_sets
     for k, connected in enumerate(connected_sets, start=1):
         for direction in ("upload", "download"):
             assert tuple(e.user_id for e in ledger.entries
