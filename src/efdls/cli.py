@@ -244,7 +244,7 @@ def cmd_gradcheck(args) -> int:
         teacher_trace = teacher.forward(x, training=True, update_running=False)
         for loss in (fbst.SupervisedLoss(labels),
                      fbst.DistillationLoss(teacher_trace, labels, epsilon=fbst.FBSTConfig.epsilon)):
-            err = nncore.finite_diff_gradcheck(model, x, loss, epsilon=args.fd_epsilon)
+            err = nncore.finite_diff_gradcheck(model, x, loss)
             worst = max(worst, err)
     ok = worst < GRADCHECK_TOLERANCE
     print(f"gradcheck: {args.trials} trials, max relative error {worst:.3e} "
@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient self-check")
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--trials", type=int, default=3, help="networks to check, at least 1")
-    p_gc.add_argument("--fd-epsilon", type=float, default=nncore.FD_EPSILON)
     p_gc.set_defaults(func=cmd_gradcheck)
 
     return parser

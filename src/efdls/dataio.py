@@ -7,8 +7,8 @@ variable-length instances to the max length across both splits. Padding
 happens after normalization, so pad values are exact zeros.
 
 ``DATASET_REGISTRY`` records the expected train/test/class/length figures for
-the 44 benchmark datasets used throughout; loaders validate against it when
-asked.
+the 44 benchmark datasets used throughout; ``load_ucr_tsv`` validates a
+loaded set against the row it is given.
 """
 
 from __future__ import annotations
@@ -176,8 +176,7 @@ def _clean_series(raw: np.ndarray) -> np.ndarray:
     return series
 
 
-def load_ucr_tsv(path: str, meta: DatasetMeta | None = None,
-                 normalize: bool = True) -> TimeSeriesDataset:
+def load_ucr_tsv(path: str, meta: DatasetMeta | None = None) -> TimeSeriesDataset:
     """Load <Name>_TRAIN.tsv / <Name>_TEST.tsv from a dataset directory.
 
     ``path`` is the directory; its basename is the dataset name. The loaded
@@ -212,9 +211,7 @@ def load_ucr_tsv(path: str, meta: DatasetMeta | None = None,
 
     def finish(split):
         labels, series = raw[split]
-        if normalize:
-            series = [z_normalize(s) for s in series]
-        x = np.stack([pad_to_length(s, target_len) for s in series])
+        x = np.stack([pad_to_length(z_normalize(s), target_len) for s in series])
         y = np.array([label_map[v] for v in labels.tolist()], dtype=np.int64)
         return x, y
 
@@ -241,14 +238,6 @@ def _check_meta(ds: TimeSeriesDataset, meta: DatasetMeta) -> None:
         problems.append(f"class count {ds.num_classes} != {meta.classes}")
     if problems:
         raise MetaMismatchError(f"{ds.name}: " + "; ".join(problems))
-
-
-def load_registered(name: str, data_dir: str, normalize: bool = True) -> TimeSeriesDataset:
-    """Load a registry dataset from <data_dir>/<name>/ and validate it."""
-    if name not in DATASET_REGISTRY:
-        raise IngestionError(f"'{name}' is not one of the 44 registered datasets")
-    return load_ucr_tsv(os.path.join(data_dir, name), meta=DATASET_REGISTRY[name],
-                        normalize=normalize)
 
 
 def make_synthetic_waves(n_train: int = 20, n_test: int = 40, length: int = 64,

@@ -89,7 +89,6 @@ class FederationConfig:
     teacher_bn_mode: str = fbst.FBSTConfig.teacher_bn_mode
     blocks: tuple = ext.DEFAULT_BLOCKS
     hidden_dim: int = ext.DEFAULT_HIDDEN_DIM
-    normalize: bool = True
     conn_resample: bool = False
     transport: str = "inproc"
     port: int = 0
@@ -495,7 +494,7 @@ def _load_dataset(name: str, path: str, user_id: int, config: FederationConfig,
     if key not in cache:
         try:
             meta = dataio.DATASET_REGISTRY.get(name)
-            cache[key] = dataio.load_ucr_tsv(path, meta=meta, normalize=config.normalize)
+            cache[key] = dataio.load_ucr_tsv(path, meta=meta)
         except Exception as exc:
             raise dataio.IngestionError(f"failed to load dataset '{name}': {exc}") from exc
     return cache[key]

@@ -187,13 +187,10 @@ class TestRegistry:
         meta = DATASET_REGISTRY["Chinatown"]
         assert (meta.train, meta.test, meta.classes, meta.length) == (20, 345, 2, 24)
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(IngestionError):
-            dataio.load_registered("NotADataset", "/nonexistent")
-
     @requires_datasets("Chinatown")
     def test_chinatown_loads_and_validates(self):
-        ds = dataio.load_registered("Chinatown", ucr_data_dir())
+        ds = load_ucr_tsv(os.path.join(ucr_data_dir(), "Chinatown"),
+                          meta=DATASET_REGISTRY["Chinatown"])
         assert ds.x_train.shape == (20, 24)
         assert ds.x_test.shape == (345, 24)
         assert ds.num_classes == 2
@@ -205,7 +202,8 @@ class TestRegistry:
         checked = 0
         for name in DATASET_REGISTRY:
             if dataset_available(name):
-                dataio.load_registered(name, d)  # raises on any mismatch
+                # raises on any mismatch
+                load_ucr_tsv(os.path.join(d, name), meta=DATASET_REGISTRY[name])
                 checked += 1
         if checked == 0:
             pytest.skip("no registry datasets present under EFDLS_DATA_DIR")
