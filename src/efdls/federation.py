@@ -28,9 +28,8 @@ to the user it was sent for, never to the id its header claims.
 
 Uploads and downloads travel as encoded weight messages (float32 on the
 wire) even in-process, so ledger byte counts are real message sizes and the
-in-process and socket transports produce identical results. The socket
-transport opens a user's connection at the user's first message, so a failed
-connect or accept is reported like any other transport failure. Per connected
+in-process and socket transports produce identical results; the socket
+transport connects each user at its first message. Per connected
 user per epoch there is exactly one upload and one download, which makes the
 run's ledger total exactly 2 * bundle_bytes * FLEs * N_conn.
 """
