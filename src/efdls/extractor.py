@@ -21,7 +21,7 @@ from .nncore import NumericError, ShapeError
 
 DEFAULT_BLOCKS = ((9, 128), (5, 256), (3, 128))
 DEFAULT_HIDDEN_DIM = 128
-PREDICT_BATCH = 256  # rows per forward in predict, which bounds evaluation's scratch
+PREDICT_POSITIONS = 4096  # rows x length per forward in predict: 16 rows at length 256
 
 # Canonical serialization/order for everything a bundle carries. Keys ending
 # in running_mean/running_var are carried for the teacher's inference-mode
@@ -210,10 +210,15 @@ class FeatureExtractor:
         return dict(zip(self.parameters(), blocks + dense + classifier, strict=True))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Top-1 class index per row, ties broken toward the lowest index."""
+        """Top-1 class index per row, ties broken toward the lowest index.
+
+        Each forward takes ``PREDICT_POSITIONS // length`` rows, at least
+        one, so its scratch follows the series positions it takes, not the
+        number of rows: at length 256 it takes a training batch's 16 rows."""
+        rows = max(1, PREDICT_POSITIONS // max(x.shape[-1], 1))
         preds = []
-        for start in range(0, x.shape[0], PREDICT_BATCH):
-            trace = self.forward(x[start:start + PREDICT_BATCH], training=False)
+        for start in range(0, x.shape[0], rows):
+            trace = self.forward(x[start:start + rows], training=False)
             preds.append(np.argmax(trace.probs, axis=1))
         return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
 

@@ -19,9 +19,9 @@ as float64 weights holding the same values, and a parameter already in the
 compute dtype is read uncopied.
 
 The one shared state is per-thread scratch. The conv and batch-norm ops build
-their internal temporaries (im2col matrices, padded arrays, a transposed
-gradient copy, centered values, squares and backward products), and Adam its
-per-group terms, in the calling thread's workspace: two flat buffers, each
+their internal temporaries (im2col matrices, a transposed gradient copy, a
+flipped kernel, centered values, squares and backward products), and Adam
+its per-group terms, in the calling thread's workspace: two flat buffers, each
 grown to the largest request and viewed at the shape and memory order the op
 needs, until ``release_workspace`` gives them back. No scratch view outlives
 the op that took it, and nothing an op returns or caches lives there, so
@@ -51,7 +51,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -169,7 +168,7 @@ _WORKSPACE = _Workspace()
 # and no scratch array outlives its op.
 _BUFFER_OF = {
     "cols": 0, "centered": 0, "gh": 0, "adam_grad": 0,
-    "pad": 1, "gout_t": 1, "kernel_t": 1, "squares": 1, "prod": 1, "adam_term": 1,
+    "gout_t": 1, "kernel_t": 1, "squares": 1, "prod": 1, "adam_term": 1,
 }
 
 
@@ -233,22 +232,23 @@ def _compute_param(param: np.ndarray, x: np.ndarray) -> np.ndarray:
     return param.astype(np.result_type(param, x), copy=False)
 
 
-def _pad_length(a: np.ndarray, pad: int) -> np.ndarray:
-    """``a`` with ``pad`` zeros at both ends of its length axis, in scratch."""
+def _im2col(a: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """The [C*K, B*T] matrix of the width-k windows of [B, C, L] input
+    zero-extended by ``pad`` at both ends of its length axis, with
+    T = L + 2*pad - k + 1, ordered [C, K, B, T]: the copy einsum makes of
+    the padded input's windows. It is written from ``a`` directly, window
+    offset by window offset, so no padded copy is made: offset j of output
+    position t reads a[..., t + j - pad], or zero outside the input."""
     b, c, n = a.shape
-    out = _scratch("pad", (b, c, n + 2 * pad), a.dtype)
-    out[:, :, :pad] = 0
-    out[:, :, pad + n:] = 0
-    out[:, :, pad:pad + n] = a
-    return out
-
-
-def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
-    """The [C*K, B*T] matrix of the width-k windows of padded [B, C, T+K-1]
-    input, ordered [C, K, B, T]: the copy einsum makes of them."""
-    b, c, n = padded.shape
-    windows = sliding_window_view(padded, k, axis=2)  # [B, C, T, K]
-    return _scratch_copy("cols", windows.transpose(1, 3, 0, 2)).reshape(c * k, b * (n - k + 1))
+    t = n + 2 * pad - k + 1
+    cols = _scratch("cols", (c, k, b, t), a.dtype)
+    for j in range(k):
+        lo = min(max(pad - j, 0), t)
+        hi = max(min(n + pad - j, t), lo)
+        cols[:, j, :, :lo] = 0
+        cols[:, j, :, hi:] = 0
+        cols[:, j, :, lo:hi] = a[:, :, lo + j - pad:hi + j - pad].transpose(1, 0, 2)
+    return cols.reshape(c * k, b * t)
 
 
 def _gout_matrix(gout: np.ndarray) -> np.ndarray:
@@ -272,11 +272,11 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
     optimize=True)`` runs: [C_out, C_in*K] @ [C_in*K, B*L], returned as a
     [B, C_out, L] view of the [C_out, B, L] result. The output is the only
     fresh allocation, beside the widened copy of a kernel stored narrower
-    than its input. The backward takes ``x`` itself, which it pads again,
-    so nothing may write to ``x`` before that backward. ``want_cache``
-    returns ``(out, x)``. The library never passes it; it stays because the
-    benchmark harness's operation-count test (``perfbench/tests``) calls the
-    op that way.
+    than its input. The backward takes ``x`` itself, whose windows it copies
+    again, so nothing may write to ``x`` before that backward.
+    ``want_cache`` returns ``(out, x)``. The library never passes it; it
+    stays because the benchmark harness's operation-count test
+    (``perfbench/tests``) calls the op that way.
     """
     _require_3d(x, "conv input")
     if x.shape[1] != layer.kernel.shape[1]:
@@ -290,8 +290,7 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
     kernel = _compute_param(layer.kernel, x)
     # overflow here is converted into NumericError by the callers' finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
-        cols = _im2col(_pad_length(x, (k - 1) // 2), k)
-        out = np.matmul(kernel.reshape(o, c * k), cols)
+        out = np.matmul(kernel.reshape(o, c * k), _im2col(x, k, (k - 1) // 2))
         out = out.reshape(o, b, length).transpose(1, 0, 2)
         out += _compute_param(layer.bias, x)[None, :, None]
     if want_cache:
@@ -309,23 +308,55 @@ def conv1d_backward(gout: np.ndarray, layer: ConvLayer, x: np.ndarray, input_gra
     einsum runs: g_kernel is [C_in*K, B*L] @ [B*L, C_out] viewed as
     [C_out, C_in, K], and g_input is [C_in, C_out*K] @ [C_out*K, B*(L+K-1)],
     viewed as [B, C_in, L+K-1] and sliced.
+
+    The input-gradient im2col is [C_out*K, B*(L+K-1)]. Where C_out > C_in it
+    is wider than the forward's, so where ``_halve_input_grad`` allows it is
+    built, and its product run, over the two halves of the batch in turn,
+    each writing its column block of the one [C_in, B*(L+K-1)] result.
     """
     o, c, k = layer.kernel.shape
     b, _, length = gout.shape
     pad = (k - 1) // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        # im2col copies the padded input out of the buffer _gout_matrix reuses
-        g_kernel = np.matmul(_im2col(_pad_length(x, pad), k), _gout_matrix(gout))
+        g_kernel = np.matmul(_im2col(x, k, pad), _gout_matrix(gout))
         g_kernel = g_kernel.reshape(c, k, o).transpose(2, 0, 1)
         g_bias = gout.sum(axis=(0, 2))
         if not input_grad:
             return None, g_kernel, g_bias
-        gcols = _im2col(_pad_length(gout, k - 1), k)
+        span = length + k - 1
         kflip = _scratch_copy("kernel_t", layer.kernel[:, :, ::-1].transpose(1, 0, 2))
-        g_padded = np.matmul(kflip.reshape(c, o * k), gcols)
-    g_padded = g_padded.reshape(c, b, length + k - 1).transpose(1, 0, 2)
+        kflip = kflip.reshape(c, o * k)
+        g_padded = np.empty((c, b * span), dtype=np.result_type(layer.kernel, gout))
+        bounds = (0, b // 2, b) if _halve_input_grad(o, c, k, b, span) else (0, b)
+        for lo, hi in zip(bounds, bounds[1:]):
+            np.matmul(kflip, _im2col(gout[lo:hi], k, k - 1),
+                      out=g_padded[:, lo * span:hi * span])
+    g_padded = g_padded.reshape(c, b, span).transpose(1, 0, 2)
     g_input = g_padded[:, :, pad:pad + length]
     return g_input, g_kernel, g_bias
+
+
+def _halve_input_grad(c_out: int, c_in: int, k: int, batch: int, span: int) -> bool:
+    """Whether a conv's input-gradient product runs over the two halves of
+    the batch: only where C_out > C_in, where its im2col is wider than the
+    forward's, only where the half im2col that a split saves holds at least
+    2**20 values (8 MiB in float64), and only where the split keeps the bits.
+
+    A GEMM sums each output element in an order that can depend on where the
+    element's column falls in the product, and on the product's size. Two
+    products of one shape, each ``batch / 2 * span`` columns wide and that a
+    multiple of 8, gave every bit of the whole product in 537 of 537 cases
+    measured on OpenBLAS (batch 2 to 64, lengths 7 to 1,500, the mini to the
+    paper widths, 1 and 2 BLAS threads); unequal parts, or parts not a
+    multiple of 8 columns wide, changed the last bits in about half of the
+    cases measured. Aligned halves still changed bits in 2 of 379 small
+    cases (C_out 256, K 3), each with halves under 10**6 multiply-adds and
+    the whole product over it, where OpenBLAS switches to its small-matrix
+    kernels; a half im2col of 2**20 values or more keeps every half above
+    that size, whatever C_in."""
+    half_cols = batch // 2 * span
+    return (c_out > c_in and batch % 2 == 0 and half_cols % 8 == 0
+            and c_out * k * half_cols >= 2**20)
 
 
 _BN_REDUCE_AXES = (0, 2)

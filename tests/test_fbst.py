@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -312,6 +313,44 @@ class TestLocalTrainEpoch:
         for field in ("kd", "sup", "total"):
             mean = sum(getattr(p, field) for p in parts) / len(parts)
             assert getattr(report, field) == pytest.approx(mean, rel=1e-12, abs=0.0)
+
+    def test_no_batch_outlives_its_step(self, monkeypatch):
+        # the teacher's trace is dead when the student's backward starts, and
+        # nothing of the previous batch's step is alive when the next
+        # forward starts; the cache is a dict, so its pooled features stand
+        # for it
+        pair = FBSTPair(mini_model(num_classes=2, seed=35))
+        pair.load_teacher(extractor.extract_hidden_weights(mini_model(num_classes=2, seed=36)))
+        x, y = small_problem(seed=37)
+        real_forward, real_backward = extractor.FeatureExtractor.forward, \
+            extractor.FeatureExtractor.backward
+        step_refs, teacher_refs, backwards = [], [], []
+
+        def forward(self, xb, *args, **kwargs):
+            if kwargs.get("want_cache"):
+                assert all(ref() is None for ref in step_refs), "a previous batch is alive"
+                trace, cache = real_forward(self, xb, *args, **kwargs)
+                step_refs.extend(weakref.ref(a) for a in (trace, cache["pooled"], xb))
+                return trace, cache
+            trace = real_forward(self, xb, *args, **kwargs)
+            teacher_refs.append(weakref.ref(trace))
+            step_refs.append(teacher_refs[-1])
+            return trace
+
+        def backward(self, cache, output_grads):
+            assert teacher_refs[-1]() is None, "the teacher's trace is alive"
+            backwards.append(len(teacher_refs))
+            grads = real_backward(self, cache, output_grads)
+            step_refs.extend(weakref.ref(g) for g in grads.values())
+            return grads
+
+        monkeypatch.setattr(extractor.FeatureExtractor, "forward", forward)
+        monkeypatch.setattr(extractor.FeatureExtractor, "backward", backward)
+        adam = nncore.AdamState.for_params(pair.student.parameters())
+        local_train_epoch(pair, x, y, FBSTConfig(local_epochs=2, batch_size=5), k=2,
+                          adam=adam, rng=np.random.default_rng(38))
+        assert backwards == [1, 2, 3, 4, 5, 6]
+        assert all(ref() is None for ref in step_refs)
 
     def test_loss_objects_value_is_the_total_of_their_parts(self):
         rng = np.random.default_rng(34)

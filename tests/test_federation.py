@@ -37,6 +37,26 @@ def toy_config(**overrides) -> FederationConfig:
     return FederationConfig(**base)
 
 
+def run_keeping_users(config: FederationConfig):
+    """``Federation.run``'s (report, ledger) and the federation, whose users
+    hold the final models."""
+    fed = Federation(config)
+    return fed.run(), fed
+
+
+def assert_same_users(fed: Federation, other: Federation) -> None:
+    """Every user's last loss report and final student arrays agree bit for
+    bit. At toy widths every user can end at the same accuracy, so an
+    accuracy table alone compares little."""
+    assert [u.last_report for u in fed.users] == [u.last_report for u in other.users]
+    for user, other_user in zip(fed.users, other.users, strict=True):
+        arrays, other_arrays = model_arrays(user.pair.student), model_arrays(other_user.pair.student)
+        assert arrays.keys() == other_arrays.keys()
+        for key, arr in arrays.items():
+            assert arr.dtype == other_arrays[key].dtype, (user.user_id, key)
+            assert arr.tobytes() == other_arrays[key].tobytes(), (user.user_id, key)
+
+
 class TestSelectConnected:
     def test_ratio_one_selects_everyone(self):
         assert select_connected(10, 1.0, seed=0) == tuple(range(10))
@@ -348,10 +368,11 @@ class TestRunFederation:
             assert all(d == "download" for d in directions[first_download:])
 
     def test_end_to_end_determinism(self):
-        r1, l1 = run_federation(toy_config())
-        r2, l2 = run_federation(toy_config())
+        (r1, l1), first = run_keeping_users(toy_config())
+        (r2, l2), second = run_keeping_users(toy_config())
         assert np.array_equal(r1.table.values, r2.table.values)
         assert l1.entries == l2.entries
+        assert_same_users(first, second)
 
     def test_k1_trains_supervised_only_everywhere(self):
         seen = []
@@ -394,16 +415,18 @@ class TestRunFederation:
         assert isolated_uid not in {e.user_id for e in fed.ledger.entries}
 
     def test_socket_transport_matches_inproc(self):
-        r_in, l_in = run_federation(toy_config())
-        r_sock, l_sock = run_federation(toy_config(transport="socket"))
+        (r_in, l_in), inproc = run_keeping_users(toy_config())
+        (r_sock, l_sock), sock = run_keeping_users(toy_config(transport="socket"))
         assert np.array_equal(r_in.table.values, r_sock.table.values)
         assert l_in.entries == l_sock.entries
+        assert_same_users(inproc, sock)
 
     def test_parallel_workers_match_sequential(self):
         datasets = [(f"w{i}", "synthetic") for i in range(4)]
-        r1, _ = run_federation(toy_config(n_tot=4, datasets=datasets, workers=1))
-        r2, _ = run_federation(toy_config(n_tot=4, datasets=datasets, workers=3))
+        (r1, _), sequential = run_keeping_users(toy_config(n_tot=4, datasets=datasets, workers=1))
+        (r2, _), parallel = run_keeping_users(toy_config(n_tot=4, datasets=datasets, workers=3))
         assert np.array_equal(r1.table.values, r2.table.values)
+        assert_same_users(sequential, parallel)
 
     def test_fedavg_upload_missing_a_block_is_refused(self):
         # a peer that drops one block from its upload reaches the server as a

@@ -12,6 +12,8 @@ pool), not kernels; the gradcheck and the DBWM oracle check those.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MINI_BLOCKS, MINI_HIDDEN, model_arrays
 from efdls import fbst, metrics, strategies
@@ -28,11 +30,13 @@ def as_wire(bundle: WeightBundle) -> WeightBundle:
 
 def reference_round(config: FederationConfig):
     """Run ``config`` straight through; returns the users, their test
-    accuracies and each epoch's connected set (empty under baseline)."""
+    accuracies and, per epoch, the ids of the connected users and of the
+    users sent a download (both empty under baseline; efdls sends none to a
+    lone connected user, who has no partner)."""
     users = build_users(config)
     local = config.fbst_config()
     row = strategies.ROUNDS[config.strategy]
-    connected_sets = []
+    rounds = []
     for k in range(1, config.fles + 1):
         for user in users:
             user.last_report = fbst.local_train_epoch(
@@ -41,16 +45,16 @@ def reference_round(config: FederationConfig):
         connected = () if row is None else select_connected(
             config.n_tot, config.conn_ratio, config.seed,
             epoch=k if config.conn_resample and k > 1 else None)
-        connected_sets.append(connected)
         uploads = [(uid, as_wire(extract_hidden_weights(users[uid].pair.student)))
                    for uid in connected]
         downloads = strategies.apply_round(config.strategy, uploads)
+        rounds.append((connected, tuple(uid for uid, _ in downloads)))
         if k < config.fles:
             for uid, bundle in downloads:
                 getattr(users[uid].pair, row[1])(as_wire(bundle))
     accs = [metrics.top1_accuracy(u.pair.student.predict(u.dataset.test_tensor()),
                                   u.dataset.y_test) for u in users]
-    return users, accs, connected_sets
+    return users, accs, rounds
 
 
 def reference_config(**overrides) -> FederationConfig:
@@ -86,8 +90,27 @@ CASES = {
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES)
 @pytest.mark.parametrize("strategy", strategies.STRATEGY_TAGS)
 def test_run_matches_reference_round(strategy, case):
-    config = reference_config(strategy=strategy, **case)
-    users, accs, connected_sets = reference_round(config)
+    assert_run_matches_reference(reference_config(strategy=strategy, **case))
+
+
+# about 0.3 s an example on two cores
+@settings(max_examples=30, deadline=None)
+@given(strategy=st.sampled_from(strategies.STRATEGY_TAGS),
+       conn_ratio=st.floats(0.1, 1.0), conn_resample=st.booleans(),
+       transport=st.sampled_from(["inproc", "socket"]), workers=st.integers(1, 3),
+       bn_paper_literal=st.booleans(), teacher_bn_mode=st.sampled_from(["batch", "running"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_matches_reference_round_on_drawn_configs(**drawn):
+    # a failing example is reported with every drawn field, the seed included
+    assert_run_matches_reference(reference_config(**drawn))
+
+
+def assert_run_matches_reference(config: FederationConfig) -> None:
+    """``Federation.run`` on ``config`` agrees with ``reference_round`` bit
+    for bit, and its ledger with the reference's messages and, where every
+    connected user was sent a download, the ledger identity."""
+    strategy = config.strategy
+    users, accs, rounds = reference_round(config)
     fed = Federation(config)
     report, ledger = fed.run()
 
@@ -101,14 +124,17 @@ def test_run_matches_reference_round(strategy, case):
         for key, arr in arrays.items():
             assert run_arrays[key].dtype == arr.dtype and np.array_equal(run_arrays[key], arr), \
                 (user.user_id, key)
-    assert [fed.connected(k) for k in range(1, config.fles + 1)] == connected_sets
-    for k, connected in enumerate(connected_sets, start=1):
-        for direction in ("upload", "download"):
+    assert [fed.connected(k) for k in range(1, config.fles + 1)] == [c for c, _ in rounds]
+    for k, sent in enumerate(rounds, start=1):
+        for direction, expected in zip(("upload", "download"), sent):
             assert tuple(e.user_id for e in ledger.entries
-                         if e.epoch == k and e.direction == direction) == connected, (k, direction)
+                         if e.epoch == k and e.direction == direction) == expected, (k, direction)
     if strategies.ROUNDS[strategy] is None:
         assert len(ledger) == 0
     else:
         bundle_bytes = len(encode_weight_message(
             extract_hidden_weights(users[0].pair.student), epoch=1, user_id=0))
-        assert ledger.total_bytes() == comm_overhead(bundle_bytes, config.fles, config.n_conn)
+        assert ledger.total_bytes() == bundle_bytes * sum(len(c) + len(d) for c, d in rounds)
+        if all(connected == downloaded for connected, downloaded in rounds):
+            assert ledger.total_bytes() == comm_overhead(bundle_bytes, config.fles,
+                                                         config.n_conn)
