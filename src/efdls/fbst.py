@@ -27,8 +27,8 @@ weights itself, and only for the users that upload.
 
 A training step holds one batch's arrays at a time. The objective, and with
 it the teacher's trace, is dropped once the output gradients are built, so
-the student's backward runs without it, and everything else the step built
-dies when the step returns, before the next batch's forward.
+the student's backward runs without it, and the rest of the batch's arrays
+are dropped once its Adam step is taken, before the next batch's forward.
 """
 
 from __future__ import annotations
@@ -232,35 +232,25 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
     n_batches = 0
     for _ in range(config.local_epochs):
         for idx in iter_batches(x.shape[0], config.batch_size, rng):
-            report = _train_step(pair, x[idx], y[idx], config, use_teacher, k, params, adam)
+            xb, yb = x[idx], y[idx]
+            trace, cache = pair.student.forward(xb, training=True, want_cache=True)
+            if use_teacher:
+                objective = DistillationLoss(
+                    pair.teacher.forward(xb, training=config.teacher_bn_mode == "batch",
+                                         update_running=False),
+                    yb, config.epsilon)
+            else:
+                objective = SupervisedLoss(yb)
+            report = objective.parts(trace)
+            if not np.isfinite(report.total):
+                raise nncore.NumericError(f"non-finite training loss at federated epoch {k}")
+            output_grads = objective.output_grads(trace)
+            del objective  # and with it the teacher's trace
+            nncore.adam_step(params, pair.student.backward(cache, output_grads), adam)
+            del xb, yb, trace, cache, output_grads  # before the next batch's forward
             kd_sum += report.kd
             sup_sum += report.sup
             total_sum += report.total
             n_batches += 1
     return LossReport(kd=kd_sum / n_batches, sup=sup_sum / n_batches,
                       total=total_sum / n_batches)
-
-
-def _train_step(pair: FBSTPair, xb: np.ndarray, yb: np.ndarray, config: FBSTConfig,
-                use_teacher: bool, k: int, params: dict, adam: nncore.AdamState) -> LossReport:
-    """Forward, backward and Adam step on one batch; returns its loss report.
-
-    The batch, the student's trace and cache, the teacher's trace and the
-    gradients are this call's locals, so they die when it returns, before
-    the next batch's forward.
-    """
-    trace, cache = pair.student.forward(xb, training=True, want_cache=True)
-    if use_teacher:
-        objective = DistillationLoss(
-            pair.teacher.forward(xb, training=config.teacher_bn_mode == "batch",
-                                 update_running=False),
-            yb, config.epsilon)
-    else:
-        objective = SupervisedLoss(yb)
-    report = objective.parts(trace)
-    if not np.isfinite(report.total):
-        raise nncore.NumericError(f"non-finite training loss at federated epoch {k}")
-    output_grads = objective.output_grads(trace)
-    del objective  # and with it the teacher's trace
-    nncore.adam_step(params, pair.student.backward(cache, output_grads), adam)
-    return report

@@ -338,22 +338,24 @@ def conv1d_backward(gout: np.ndarray, layer: ConvLayer, x: np.ndarray, input_gra
 
 def _halve_input_grad(c_out: int, c_in: int, k: int, batch: int, span: int) -> bool:
     """Whether a conv's input-gradient product runs over the two halves of
-    the batch: only where C_out > C_in, where its im2col is wider than the
-    forward's, only where the half im2col that a split saves holds at least
-    2**20 values (8 MiB in float64), and only where the split keeps the bits.
+    the batch: where C_out > C_in, so its im2col is wider than the forward's,
+    the batch is even, each half is a multiple of 8 columns
+    (``batch / 2 * span``) wide, and each half im2col holds at least 2**20
+    values (8 MiB in float64).
 
-    A GEMM sums each output element in an order that can depend on where the
-    element's column falls in the product, and on the product's size. Two
-    products of one shape, each ``batch / 2 * span`` columns wide and that a
-    multiple of 8, gave every bit of the whole product in 537 of 537 cases
-    measured on OpenBLAS (batch 2 to 64, lengths 7 to 1,500, the mini to the
-    paper widths, 1 and 2 BLAS threads); unequal parts, or parts not a
-    multiple of 8 columns wide, changed the last bits in about half of the
-    cases measured. Aligned halves still changed bits in 2 of 379 small
-    cases (C_out 256, K 3), each with halves under 10**6 multiply-adds and
-    the whole product over it, where OpenBLAS switches to its small-matrix
-    kernels; a half im2col of 2**20 values or more keeps every half above
-    that size, whatever C_in."""
+    A GEMM may sum an output element in an order that depends on where its
+    column falls in the product and on the product's size, so a split is
+    free only where it keeps the bits. On the OpenBLAS build this was
+    measured on (scipy-openblas 0.3.31 on x86-64, its SkylakeX, Haswell,
+    Sandybridge and generic kernels, at 1 and 2 threads),
+    two equal halves each a multiple of 8 columns wide gave every bit of the
+    whole product, while unequal or unaligned parts often changed the last
+    bits. Halves under about 10**6 multiply-adds can also change them, since
+    OpenBLAS then runs its small-matrix kernels; the 2**20 floor keeps every
+    half above that size, whatever C_in, and leaves short series unsplit,
+    where the saving is small. Another BLAS, CPU or thread count may tile
+    differently: ``TestEinsumOracle`` and
+    ``test_input_gradient_batch_halves_keep_the_bits`` then fail."""
     half_cols = batch // 2 * span
     return (c_out > c_in and batch % 2 == 0 and half_cols % 8 == 0
             and c_out * k * half_cols >= 2**20)
