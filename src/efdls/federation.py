@@ -10,12 +10,16 @@ takes part in a round. Every federated epoch:
   1. every user trains locally (supervised-only until it has a teacher; a
      user that is never connected is supervised-only for the whole run);
   2. as soon as a connected user has trained, its hidden layers are
-     snapshotted into a float64 bundle, uploaded and released; no other
-     user's hidden layers are copied;
-  3. once ALL connected uploads for the epoch are in, the server applies the
-     strategy's row of ``strategies.ROUNDS`` and dispatches one bundle back
-     per user. The barrier is structural: the uploads are built from the
-     epoch's one connected set before the strategy runs;
+     snapshotted into a float64 bundle, uploaded and released, and the
+     decoded upload is handed to the strategy's row of
+     ``strategies.ROUNDS``; no other user's hidden layers are copied. The
+     round pulls the uploads one by one from a generator that trains the
+     users in turn, so a fedavg/fkd upload is folded into the running mean
+     and gone before the next user's is built, while efdls keeps them all;
+  3. once ALL connected uploads for the epoch are in, the round returns and
+     the server dispatches one bundle back per user. The barrier is
+     structural: no download exists until the round has consumed every
+     upload of the epoch's one connected set;
   4. each download is loaded as soon as it is decoded, by the row's
      ``FBSTPair`` method (teachers for efdls/fkd, students for fedavg). The
      last epoch's downloads are carried and recorded but never loaded.
@@ -31,7 +35,9 @@ wire) even in-process, so ledger byte counts are real message sizes and the
 in-process and socket transports produce identical results; the socket
 transport connects each user at its first message. Per connected
 user per epoch there is exactly one upload and one download, which makes the
-run's ledger total exactly 2 * bundle_bytes * FLEs * N_conn.
+run's ledger total exactly 2 * bundle_bytes * FLEs * N_conn. The one
+exception is efdls with a single connected user: it has no partner, so the
+round sends no download and the ledger holds bundle_bytes * FLEs.
 """
 
 from __future__ import annotations
@@ -211,7 +217,8 @@ def select_connected(n_tot: int, conn_ratio: float, seed: int, epoch: int | None
 
 def comm_overhead(bw: int, fles: int, n_conn: int) -> int:
     """Total bytes moved by a run: one upload and one download of ``bw``
-    bytes per connected user per epoch."""
+    bytes per connected user per epoch. An efdls run with one connected user
+    sends no downloads and so moves half of this."""
     if bw <= 0 or fles <= 0 or n_conn <= 0:
         raise ValueError("comm_overhead needs positive bw, fles and n_conn")
     return 2 * bw * fles * n_conn
@@ -597,23 +604,28 @@ class Federation:
         def train(user):
             return self._train_one(user, k)
 
-        pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-        trained = pool.map(train, self.users) if pool else map(train, self.users)
-        uploads = []
-        try:
+        def uploads():
+            # Each user's result is taken in user order; a connected user's
+            # upload goes out, and is handed to the round, as soon as that
+            # user has trained.
             for user, report in zip(self.users, trained):
                 user.last_report = report
                 if on_epoch is not None:
                     on_epoch(user.user_id, k, report)
                 if user.user_id in connected:
-                    uploads.append((user.user_id, self._round_trip(
+                    yield user.user_id, self._round_trip(
                         "upload", ext.extract_hidden_weights(user.pair.student), k,
-                        user.user_id)))
+                        user.user_id)
+
+        pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
+        trained = pool.map(train, self.users) if pool else map(train, self.users)
+        try:
+            downloads = strategies.apply_round(config.strategy, uploads())
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-        for uid, bundle in strategies.apply_round(config.strategy, uploads):
+        for uid, bundle in downloads:
             # Downloads may share one bundle; decoding gives each user its
             # own copy.
             bundle = self._round_trip("download", bundle, k, uid)

@@ -1,14 +1,18 @@
 """Per-round aggregation strategies.
 
 Each strategy is one row of ``ROUNDS``: the server step that turns the
-epoch's complete uploads, a [(user_id, bundle)] list, into one download per
-connected user in the same shape, and the name of the ``FBSTPair`` method
+epoch's uploads, (user_id, bundle) pairs in upload order, into one download
+per connected user in the same shape, and the name of the ``FBSTPair`` method
 that loads each download.
 
   baseline  no sharing at all (and no uploads happen either);
   fedavg    elementwise mean of every bundle, loaded into each STUDENT;
   fkd       the same mean, loaded into each TEACHER;
   efdls     nearest-neighbor weight matching, partner bundles into TEACHERS.
+
+A round consumes its uploads once, as they arrive. The mean folds each upload
+into one float64 running sum and lets it go, so fedavg/fkd hold one upload at
+a time; efdls matches every bundle against every other and so holds them all.
 
 Downloads share bundles: every fedavg/fkd user is handed the one mean, and an
 efdls user its partner's uploaded bundle itself. Each download is encoded
@@ -20,35 +24,57 @@ extension point for adding them.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from . import dbwm
 from .extractor import WeightBundle, check_bundle
 
 
-def fedavg_aggregate(bundles: list) -> WeightBundle:
+def fedavg_aggregate(bundles) -> WeightBundle:
     """Elementwise arithmetic mean over every array in every bundle,
     running statistics included. Every bundle must share the first one's
-    keys and shapes."""
-    if not bundles:
+    keys and shapes. ``bundles`` is any iterable, consumed once: each bundle
+    is added into a float64 running sum in turn, and no reference to it is
+    kept. The sum runs in input order, so for every array of more than one
+    element the mean equals ``np.stack(...).mean(axis=0)`` bit for bit."""
+    bundles = iter(bundles)
+    first = next(bundles, None)
+    if first is None:
         raise ValueError("cannot average an empty list of bundles")
-    for b in bundles[1:]:
-        check_bundle(b, bundles[0].arrays)
-    mean_arrays = {}
-    for key in bundles[0].arrays:
-        stacked = np.stack([b.arrays[key].astype(np.float64, copy=False) for b in bundles])
-        mean_arrays[key] = stacked.mean(axis=0)
-    return WeightBundle(arrays=mean_arrays)
+    # a copy even of float64 arrays: the sum is added into in place
+    sums = {key: np.array(arr, dtype=np.float64) for key, arr in first.arrays.items()}
+    del first
+    count = 1
+    for bundle in bundles:
+        check_bundle(bundle, sums)
+        for key, total in sums.items():
+            total += bundle.arrays[key]
+        count += 1
+        del bundle  # dead before the next bundle is produced
+    for total in sums.values():
+        total /= count
+    return WeightBundle(arrays=sums)
 
 
-def _mean_for_all(uploads: list) -> list:
-    mean = fedavg_aggregate([b for _, b in uploads])
-    return [(uid, mean) for uid, _ in uploads]
+def _mean_for_all(uploads) -> list:
+    uids = []
+
+    def bundle_of(upload):
+        uids.append(upload[0])
+        return upload[1]
+
+    # map, unlike a generator's loop variable, keeps no reference to the
+    # upload it last returned
+    mean = fedavg_aggregate(map(bundle_of, uploads))
+    return [(uid, mean) for uid in uids]
 
 
-def _match(uploads: list) -> list:
-    # With a single connected user no partner exists and the user simply
-    # trains supervised-only this round.
+def _match(uploads) -> list:
+    # Matching needs every bundle at once. With a single connected user no
+    # partner exists and the user simply trains supervised-only this round.
+    uploads = list(uploads)
     return dbwm.match_table(uploads) if len(uploads) >= 2 else []
 
 
@@ -63,8 +89,12 @@ ROUNDS = {"baseline": None,
 STRATEGY_TAGS = tuple(ROUNDS)
 
 
-def apply_round(tag: str, uploads: list) -> list:
-    """Turn an epoch's complete [(user_id, bundle)] uploads into
-    [(user_id, bundle)] downloads in upload order; baseline gives none."""
+def apply_round(tag: str, uploads) -> list:
+    """Turn an epoch's (user_id, bundle) uploads, an iterable consumed once
+    in upload order, into [(user_id, bundle)] downloads in that order;
+    baseline gives none but still drains the uploads."""
     row = ROUNDS[tag]
-    return [] if row is None else row[0](uploads)
+    if row is None:
+        deque(uploads, maxlen=0)  # drains them, keeping none
+        return []
+    return row[0](uploads)

@@ -322,6 +322,19 @@ class TestRunFederation:
             assert all(e.nbytes == bw for e in ledger.entries)
             assert ledger.total_bytes() == comm_overhead(bw, fles, n_tot)
 
+    def test_lone_efdls_user_sends_no_downloads(self):
+        # one connected user has no partner: the one exception to the
+        # 2 * bundle_bytes * FLEs * N_conn identity
+        datasets = [(f"w{i}", "synthetic") for i in range(5)]
+        config = toy_config(n_tot=5, conn_ratio=0.2, fles=3, datasets=datasets)
+        assert config.n_conn == 1
+        _, ledger = run_federation(config)
+        assert [e.direction for e in ledger.entries] == ["upload"] * config.fles
+        assert ledger.total_bytes("download") == 0
+        bw = ledger.entries[0].nbytes
+        assert ledger.total_bytes() == bw * config.fles
+        assert 2 * ledger.total_bytes() == comm_overhead(bw, config.fles, config.n_conn)
+
     @pytest.mark.parametrize("strategy", ["efdls", "fkd", "fedavg"])
     def test_ledger_symmetry_per_epoch(self, strategy):
         config = toy_config(n_tot=3, fles=4,
@@ -567,6 +580,45 @@ class TestStreamedRound:
                             workers=workers)
         _, ledger = run_federation(config)
         assert len(refs) == 3 * 2
+        assert len(ledger) == 2 * 3 * 2
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("strategy", ["fedavg", "fkd", "efdls"])
+    def test_only_matching_keeps_decoded_uploads_until_the_round(self, monkeypatch, strategy,
+                                                                 workers):
+        # a mean folds each decoded upload in and lets it go before the next
+        # user's bundle is extracted; matching needs every upload at once
+        held = strategy == "efdls"
+        refs = []  # weak references to this epoch's decoded uploads
+        uploads = []
+        real_run_epoch = Federation._run_epoch
+        real_round_trip = Federation._round_trip
+        real_extract = extractor.extract_hidden_weights
+
+        def run_epoch(fed, k, on_epoch=None):
+            refs.clear()
+            return real_run_epoch(fed, k, on_epoch=on_epoch)
+
+        def round_trip(fed, direction, bundle, k, user_id):
+            decoded = real_round_trip(fed, direction, bundle, k, user_id)
+            if direction == "upload":
+                refs.append(weakref.ref(decoded))
+                uploads.append((k, user_id))
+            return decoded
+
+        def extract(model):
+            alive = [ref() is not None for ref in refs]
+            assert alive == [held] * len(refs), (strategy, alive)
+            return real_extract(model)
+
+        monkeypatch.setattr(Federation, "_run_epoch", run_epoch)
+        monkeypatch.setattr(Federation, "_round_trip", round_trip)
+        monkeypatch.setattr(extractor, "extract_hidden_weights", extract)
+        datasets = [(f"w{i}", "synthetic") for i in range(4)]
+        config = toy_config(n_tot=4, conn_ratio=0.75, fles=2, datasets=datasets,
+                            strategy=strategy, workers=workers)
+        _, ledger = run_federation(config)
+        assert len(uploads) == 3 * 2
         assert len(ledger) == 2 * 3 * 2
 
     @pytest.mark.parametrize("conn_resample", [False, True])
@@ -919,6 +971,7 @@ class TestRoundTable:
         real_round = strategies.apply_round
 
         def recording(tag, uploads):
+            uploads = list(uploads)
             before = [{k: v.copy() for k, v in b.arrays.items()} for _, b in uploads]
             downloads = real_round(tag, uploads)
             rounds.append((uploads, before, downloads))

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,19 @@ from efdls.strategies import ROUNDS, STRATEGY_TAGS, apply_round, fedavg_aggregat
 
 def scalar_bundle(value: float) -> WeightBundle:
     return WeightBundle(arrays={"dense.weight": np.array([[float(value)]])})
+
+
+def typed_bundle(rng: np.random.Generator, dtype) -> WeightBundle:
+    return WeightBundle(arrays={k: v.astype(dtype) for k, v in random_bundle(rng).arrays.items()})
+
+
+def stacked_mean(bundles: list) -> dict:
+    """The mean as one reduction over the stacked float64 bundles."""
+    return {key: np.stack([b.arrays[key].astype(np.float64) for b in bundles]).mean(axis=0)
+            for key in bundles[0].arrays}
+
+
+BUNDLE_COUNTS = [1, 2, 7, 8, 16, 33]
 
 
 class TestStrategyKind:
@@ -42,6 +57,43 @@ class TestFedavgAggregate:
         for k in bundles[0].arrays:
             expected = sum(b.arrays[k] for b in bundles) / 5.0
             np.testing.assert_allclose(mean.arrays[k], expected, atol=1e-7)
+
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count", BUNDLE_COUNTS)
+    def test_running_sum_is_the_stacked_mean_bit_for_bit(self, count, dtype, stream):
+        rng = np.random.default_rng(count)
+        bundles = [typed_bundle(rng, dtype) for _ in range(count)]
+        assert all(arr.size > 1 for arr in bundles[0].arrays.values())
+        before = [{k: v.copy() for k, v in b.arrays.items()} for b in bundles]
+        mean = fedavg_aggregate(iter(bundles) if stream else bundles)
+        expected = stacked_mean(bundles)
+        assert mean.arrays.keys() == expected.keys()
+        for key, arr in expected.items():
+            assert mean.arrays[key].dtype == np.float64
+            assert np.array_equal(mean.arrays[key], arr), key
+        # the sum never aliases an input, not even a lone float64 bundle
+        for bundle, arrays in zip(bundles, before):
+            for key, arr in arrays.items():
+                assert bundle.arrays[key].dtype == dtype
+                assert np.array_equal(bundle.arrays[key], arr), key
+                assert not np.shares_memory(bundle.arrays[key], mean.arrays[key])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count", BUNDLE_COUNTS)
+    def test_one_element_array_within_its_ulp_bound(self, count, dtype):
+        """From 8 rows on, numpy sums a one-element array's stack pairwise,
+        so the running sum may differ from it in the last bits. Each sum errs
+        by under (count - 1) * count half-ulps of the largest magnitude, so
+        the two means differ by under 2 * count ulps of it."""
+        rng = np.random.default_rng(100 + count)
+        values = rng.standard_normal(count) * 10.0 ** rng.uniform(-3, 3, count)
+        bundles = [WeightBundle(arrays={"dense.bias": np.array([v], dtype=dtype)})
+                   for v in values]
+        mean = fedavg_aggregate(bundles).arrays["dense.bias"]
+        expected = stacked_mean(bundles)["dense.bias"]
+        bound = 2 * count * np.spacing(np.abs(values.astype(dtype)).max().astype(np.float64))
+        assert abs(mean[0] - expected[0]) <= bound
 
     def test_includes_running_stats(self):
         rng = np.random.default_rng(2)
@@ -146,6 +198,29 @@ class TestApplyRound:
         assert [uid for uid, _ in downloads] == [0, 1, 2]
         assert len(means) == 1
         assert all(bundle is means[0] for _, bundle in downloads)
+
+    @pytest.mark.parametrize("tag,held", [("fedavg", False), ("fkd", False), ("efdls", True),
+                                          ("baseline", False)])
+    def test_uploads_are_consumed_once_and_held_only_by_matching(self, tag, held):
+        rng = np.random.default_rng(12)
+        refs = []
+
+        def fresh():
+            bundle = random_bundle(rng)
+            refs.append(weakref.ref(bundle))
+            return bundle
+
+        def uploads():
+            for uid in range(4):
+                alive = [ref() is not None for ref in refs]
+                assert alive == [held] * uid, (uid, alive)
+                yield uid, fresh()
+
+        stream = uploads()
+        downloads = apply_round(tag, stream)
+        assert len(refs) == 4
+        assert next(stream, None) is None
+        assert [uid for uid, _ in downloads] == ([] if tag == "baseline" else [0, 1, 2, 3])
 
     def test_efdls_hands_over_the_uploaded_bundles(self):
         rng = np.random.default_rng(11)
