@@ -97,6 +97,9 @@ class FeatureExtractor:
     ``blocks`` gives (kernel_width, channels) per conv block; widths are
     configurable so tests can run skinny instances, but every model in a
     federation must share them for weight bundles to be comparable.
+    ``dtype`` is what every array stores and every forward computes in:
+    float64 by default, as the gradient oracle needs, and the wire's float32
+    for a federation's users.
     """
 
     def __init__(self, num_classes: int, blocks=DEFAULT_BLOCKS,
@@ -135,11 +138,13 @@ class FeatureExtractor:
     def forward(self, x: np.ndarray, training: bool = False,
                 update_running: bool | None = None, want_cache: bool = False):
         """Run the network on [B, 1, L] input and return a ForwardTrace
-        (optionally plus the cache needed for a backward pass). Without
-        ``want_cache`` no batch-norm cache is built. The cache holds ``x``,
-        the trace, the pooled features, the three batch-norm caches and the
-        training flag, all by reference, so nothing may write to them before
-        the backward."""
+        (optionally plus the cache needed for a backward pass). The input is
+        cast once to the model's dtype, so every layer computes in it.
+        Without ``want_cache`` no batch-norm cache is built. The cache holds
+        the cast input, the trace, the pooled features, the three batch-norm
+        caches and the training flag, all by reference, so nothing may write
+        to them before the backward."""
+        x = x.astype(self.dtype, copy=False)
         h = x
         block_outs = []
         bn_caches = []
@@ -277,24 +282,12 @@ def check_bundle(bundle: WeightBundle, reference: dict) -> None:
 
 def load_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> FeatureExtractor:
     """Overwrite the model's hidden layers with the bundle's values, copied
-    into the model's own arrays and so cast to their dtype: a student keeps
-    the float64 storage that its float64 Adam moments and updates assume.
-    The classifier is untouched."""
+    into the model's own arrays and so cast to their dtype. Nothing is
+    written unless the whole bundle fits. The classifier is untouched."""
     targets = hidden_arrays(model)
     check_bundle(bundle, targets)
     for key, dst in targets.items():
         np.copyto(dst, bundle.arrays[key])
-    return model
-
-
-def replace_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> FeatureExtractor:
-    """Replace the model's hidden arrays with private copies of the bundle's,
-    each kept in the bundle's dtype: a teacher holds a float32 download at
-    float32 and computes with it through the ops' widening. Nothing is
-    replaced unless the whole bundle fits. The classifier is untouched."""
-    check_bundle(bundle, hidden_arrays(model))
-    for key, layer, leaf in _hidden_slots(model):
-        setattr(layer, leaf, bundle.arrays[key].copy())
     return model
 
 

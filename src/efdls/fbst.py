@@ -3,10 +3,9 @@
 Each user holds a student and, from its first load on, a frozen teacher of
 the same shape. Only the student sees a gradient; the teacher's hidden-layer
 outputs act as regression targets through a feature-matching loss, and its
-weights change only when the server hands down a bundle. It holds them in the
-bundle's dtype, float32 from the wire, and computes in float64 with the bits
-a float64 copy would give. Users that never receive one (fedavg, baseline,
-disconnected) never hold a teacher.
+weights change only when the server hands down a bundle. A teacher is a clone
+of its student, so it stores and computes in the student's dtype. Users that
+never receive one (fedavg, baseline, disconnected) never hold a teacher.
 
 Loss pieces:
   * feature-matching (KD) loss: for each of the four hidden outputs, squared
@@ -84,10 +83,9 @@ class FBSTPair:
 
     The teacher is None, and training supervised-only, until the server first
     loads weights into it. That load clones the student; every load then
-    replaces the clone's hidden arrays with private copies of the bundle's,
-    in the bundle's dtype. The clone's classifier never enters the loss. A
-    student load copies into the student's own arrays, so the student keeps
-    the float64 storage that its float64 Adam moments and updates assume.
+    copies the bundle into the clone's hidden arrays, in the student's dtype.
+    The clone's classifier never enters the loss. A student load copies into
+    the student's own arrays.
     """
 
     def __init__(self, student: ext.FeatureExtractor):
@@ -96,7 +94,7 @@ class FBSTPair:
 
     def load_teacher(self, bundle: ext.WeightBundle) -> None:
         teacher = ext.clone_model(self.student) if self.teacher is None else self.teacher
-        self.teacher = ext.replace_hidden_weights(teacher, bundle)
+        self.teacher = ext.load_hidden_weights(teacher, bundle)
 
     def load_student(self, bundle: ext.WeightBundle) -> None:
         ext.load_hidden_weights(self.student, bundle)
@@ -107,7 +105,8 @@ def kd_loss(student_trace: ext.ForwardTrace, teacher_trace: ext.ForwardTrace) ->
 
     Per stage m: mean over the batch of the per-instance sum of squared
     differences; the four stage values are summed. Symmetric in its arguments
-    and zero exactly when the traces agree.
+    and zero exactly when the traces agree. Each stage's difference is
+    taken and summed in float64, whatever the traces' dtype.
     """
     total = 0.0
     for name in ext.ForwardTrace.HIDDEN_FIELDS:
@@ -117,8 +116,8 @@ def kd_loss(student_trace: ext.ForwardTrace, teacher_trace: ext.ForwardTrace) ->
             raise nncore.ShapeError(
                 f"trace field '{name}' shapes differ: {s.shape} vs {t.shape}"
             )
-        diff = s.astype(np.float64, copy=False) - t.astype(np.float64, copy=False)
-        total += float(np.sum(diff * diff) / s.shape[0])
+        diff = np.subtract(s, t, dtype=np.float64)
+        total += float(np.sum(np.multiply(diff, diff, out=diff)) / s.shape[0])
     return total
 
 

@@ -10,7 +10,7 @@ takes part in a round. Every federated epoch:
   1. every user trains locally (supervised-only until it has a teacher; a
      user that is never connected is supervised-only for the whole run);
   2. as soon as a connected user has trained, its hidden layers are
-     snapshotted into a float64 bundle, uploaded and released, and the
+     snapshotted into a bundle, uploaded and released, and the
      decoded upload is handed to the strategy's row of
      ``strategies.ROUNDS``; no other user's hidden layers are copied. The
      round pulls the uploads one by one from a generator that trains the
@@ -30,10 +30,12 @@ and its bundle must fit the user's hidden arrays (``extractor.check_bundle``).
 A failure names the user, the direction and the epoch, and each bundle goes
 to the user it was sent for, never to the id its header claims.
 
-Uploads and downloads travel as encoded weight messages (float32 on the
-wire) even in-process, so ledger byte counts are real message sizes and the
-in-process and socket transports produce identical results; the socket
-transport connects each user at its first message. Per connected
+Every user stores and computes in ``WIRE_DTYPE``, the float32 its weights
+travel in, so an upload carries the student's hidden arrays exactly and a
+decoded download is loaded as it is. Uploads and downloads travel as encoded
+weight messages even in-process, so ledger byte counts are real message
+sizes and the in-process and socket transports produce identical results;
+the socket transport connects each user at its first message. Per connected
 user per epoch there is exactly one upload and one download, which makes the
 run's ledger total exactly 2 * bundle_bytes * FLEs * N_conn. The one
 exception is efdls with a single connected user: it has no partner, so the
@@ -55,6 +57,9 @@ from . import dataio, fbst, metrics, nncore, strategies
 from . import extractor as ext
 from .fbst import ConfigError
 
+# The one dtype of a run's user arrays: what the wire carries, and what every
+# student, teacher and Adam moment stores and computes in.
+WIRE_DTYPE = np.dtype("<f4")
 MESSAGE_MAGIC = b"EFDL"
 MESSAGE_VERSION = 1
 # Most dims a block may declare: every supported numpy build can hold an
@@ -301,7 +306,7 @@ def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) ->
         if arr.ndim > MAX_WIRE_NDIM or any(not 0 < d < 2 ** 32 for d in arr.shape):
             raise ValueError(f"bundle array '{key}' has dims outside the wire format range")
         with np.errstate(over="ignore"):
-            payload = np.ascontiguousarray(arr, dtype="<f4")
+            payload = np.ascontiguousarray(arr, dtype=WIRE_DTYPE)
         fault = _value_fault(key, payload)
         if fault is not None:
             raise ValueError(f"bundle array '{key}' of user {user_id} at epoch {epoch} "
@@ -360,7 +365,7 @@ def decode_weight_message(data: bytes) -> tuple:
         payload_offset = skip(4 * numel, f"block {b} payload")
         # read in place and copied once; the temporary view is gone before
         # any error below, so ``data`` is never left exported
-        arr = np.frombuffer(data, dtype="<f4", count=numel,
+        arr = np.frombuffer(data, dtype=WIRE_DTYPE, count=numel,
                             offset=payload_offset).reshape(dims).copy()
         fault = _value_fault(key, arr)
         if fault is not None:
@@ -521,7 +526,7 @@ def build_users(config: FederationConfig) -> list:
         student = ext.FeatureExtractor(
             num_classes=ds.num_classes, blocks=config.blocks, hidden_dim=config.hidden_dim,
             bn_paper_literal=config.bn_paper_literal,
-            seed=seed_material(config.seed, uid, salt=1),
+            seed=seed_material(config.seed, uid, salt=1), dtype=WIRE_DTYPE,
         )
         users.append(UserState(
             user_id=uid,

@@ -10,13 +10,13 @@ norm the cache its forward derives under ``want_cache``. The caller holds
 those arrays by reference, so nothing may write to them before the matching
 backward has run.
 
-Parameters are stored in the dtype they were given: a student's in float64,
-a teacher's in the float32 of the bundle it downloaded. Each forward reads
-its parameters in the dtype numpy promotes them and the input to
-(``_compute_param``, the one place that decides it). Widening float32 to
-float64 is exact, so float32 weights on float64 data compute the same bits
-as float64 weights holding the same values, and a parameter already in the
-compute dtype is read uncopied.
+Parameters are stored in the dtype they were given: a federation's users in
+float32, the wire's dtype, and the gradient oracle's networks in float64.
+Each forward reads its parameters in the dtype numpy promotes them and the
+input to (``_compute_param``, the one place that decides it), which never
+narrows a parameter; a parameter already in the compute dtype is read
+uncopied. A network casts its input to its own dtype, so all of its
+arithmetic runs in that dtype.
 
 The one shared state is per-thread scratch. The conv and batch-norm ops build
 their internal temporaries (im2col matrices, a transposed gradient copy, a
@@ -341,20 +341,21 @@ def _halve_input_grad(c_out: int, c_in: int, k: int, batch: int, span: int) -> b
     the batch: where C_out > C_in, so its im2col is wider than the forward's,
     the batch is even, each half is a multiple of 8 columns
     (``batch / 2 * span``) wide, and each half im2col holds at least 2**20
-    values (8 MiB in float64).
+    values (4 MiB in float32, 8 MiB in float64).
 
     A GEMM may sum an output element in an order that depends on where its
     column falls in the product and on the product's size, so a split is
     free only where it keeps the bits. On the OpenBLAS build this was
-    measured on (scipy-openblas 0.3.31 on x86-64, its SkylakeX, Haswell,
-    Sandybridge and generic kernels, at 1 and 2 threads),
-    two equal halves each a multiple of 8 columns wide gave every bit of the
-    whole product, while unequal or unaligned parts often changed the last
-    bits. Halves under about 10**6 multiply-adds can also change them, since
-    OpenBLAS then runs its small-matrix kernels; the 2**20 floor keeps every
-    half above that size, whatever C_in, and leaves short series unsplit,
-    where the saving is small. Another BLAS, CPU or thread count may tile
-    differently: ``TestEinsumOracle`` and
+    measured on (scipy-openblas 0.3.31 on x86-64: DGEMM on its SkylakeX,
+    Haswell, Sandybridge and generic kernels, and SGEMM on SkylakeX for the
+    paper blocks at lengths 24, 64, 256 and 1024 and batches 7, 16 and 32,
+    each at 1 and 2 threads), two equal halves each a multiple of 8 columns
+    wide gave every bit of the whole product, while unequal or unaligned
+    parts often changed the last bits. Halves under about 10**6 multiply-adds
+    can also change them, since OpenBLAS then runs its small-matrix kernels;
+    the 2**20 floor keeps every half above that size, whatever C_in, and
+    leaves short series unsplit, where the saving is small. Another BLAS, CPU
+    or thread count may tile differently: ``TestEinsumOracle`` and
     ``test_input_gradient_batch_halves_keep_the_bits`` then fail."""
     half_cols = batch // 2 * span
     return (c_out > c_in and batch % 2 == 0 and half_cols % 8 == 0
@@ -424,8 +425,7 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
             layer.running_mean = m * _compute_param(layer.running_mean, x) + (1.0 - m) * mu
             layer.running_var = m * _compute_param(layer.running_var, x) + (1.0 - m) * stat
     else:
-        # widened before any arithmetic: a float32 array plus the float BN_ZETA
-        # would round in float32
+        # widened before any arithmetic, so BN_ZETA is added in the compute dtype
         mu = _compute_param(layer.running_mean, x)
         running_var = _compute_param(layer.running_var, x)
         if layer.literal_form:
@@ -599,7 +599,9 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     in the same order and dtypes, so the bits match, but builds every
     temporary in scratch: the decayed gradient and then the step's numerator
     in one buffer; the decay, the moment terms and then the denominator in
-    the other.
+    the other. A finite gradient can still overflow on the way, ``g * g``
+    first (past about 1.8e19 in float32); that raises NumericError naming
+    the parameter group.
     """
     state.step_count += 1
     t = state.step_count
@@ -611,23 +613,29 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
             raise ShapeError(f"gradient for '{name}' has shape {g.shape}, parameter has {p.shape}")
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter group '{name}'")
-        if state.weight_decay != 0.0:
-            decay = np.multiply(state.weight_decay, p,
-                                out=_scratch("adam_term", p.shape, p.dtype))
-            g = np.add(g, decay, out=_scratch("adam_grad", p.shape, np.result_type(g, decay)))
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        term = _scratch("adam_term", p.shape, g.dtype)
-        m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=term)
-        v *= ADAM_BETA2
-        v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=term), out=term)
-        numerator = np.divide(m, bc1, out=_scratch("adam_grad", p.shape, m.dtype))
-        np.multiply(state.lr, numerator, out=numerator)
-        denominator = np.divide(v, bc2, out=_scratch("adam_term", p.shape, v.dtype))
-        np.sqrt(denominator, out=denominator)
-        denominator += ADAM_EPS
-        p -= np.divide(numerator, denominator, out=numerator)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if state.weight_decay != 0.0:
+                    decay = np.multiply(state.weight_decay, p,
+                                        out=_scratch("adam_term", p.shape, p.dtype))
+                    g = np.add(g, decay,
+                               out=_scratch("adam_grad", p.shape, np.result_type(g, decay)))
+                m = state.first_moment[name]
+                v = state.second_moment[name]
+                term = _scratch("adam_term", p.shape, g.dtype)
+                m *= ADAM_BETA1
+                m += np.multiply(1.0 - ADAM_BETA1, g, out=term)
+                v *= ADAM_BETA2
+                v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=term), out=term)
+                numerator = np.divide(m, bc1, out=_scratch("adam_grad", p.shape, m.dtype))
+                np.multiply(state.lr, numerator, out=numerator)
+                denominator = np.divide(v, bc2, out=_scratch("adam_term", p.shape, v.dtype))
+                np.sqrt(denominator, out=denominator)
+                denominator += ADAM_EPS
+                p -= np.divide(numerator, denominator, out=numerator)
+        except FloatingPointError as exc:
+            raise NumericError(f"Adam step overflowed for parameter group '{name}' "
+                               f"({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -347,27 +347,19 @@ class TestRunFederation:
             assert up == ledger.epoch_bytes(k, "download")
 
     def test_baseline_equals_isolated_local_training(self):
-        from efdls import dataio, extractor, fbst, nncore
+        from efdls import fbst
 
         config = toy_config(strategy="baseline", n_tot=2, fles=3)
         fed = Federation(config)
         fed.run()
 
-        # retrain user 0 by hand with the same seed derivations
-        ds = dataio.make_synthetic_waves(seed=federation.seed_material(config.seed, 0),
-                                         name="wavesA")
-        student = extractor.FeatureExtractor(
-            num_classes=ds.num_classes, blocks=config.blocks, hidden_dim=config.hidden_dim,
-            seed=federation.seed_material(config.seed, 0, salt=1))
-        pair = fbst.FBSTPair(student)
-        adam = nncore.AdamState.for_params(student.parameters(), lr=config.lr,
-                                           weight_decay=config.weight_decay)
-        rng = np.random.default_rng(federation.seed_material(config.seed, 0, salt=2))
+        # retrain a fresh user 0 by hand, outside any round
+        user = federation.build_users(config)[0]
         for k in range(1, 4):
-            fbst.local_train_epoch(pair, ds.train_tensor(), ds.y_train,
-                                   config.fbst_config(), k, adam, rng)
+            fbst.local_train_epoch(user.pair, user.dataset.train_tensor(), user.dataset.y_train,
+                                   config.fbst_config(), k, user.adam, user.rng)
         fed_params = fed.users[0].pair.student.parameters()
-        for key, arr in pair.student.parameters().items():
+        for key, arr in user.pair.student.parameters().items():
             assert np.array_equal(arr, fed_params[key]), key
 
     def test_barrier_ordering_uploads_before_downloads(self):
@@ -696,6 +688,17 @@ class TestStreamedRound:
             hidden = extractor.hidden_arrays(user.pair.student)
             assert not all(np.array_equal(hidden[key].astype(np.float32), arr)
                            for key, arr in mean.arrays.items()), user.user_id
+
+    def test_adam_overflow_names_user_and_epoch(self):
+        # lr 1e6 drives a float32 gradient past 1.8e19, where Adam's g * g
+        # overflows; the run fails instead of freezing the parameter
+        config = toy_config(n_tot=3, fles=2, seed=1, lr=1e6, batch_size=16,
+                            datasets=[(f"waves{c}", "synthetic") for c in "ABC"],
+                            blocks=((5, 16), (3, 32), (3, 16)), hidden_dim=16)
+        with pytest.raises(nncore.NumericError,
+                           match=r"^user 1 failed at federated epoch 2: Adam step overflowed "
+                                 r"for parameter group 'bn3.beta'"):
+            run_federation(config)
 
     def test_worker_failure_names_user_and_epoch_and_closes_sockets(self, monkeypatch):
         datasets = [(f"w{i}", "synthetic") for i in range(4)]
@@ -1158,6 +1161,66 @@ class TestTeacherLifecycle:
                 assert wire.dtype == arr.dtype == np.float32, (user.user_id, key)
                 assert arr.tobytes() == wire.tobytes(), (user.user_id, key)
                 assert not np.shares_memory(arr, wire), (user.user_id, key)
+
+
+class TestFloat32Users:
+    """A run's users store and compute in the wire's float32; a float64 run
+    of the same config, whose users are rebuilt by hand, is the oracle."""
+
+    BLOCKS = ((5, 16), (3, 32), (3, 16))  # MINI widths score 0.5 for every user
+    build_users = staticmethod(federation.build_users)  # before a test replaces it
+
+    @staticmethod
+    def float64_users(config):
+        """``build_users``, with each student rebuilt in float64 from its seed
+        and its Adam state to match."""
+        users = TestFloat32Users.build_users(config)
+        for user in users:
+            student = extractor.FeatureExtractor(
+                num_classes=user.dataset.num_classes, blocks=config.blocks,
+                hidden_dim=config.hidden_dim, bn_paper_literal=config.bn_paper_literal,
+                seed=federation.seed_material(config.seed, user.user_id, salt=1),
+                dtype=np.float64)
+            user.pair = fbst.FBSTPair(student)
+            user.adam = nncore.AdamState.for_params(student.parameters(), lr=config.lr,
+                                                    weight_decay=config.weight_decay)
+        return users
+
+    @staticmethod
+    def run(config):
+        final = {}
+        fed = Federation(config)
+        report, _ = fed.run(on_epoch=lambda uid, k, rep: final.__setitem__(uid, rep.total))
+        return fed, report, final
+
+    def test_users_hold_every_array_in_the_wire_dtype(self):
+        fed = Federation(toy_config(strategy="fkd"))
+        for user in fed.users:
+            for arrays in (model_arrays(user.pair.student), user.adam.first_moment,
+                           user.adam.second_moment):
+                assert all(a.dtype == federation.WIRE_DTYPE for a in arrays.values())
+        fed.run()
+        for user in fed.users:
+            arrays = [*model_arrays(user.pair.student).values(),
+                      *model_arrays(user.pair.teacher).values()]
+            assert all(a.dtype == federation.WIRE_DTYPE for a in arrays), user.user_id
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("strategy", ["efdls", "fkd", "fedavg", "baseline"])
+    def test_run_matches_float64_users(self, monkeypatch, strategy, seed):
+        datasets = [(f"w{i}", "synthetic") for i in range(5)]
+        config = toy_config(n_tot=5, conn_ratio=0.6, fles=3, seed=seed, strategy=strategy,
+                            datasets=datasets, blocks=self.BLOCKS, hidden_dim=16)
+        fed, report, final = self.run(config)
+        monkeypatch.setattr(federation, "build_users", self.float64_users)
+        wide_fed, wide_report, wide_final = self.run(config)
+        assert all(u.pair.student.hidden.weight.dtype == np.float64 for u in wide_fed.users)
+        for user in fed.users:
+            uid = user.user_id
+            assert final[uid] == pytest.approx(wide_final[uid], rel=1e-5), uid
+            n_test = user.dataset.y_test.shape[0]
+            rows_off = abs(report.table.values[uid, 0] - wide_report.table.values[uid, 0]) * n_test
+            assert rows_off < 1.5, uid  # at most one test row
 
 
 class TestBlockShapeLimits:

@@ -349,6 +349,16 @@ class TestAdam:
         with pytest.raises(NumericError, match="bad"):
             adam_step(params, {"good": np.zeros(2), "bad": np.array([np.nan, 0.0])}, state)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_finite_gradient_that_overflows_names_group(self, weight_decay):
+        # 1e20 is finite in float32, but its square is not
+        params = {"good": np.zeros(2, dtype=np.float32), "bad": np.zeros(2, dtype=np.float32)}
+        state = AdamState.for_params(params, weight_decay=weight_decay)
+        grads = {"good": np.ones(2, dtype=np.float32),
+                 "bad": np.array([1e20, 0.0], dtype=np.float32)}
+        with pytest.raises(NumericError, match="Adam step overflowed for parameter group 'bad'"):
+            adam_step(params, grads, state)
+
 
 class _LinearModel:
     """Minimal model satisfying the gradcheck protocol: y = sum(W @ x)."""

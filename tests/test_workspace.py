@@ -54,11 +54,13 @@ def obl_ordered(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
-def conv_case(k, c_in, c_out, batch, length, kernel_dtype=np.float64, seed=0):
+def conv_case(k, c_in, c_out, batch, length, kernel_dtype=np.float64, seed=0, dtype=np.float64):
+    """A conv layer with its kernel in ``kernel_dtype``, and input and
+    upstream gradient in ``dtype``."""
     rng = np.random.default_rng(seed)
     layer = nncore.init_conv(c_out, c_in, k, rng, dtype=kernel_dtype)
-    x = rng.standard_normal((batch, c_in, length))
-    gout = rng.standard_normal((batch, c_out, length))
+    x = rng.standard_normal((batch, c_in, length)).astype(dtype, copy=False)
+    gout = rng.standard_normal((batch, c_out, length)).astype(dtype, copy=False)
     return layer, x, gout
 
 
@@ -82,11 +84,13 @@ class TestEinsumOracle:
                 assert skipped is None
                 assert_bitwise(g_kernel_only, e_kernel)
 
+    # float32 is a federation's compute dtype, float64 the gradient oracle's
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("length", [24, 256])
     @pytest.mark.parametrize("batch", [16, 32, 7])
     @pytest.mark.parametrize("k,c_in,c_out", PAPER_BLOCKS)
-    def test_paper_blocks(self, k, c_in, c_out, batch, length):
-        self.check(*conv_case(k, c_in, c_out, batch, length))
+    def test_paper_blocks(self, k, c_in, c_out, batch, length, dtype):
+        self.check(*conv_case(k, c_in, c_out, batch, length, kernel_dtype=dtype, dtype=dtype))
 
     @pytest.mark.parametrize("k,c_in,c_out", PAPER_BLOCKS)
     def test_float32_kernel_float64_input(self, k, c_in, c_out):
@@ -97,15 +101,17 @@ class TestEinsumOracle:
 
 # shapes where ignoring one part of nncore._halve_input_grad's rule changes
 # bits; TestEinsumOracle covers the halves at paper widths
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("k,c_in,c_out,batch,length", [
     (3, 8, 12, 16, 4096),  # halves of 8 * 4098 columns, 36 rows
     (5, 128, 256, 10, 256),  # 5 * 260 columns: one product
     (3, 128, 256, 4, 2),  # 2 * 4 columns, 768 rows: too small, one product
     (3, 8, 12, 2, 7),  # 1 * 9 columns: one product
 ])
-def test_input_gradient_batch_halves_keep_the_bits(k, c_in, c_out, batch, length):
+def test_input_gradient_batch_halves_keep_the_bits(k, c_in, c_out, batch, length, dtype):
     try:
-        TestEinsumOracle().check(*conv_case(k, c_in, c_out, batch, length))
+        TestEinsumOracle().check(*conv_case(k, c_in, c_out, batch, length,
+                                            kernel_dtype=dtype, dtype=dtype))
     except AssertionError as exc:
         raise AssertionError(
             "conv1d_backward differs from the einsum oracle. The batch split rule in "
@@ -159,17 +165,18 @@ class TestBatchNormOracle:
     included: its reductions sum in memory order, and a gradient's layout
     decides the conv backward's BLAS call."""
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("shape", [(16, 256, 64), (3, 5, 7)])
     @pytest.mark.parametrize("g_layout", ["c", "obl"])
     @pytest.mark.parametrize("x_layout", ["c", "obl"])
     @pytest.mark.parametrize("literal", [False, True])
-    def test_training_forward_and_backward(self, literal, x_layout, g_layout, shape):
+    def test_training_forward_and_backward(self, literal, x_layout, g_layout, shape, dtype):
         rng = np.random.default_rng(5)
-        x = 3.0 * rng.standard_normal(shape) + 1.0
-        gout = rng.standard_normal(shape)
+        x = (3.0 * rng.standard_normal(shape) + 1.0).astype(dtype, copy=False)
+        gout = rng.standard_normal(shape).astype(dtype, copy=False)
         x = obl_ordered(x) if x_layout == "obl" else x
         gout = obl_ordered(gout) if g_layout == "obl" else gout
-        layer = bn_layer(shape[1], literal)
+        layer = bn_layer(shape[1], literal, dtype=dtype)
         expected_out, expected_cache = expression_batchnorm_forward(x, layer)
         out, cache = nncore.batchnorm_forward(x, layer, training=True, update_running=False,
                                               want_cache=True)
@@ -236,9 +243,9 @@ def assert_no_shared_memory(first, second, passed_in=()):
             assert not np.shares_memory(a, b)
 
 
-def bn_layer(c, literal, seed=0):
+def bn_layer(c, literal, seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    layer = nncore.init_batchnorm(c, literal_form=literal)
+    layer = nncore.init_batchnorm(c, literal_form=literal, dtype=dtype)
     layer.alpha[:] = rng.uniform(0.5, 1.5, c)
     layer.beta[:] = rng.uniform(-1.0, 1.0, c)
     return layer
