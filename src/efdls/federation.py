@@ -57,8 +57,9 @@ from . import dataio, fbst, metrics, nncore, strategies
 from . import extractor as ext
 from .fbst import ConfigError
 
-# The one dtype of a run's user arrays: what the wire carries, and what every
-# student, teacher and Adam moment stores and computes in.
+# The payload dtype of message version 1, fixed by the wire format: changing
+# it changes the message layout and needs a new MESSAGE_VERSION. A run's
+# users store and compute in it too, so an upload is their arrays exactly.
 WIRE_DTYPE = np.dtype("<f4")
 MESSAGE_MAGIC = b"EFDL"
 MESSAGE_VERSION = 1
@@ -362,7 +363,7 @@ def decode_weight_message(data: bytes) -> tuple:
         numel = 1
         for d in dims:
             numel *= d
-        payload_offset = skip(4 * numel, f"block {b} payload")
+        payload_offset = skip(WIRE_DTYPE.itemsize * numel, f"block {b} payload")
         # read in place and copied once; the temporary view is gone before
         # any error below, so ``data`` is never left exported
         arr = np.frombuffer(data, dtype=WIRE_DTYPE, count=numel,

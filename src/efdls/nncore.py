@@ -12,11 +12,8 @@ backward has run.
 
 Parameters are stored in the dtype they were given: a federation's users in
 float32, the wire's dtype, and the gradient oracle's networks in float64.
-Each forward reads its parameters in the dtype numpy promotes them and the
-input to (``_compute_param``, the one place that decides it), which never
-narrows a parameter; a parameter already in the compute dtype is read
-uncopied. A network casts its input to its own dtype, so all of its
-arithmetic runs in that dtype.
+An op computes in its operands' dtype; a network casts its input to its own
+dtype, so every operand of its ops shares that one dtype.
 
 The one shared state is per-thread scratch. The conv and batch-norm ops build
 their internal temporaries (im2col matrices, a transposed gradient copy, a
@@ -224,14 +221,6 @@ def _scratch_copy(role: str, a: np.ndarray) -> np.ndarray:
 # Forward / backward ops
 # ---------------------------------------------------------------------------
 
-def _compute_param(param: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``param`` as a forward on input ``x`` computes with it: in the dtype
-    numpy promotes the two to, which never narrows it. A float32 parameter on
-    float64 input is widened exactly, so it computes what a float64 copy
-    would; a parameter already in that dtype is returned as it is."""
-    return param.astype(np.result_type(param, x), copy=False)
-
-
 def _im2col(a: np.ndarray, k: int, pad: int) -> np.ndarray:
     """The [C*K, B*T] matrix of the width-k windows of [B, C, L] input
     zero-extended by ``pad`` at both ends of its length axis, with
@@ -271,8 +260,7 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
     This is the product ``np.einsum("bclk,ock->bol", windows, kernel,
     optimize=True)`` runs: [C_out, C_in*K] @ [C_in*K, B*L], returned as a
     [B, C_out, L] view of the [C_out, B, L] result. The output is the only
-    fresh allocation, beside the widened copy of a kernel stored narrower
-    than its input. The backward takes ``x`` itself, whose windows it copies
+    fresh allocation. The backward takes ``x`` itself, whose windows it copies
     again, so nothing may write to ``x`` before that backward.
     ``want_cache`` returns ``(out, x)``. The library never passes it; it
     stays because the benchmark harness's operation-count test
@@ -287,12 +275,11 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
         raise ShapeError(f"conv input length axis must be >= 1, got {x.shape[2]}")
     b, c, length = x.shape
     o, _, k = layer.kernel.shape
-    kernel = _compute_param(layer.kernel, x)
     # overflow here is converted into NumericError by the callers' finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.matmul(kernel.reshape(o, c * k), _im2col(x, k, (k - 1) // 2))
+        out = np.matmul(layer.kernel.reshape(o, c * k), _im2col(x, k, (k - 1) // 2))
         out = out.reshape(o, b, length).transpose(1, 0, 2)
-        out += _compute_param(layer.bias, x)[None, :, None]
+        out += layer.bias[None, :, None]
     if want_cache:
         return out, x
     return out
@@ -388,8 +375,8 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
     if update_running is None:
         update_running = training
 
-    alpha = _per_channel(_compute_param(layer.alpha, x))
-    beta = _per_channel(_compute_param(layer.beta, x))
+    alpha = _per_channel(layer.alpha)
+    beta = _per_channel(layer.beta)
 
     if training:
         # overflow here is converted into NumericError by the finiteness checks
@@ -422,16 +409,14 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
             raise NumericError("non-finite batch statistics in batchnorm")
         if update_running:
             m = BN_MOMENTUM
-            layer.running_mean = m * _compute_param(layer.running_mean, x) + (1.0 - m) * mu
-            layer.running_var = m * _compute_param(layer.running_var, x) + (1.0 - m) * stat
+            layer.running_mean = m * layer.running_mean + (1.0 - m) * mu
+            layer.running_var = m * layer.running_var + (1.0 - m) * stat
     else:
-        # widened before any arithmetic, so BN_ZETA is added in the compute dtype
-        mu = _compute_param(layer.running_mean, x)
-        running_var = _compute_param(layer.running_var, x)
+        mu = layer.running_mean
         if layer.literal_form:
-            denom = np.sqrt(running_var) + BN_ZETA
+            denom = np.sqrt(layer.running_var) + BN_ZETA
         else:
-            denom = np.sqrt(running_var + BN_ZETA)
+            denom = np.sqrt(layer.running_var + BN_ZETA)
         scale = 1.0 / denom
         centered = np.subtract(x, _per_channel(mu), out=None if want_cache
                                else _scratch_like("centered", np.result_type(x, mu), x))
@@ -535,7 +520,7 @@ def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
         raise ShapeError(
             f"dense input feature axis has size {x.shape[1]} but weight expects D_in={layer.weight.shape[1]}"
         )
-    return x @ _compute_param(layer.weight, x).T + _compute_param(layer.bias, x)[None, :]
+    return x @ layer.weight.T + layer.bias[None, :]
 
 
 def dense_backward(gout: np.ndarray, layer: DenseLayer, x: np.ndarray):

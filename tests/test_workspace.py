@@ -92,6 +92,7 @@ class TestEinsumOracle:
     def test_paper_blocks(self, k, c_in, c_out, batch, length, dtype):
         self.check(*conv_case(k, c_in, c_out, batch, length, kernel_dtype=dtype, dtype=dtype))
 
+    # mixed operands compute in numpy's promotion: matmul widens the kernel exactly
     @pytest.mark.parametrize("k,c_in,c_out", PAPER_BLOCKS)
     def test_float32_kernel_float64_input(self, k, c_in, c_out):
         layer, x, gout = conv_case(k, c_in, c_out, 7, 24, kernel_dtype=np.float32, seed=1)
