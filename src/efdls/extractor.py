@@ -183,6 +183,14 @@ class FeatureExtractor:
         ``ForwardTrace.HIDDEN_FIELDS``, which is exactly what a supervised +
         feature-matching loss needs. The gradients are keyed and ordered as
         ``parameters()``.
+
+        The backward owns ``output_grads``: it pops each hidden-stage
+        gradient once that gradient is added, so o3's and o2's are dead
+        before the lower blocks' backward runs. Each is added in place into
+        the gradient flowing down, which keeps that gradient's layout: the
+        pool gradient's [B, C, L] order at block 3 and the conv input
+        gradient's [C, B, L] order below it, the layouts numpy gives the
+        fresh sums there.
         """
         if cache is None or "trace" not in cache:
             raise nncore.GradientStateError("backward called without a cached forward")
@@ -197,7 +205,7 @@ class FeatureExtractor:
             "logits", np.zeros((trace.logits.shape[0], self.num_classes), dtype=self.dtype))
         g_o4, *classifier = nncore.dense_backward(g_logits, self.classifier, trace.o4)
         if dense_field in output_grads:
-            g_o4 = g_o4 + output_grads[dense_field]
+            g_o4 += output_grads.pop(dense_field)
         g_pooled, *dense = nncore.dense_backward(g_o4, self.hidden, cache["pooled"])
         g = nncore.global_avg_pool_backward(g_pooled, trace.o3.shape[2])
         bn_backward = (nncore.batchnorm_backward if cache["training"]
@@ -205,7 +213,7 @@ class FeatureExtractor:
         blocks = []
         for i in range(len(self.convs), 0, -1):
             if block_fields[i - 1] in output_grads:
-                g = g + output_grads[block_fields[i - 1]]
+                g += output_grads.pop(block_fields[i - 1])
             g = nncore.relu_backward(g, outs[i])
             g, *bn = bn_backward(g, self.bns[i - 1], cache["bn"][i - 1])
             # the input gradient of block 1 would flow into the data

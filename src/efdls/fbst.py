@@ -24,10 +24,15 @@ pass. Local training takes all three from that one object and returns the
 mean of the batch reports; the federation snapshots the student's hidden
 weights itself, and only for the users that upload.
 
-A training step holds one batch's arrays at a time. The objective, and with
-it the teacher's trace, is dropped once the output gradients are built, so
-the student's backward runs without it, and the rest of the batch's arrays
+A training step holds one batch's arrays at a time, and each activation-sized
+array once. The KD loss takes its float64 difference in workspace scratch.
+The output gradients are built with ``consume=True``: the KD gradients are
+written into the teacher trace's own arrays, and the objective, with the rest
+of the teacher's trace, is dropped at once, so the student's backward runs
+without it. The backward owns the output gradients and drops each
+hidden-stage gradient once it is added, and the rest of the batch's arrays
 are dropped once its Adam step is taken, before the next batch's forward.
+Without ``consume``, ``output_grads`` is pure, as the gradcheck needs.
 """
 
 from __future__ import annotations
@@ -106,7 +111,8 @@ def kd_loss(student_trace: ext.ForwardTrace, teacher_trace: ext.ForwardTrace) ->
     Per stage m: mean over the batch of the per-instance sum of squared
     differences; the four stage values are summed. Symmetric in its arguments
     and zero exactly when the traces agree. Each stage's difference is
-    taken and summed in float64, whatever the traces' dtype.
+    taken and summed in float64, whatever the traces' dtype, in workspace
+    scratch laid out as numpy lays out a fresh difference.
     """
     total = 0.0
     for name in ext.ForwardTrace.HIDDEN_FIELDS:
@@ -116,20 +122,26 @@ def kd_loss(student_trace: ext.ForwardTrace, teacher_trace: ext.ForwardTrace) ->
             raise nncore.ShapeError(
                 f"trace field '{name}' shapes differ: {s.shape} vs {t.shape}"
             )
-        diff = np.subtract(s, t, dtype=np.float64)
+        diff = np.subtract(s, t, dtype=np.float64,
+                           out=nncore.scratch_like("kd_diff", np.float64, s, t))
         total += float(np.sum(np.multiply(diff, diff, out=diff)) / s.shape[0])
     return total
 
 
 def kd_loss_grads(student_trace: ext.ForwardTrace, teacher_trace: ext.ForwardTrace,
-                  scale: float = 1.0) -> dict:
+                  scale: float = 1.0, out: ext.ForwardTrace | None = None) -> dict:
     """Gradients of kd_loss with respect to the student's hidden outputs
-    (the teacher side is a constant)."""
+    (the teacher side is a constant): ``scale * 2 * (s - t) / batch`` per
+    stage. Each is written into the array of that stage of ``out``, which may
+    be ``teacher_trace`` itself, or into a fresh array without it."""
     grads = {}
     for name in ext.ForwardTrace.HIDDEN_FIELDS:
         s = getattr(student_trace, name)
-        t = getattr(teacher_trace, name)
-        grads[name] = scale * 2.0 * (s - t) / s.shape[0]
+        g = np.subtract(s, getattr(teacher_trace, name),
+                        out=None if out is None else getattr(out, name))
+        g *= scale * 2.0
+        g /= s.shape[0]
+        grads[name] = g
     return grads
 
 
@@ -178,7 +190,8 @@ class SupervisedLoss:
     def value(self, trace: ext.ForwardTrace) -> float:
         return self.parts(trace).total
 
-    def output_grads(self, trace: ext.ForwardTrace) -> dict:
+    def output_grads(self, trace: ext.ForwardTrace, *, consume: bool = False) -> dict:
+        """The gradient at the logits; there is no trace to ``consume``."""
         return {"logits": sup_loss_logit_grad(trace.probs, self.labels)}
 
 
@@ -198,9 +211,16 @@ class DistillationLoss(SupervisedLoss):
         kd = kd_loss(trace, self.teacher_trace)
         return LossReport(kd=kd, sup=sup, total=total_loss(sup, kd, self.epsilon))
 
-    def output_grads(self, trace: ext.ForwardTrace) -> dict:
-        grads = kd_loss_grads(trace, self.teacher_trace, scale=1.0 - self.epsilon)
+    def output_grads(self, trace: ext.ForwardTrace, *, consume: bool = False) -> dict:
+        """The gradients at the logits and the four hidden outputs. With
+        ``consume`` the hidden ones are written into the teacher trace's
+        arrays, and the loss gives the trace up: it holds no teacher trace
+        afterwards, so it must not be evaluated again."""
+        out = self.teacher_trace if consume else None
+        grads = kd_loss_grads(trace, self.teacher_trace, scale=1.0 - self.epsilon, out=out)
         grads["logits"] = sup_loss_logit_grad(trace.probs, self.labels, scale=self.epsilon)
+        if consume:
+            self.teacher_trace = None
         return grads
 
 
@@ -243,8 +263,10 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
             report = objective.parts(trace)
             if not np.isfinite(report.total):
                 raise nncore.NumericError(f"non-finite training loss at federated epoch {k}")
-            output_grads = objective.output_grads(trace)
-            del objective  # and with it the teacher's trace
+            # the KD gradients take the teacher trace's arrays, and the rest of
+            # the trace goes with the objective
+            output_grads = objective.output_grads(trace, consume=True)
+            del objective
             nncore.adam_step(params, pair.student.backward(cache, output_grads), adam)
             del xb, yb, trace, cache, output_grads  # before the next batch's forward
             kd_sum += report.kd

@@ -9,13 +9,13 @@ takes part in a round. Every federated epoch:
 
   1. every user trains locally (supervised-only until it has a teacher; a
      user that is never connected is supervised-only for the whole run);
-  2. as soon as a connected user has trained, its hidden layers are
-     snapshotted into a bundle, uploaded and released, and the
-     decoded upload is handed to the strategy's row of
-     ``strategies.ROUNDS``; no other user's hidden layers are copied. The
-     round pulls the uploads one by one from a generator that trains the
-     users in turn, so a fedavg/fkd upload is folded into the running mean
-     and gone before the next user's is built, while efdls keeps them all;
+  2. once every user has trained, each connected user's hidden layers are
+     snapshotted into a bundle, uploaded and released, and the decoded
+     upload is handed to the strategy's row of ``strategies.ROUNDS``; no
+     other user's hidden layers are copied. No upload exists while a user
+     trains. The round pulls the uploads one by one, in user order, from a
+     generator, so a fedavg/fkd upload is folded into the running mean and
+     gone before the next user's is built, while efdls keeps them all;
   3. once ALL connected uploads for the epoch are in, the round returns and
      the server dispatches one bundle back per user. The barrier is
      structural: no download exists until the round has consumed every
@@ -610,26 +610,28 @@ class Federation:
         def train(user):
             return self._train_one(user, k)
 
+        pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
+        try:
+            reports = list(pool.map(train, self.users) if pool else map(train, self.users))
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+        for user, report in zip(self.users, reports):
+            user.last_report = report
+            if on_epoch is not None:
+                on_epoch(user.user_id, k, report)
+
         def uploads():
-            # Each user's result is taken in user order; a connected user's
-            # upload goes out, and is handed to the round, as soon as that
-            # user has trained.
-            for user, report in zip(self.users, trained):
-                user.last_report = report
-                if on_epoch is not None:
-                    on_epoch(user.user_id, k, report)
+            # Every user has trained, so no upload is held while a user
+            # trains; each connected user's upload goes out, in user order,
+            # when the round asks for it.
+            for user in self.users:
                 if user.user_id in connected:
                     yield user.user_id, self._round_trip(
                         "upload", ext.extract_hidden_weights(user.pair.student), k,
                         user.user_id)
 
-        pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-        trained = pool.map(train, self.users) if pool else map(train, self.users)
-        try:
-            downloads = strategies.apply_round(config.strategy, uploads())
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+        downloads = strategies.apply_round(config.strategy, uploads())
 
         for uid, bundle in downloads:
             # Downloads may share one bundle; decoding gives each user its

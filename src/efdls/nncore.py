@@ -16,8 +16,9 @@ An op computes in its operands' dtype; a network casts its input to its own
 dtype, so every operand of its ops shares that one dtype.
 
 The one shared state is per-thread scratch. The conv and batch-norm ops build
-their internal temporaries (im2col matrices, a transposed gradient copy, a
-flipped kernel, centered values, squares and backward products), and Adam
+their internal temporaries (im2col matrices, a flipped kernel, a transposed
+copy of an upstream gradient not stored in [C, B, L] order, centered values,
+and the literal batch-norm form's squares and backward products), and Adam
 its per-group terms, in the calling thread's workspace: two flat buffers, each
 grown to the largest request and viewed at the shape and memory order the op
 needs, until ``release_workspace`` gives them back. No scratch view outlives
@@ -25,16 +26,22 @@ the op that took it, and nothing an op returns or caches lives there, so
 results never alias each other. The arithmetic is the one numpy's own
 expressions perform, in the same order and memory layout, so the bits match;
 numpy itself picks the layout of each elementwise temporary, from its result
-on a two-wide corner of the operands. Each thread has its own workspace,
-which makes the module safe to drive from parallel workers as long as each
-worker owns its own layers.
+on a two-wide corner of the operands. The one exception is standard-form
+training batch norm, which takes its statistics and parameter gradients in
+two per-channel reductions and so differs from its plain expressions in the
+last bits. Each thread has its own workspace, which makes the module safe to
+drive from parallel workers as long as each worker owns its own layers.
 
 ``finite_diff_gradcheck`` is the one finite-difference oracle. It visits each
 probed parameter entry once, compares its central-difference quotient with
 the analytic gradient, and folds the entry's relative error into the worst
 with ``np.maximum``, so a NaN from the loss or the gradient fails the check.
 Its default step, refinement and denominator settings are the ``FD_*``
-constants.
+constants. A model's backward owns the ``output_grads`` it is given
+(``FeatureExtractor.backward`` pops each hidden-stage gradient once it has
+added it). The oracle evaluates the loss again after the backward, so
+``loss.output_grads`` must be pure: it may not write into anything the loss
+reads.
 
 Settings no caller varies are constants: ``BN_ZETA`` and ``BN_MOMENTUM``,
 which every user's network must share since a bundle carries neither, and
@@ -164,7 +171,7 @@ _WORKSPACE = _Workspace()
 # never live at once: an op holds at most one array from each buffer at a time,
 # and no scratch array outlives its op.
 _BUFFER_OF = {
-    "cols": 0, "centered": 0, "gh": 0, "adam_grad": 0,
+    "cols": 0, "centered": 0, "kd_diff": 0, "adam_grad": 0,
     "gout_t": 1, "kernel_t": 1, "squares": 1, "prod": 1, "adam_term": 1,
 }
 
@@ -198,12 +205,14 @@ def _scratch(role: str, shape, dtype, order=None) -> np.ndarray:
     return stored.transpose(sorted(range(len(order)), key=order.__getitem__))
 
 
-def _scratch_like(role: str, dtype, *arrays) -> np.ndarray:
+def scratch_like(role: str, dtype, *arrays) -> np.ndarray:
     """Scratch for an elementwise result over ``arrays`` (all of one shape),
     laid out as numpy lays out a fresh one. Numpy itself decides, on a
     two-wide corner of the one or two operands, which keeps every stride its
     axis sort reads; copysign raises no floating-point warning, whatever the
-    values. Reductions sum in memory order, so this keeps their bits."""
+    values. Reductions sum in memory order, so this keeps their bits. The
+    KD loss takes its difference here too; as in an op, the view must be
+    dropped before the next op runs."""
     corner = (slice(2),) * arrays[0].ndim
     probe = np.copysign(arrays[0][corner], arrays[-1][corner])
     order = sorted(range(probe.ndim), key=lambda ax: -probe.strides[ax])
@@ -362,12 +371,24 @@ def _require_3d(x: np.ndarray, what: str) -> None:
         raise ShapeError(f"{what} must be [batch, channel, length], got shape {x.shape}")
 
 
+def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel sum of ``a * b`` over the batch and length axes of
+    [B, C, L] arrays, with no full-size product: einsum sums each length-L
+    row, and the [B, C] partial sums are then summed over the batch."""
+    return np.einsum("bcl,bcl->bc", a, b).sum(axis=0)
+
+
 def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
                       update_running: bool | None = None, want_cache: bool = False):
     """Normalize per channel over the batch and length axes of [B, C, L]
     input. Training mode uses batch statistics (and by default folds them
     into the running statistics); inference mode uses the running statistics
     only. Temporaries that no cache keeps live in scratch.
+
+    The standard form takes the variance from one reduction of the centered
+    values with themselves (``_channel_dot``) and normalizes them in place,
+    so a cached ``xhat`` is the only full-size array it allocates besides
+    the output.
     """
     _require_3d(x, "batchnorm input")
     if x.shape[0] < 1 and training:
@@ -384,12 +405,13 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
             mu = x.mean(axis=_BN_REDUCE_AXES)
             if not np.isfinite(mu).all():
                 raise NumericError("non-finite batch statistics in batchnorm")
-            keep_centered = want_cache and layer.literal_form
-            centered = np.subtract(x, _per_channel(mu), out=None if keep_centered
-                                   else _scratch_like("centered", np.result_type(x, mu), x))
-            squares = np.multiply(centered, centered,
-                                  out=_scratch_like("squares", centered.dtype, centered))
+            # a cached form keeps the centered values: as they are (literal),
+            # or normalized in place into xhat (standard)
+            centered = np.subtract(x, _per_channel(mu), out=None if want_cache
+                                   else scratch_like("centered", np.result_type(x, mu), x))
             if layer.literal_form:
+                squares = np.multiply(centered, centered,
+                                      out=scratch_like("squares", centered.dtype, centered))
                 sumsq = np.sum(squares, axis=_BN_REDUCE_AXES)
                 delta = np.sqrt(sumsq)
                 denom = delta + BN_ZETA
@@ -397,12 +419,11 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
                 stat = sumsq
                 cache = ("literal", centered, delta, denom)
             else:
-                var = np.mean(squares, axis=_BN_REDUCE_AXES)
+                var = _channel_dot(centered, centered) / (x.shape[0] * x.shape[2])
                 inv = 1.0 / np.sqrt(var + BN_ZETA)
-                # an uncached xhat takes the squares' place
-                xhat = np.multiply(centered, _per_channel(inv),
-                                   out=None if want_cache else squares)
-                out = alpha * xhat + beta
+                xhat = np.multiply(centered, _per_channel(inv), out=centered)
+                out = np.multiply(alpha, xhat)
+                out += beta
                 stat = var
                 cache = ("standard", xhat, inv)
         if not np.isfinite(stat).all():
@@ -419,7 +440,7 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
             denom = np.sqrt(layer.running_var + BN_ZETA)
         scale = 1.0 / denom
         centered = np.subtract(x, _per_channel(mu), out=None if want_cache
-                               else _scratch_like("centered", np.result_type(x, mu), x))
+                               else scratch_like("centered", np.result_type(x, mu), x))
         out = alpha * centered * _per_channel(scale) + beta
         cache = ("inference", centered, scale)
 
@@ -431,8 +452,15 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
 def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache):
     """Gradients through training-mode batch normalization.
 
-    Returns (g_input, g_alpha, g_beta). Both normalization modes are exact;
-    the literal form uses
+    Returns (g_input, g_alpha, g_beta). Both normalization modes are exact.
+    The standard form takes two per-channel reductions, g_beta = sum(g) and
+    g_alpha = sum(g * xhat), and builds
+
+        dL/dx = alpha * inv * (g - xhat * g_alpha / n - g_beta / n)
+
+    in one output array stored in [C, B, L] order, the order conv outputs
+    use, so the conv backward multiplies it without a copy. The literal form
+    uses
 
         dL/dx_k = alpha * [ (g_k - mean(g)) / D - c_k * sum(g*c) / (delta * D^2) ]
 
@@ -447,24 +475,23 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache):
     g_beta = gout.sum(axis=_BN_REDUCE_AXES)
     if kind == "standard":
         _, xhat, inv = cache
-        prod = _scratch_like("prod", np.result_type(gout, xhat), gout, xhat)
-        g_alpha = np.sum(np.multiply(gout, xhat, out=prod), axis=_BN_REDUCE_AXES)
-        gh = np.multiply(gout, alpha, out=_scratch_like("gh", np.result_type(gout, alpha), gout))
-        mean_gh = gh.mean(axis=_BN_REDUCE_AXES)
-        prod = _scratch_like("prod", np.result_type(gh, xhat), gh, xhat)
-        mean_gh_xhat = np.mean(np.multiply(gh, xhat, out=prod), axis=_BN_REDUCE_AXES)
-        prod = _scratch_like("prod", np.result_type(xhat, mean_gh_xhat), xhat)
-        g_input = _per_channel(inv) * (gh - _per_channel(mean_gh)
-                                       - np.multiply(xhat, _per_channel(mean_gh_xhat), out=prod))
+        b, c, length = gout.shape
+        n = b * length
+        g_alpha = _channel_dot(gout, xhat)
+        g_input = np.empty((c, b, length), dtype=np.result_type(gout, xhat)).transpose(1, 0, 2)
+        np.multiply(xhat, _per_channel(g_alpha / n), out=g_input)
+        np.subtract(gout, g_input, out=g_input)
+        g_input -= _per_channel(g_beta / n)
+        g_input *= _per_channel(layer.alpha * inv)
     elif kind == "literal":
         _, centered, delta, denom = cache
-        prod = _scratch_like("prod", np.result_type(gout, centered), gout, centered)
+        prod = scratch_like("prod", np.result_type(gout, centered), gout, centered)
         s_gc = np.sum(np.multiply(gout, centered, out=prod), axis=_BN_REDUCE_AXES)
         g_alpha = s_gc / denom
         mean_g = gout.mean(axis=_BN_REDUCE_AXES)
         delta_safe = np.maximum(delta, np.finfo(gout.dtype).tiny)
         coef = s_gc / (delta_safe * denom * denom)
-        prod = _scratch_like("prod", np.result_type(centered, coef), centered)
+        prod = scratch_like("prod", np.result_type(centered, coef), centered)
         g_input = alpha * ((gout - _per_channel(mean_g)) / _per_channel(denom)
                            - np.multiply(centered, _per_channel(coef), out=prod))
     else:

@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -174,6 +175,28 @@ class TestBackwardComposition:
         _, cache = m.forward(np.zeros((1, 1, 8)), training=True, want_cache=True)
         with pytest.raises(ValueError, match="injection"):
             m.backward(cache, {"nonsense": np.zeros(1)})
+
+    def test_each_hidden_gradient_is_dead_once_its_block_backward_starts(self, monkeypatch):
+        # the backward owns its output_grads: each hidden-stage gradient is
+        # popped and dropped once added, before that block's ReLU backward
+        m = mini_model(num_classes=3, seed=30)
+        rng = np.random.default_rng(31)
+        trace, cache = m.forward(rng.standard_normal((4, 1, 10)), training=True, want_cache=True)
+        fields = extractor.ForwardTrace.HIDDEN_FIELDS
+        output_grads = {f: rng.standard_normal(getattr(trace, f).shape) for f in fields}
+        output_grads["logits"] = rng.standard_normal(trace.logits.shape)
+        refs = {f: weakref.ref(output_grads[f]) for f in fields}
+        real = nncore.relu_backward
+        alive = []
+
+        def relu_backward(gout, out):
+            alive.append([f for f in fields if refs[f]() is not None])
+            return real(gout, out)
+
+        monkeypatch.setattr(nncore, "relu_backward", relu_backward)
+        m.backward(cache, output_grads)
+        assert alive == [["o1", "o2"], ["o1"], []]  # blocks 3, 2, 1
+        assert list(output_grads) == ["logits"]
 
     @pytest.mark.parametrize("literal", [False, True])
     @pytest.mark.parametrize("distill", [False, True])

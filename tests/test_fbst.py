@@ -372,6 +372,72 @@ class TestLocalTrainEpoch:
         assert backwards == [1, 2, 3, 4, 5, 6]
         assert all(ref() is None for ref in step_refs)
 
+    def test_kd_gradients_live_in_the_teacher_traces_arrays(self, monkeypatch):
+        # a step's KD gradients are written into the arrays of the teacher's
+        # trace of the same batch, and equal the pure gradients bit for bit
+        pair = FBSTPair(mini_model(num_classes=2, seed=39))
+        pair.load_teacher(extractor.extract_hidden_weights(mini_model(num_classes=2, seed=40)))
+        x, y = small_problem(seed=41)
+        fields = extractor.ForwardTrace.HIDDEN_FIELDS
+        real_forward, real_backward = extractor.FeatureExtractor.forward, \
+            extractor.FeatureExtractor.backward
+        teacher_refs, checked = [], []
+
+        def forward(self, xb, *args, **kwargs):
+            result = real_forward(self, xb, *args, **kwargs)
+            if not kwargs.get("want_cache"):
+                teacher_refs.append({f: weakref.ref(getattr(result, f)) for f in fields})
+            return result
+
+        def backward(self, cache, output_grads):
+            refs = teacher_refs[-1]
+            assert all(output_grads[f] is refs[f]() for f in fields)
+            checked.append(True)
+            return real_backward(self, cache, output_grads)
+
+        monkeypatch.setattr(extractor.FeatureExtractor, "forward", forward)
+        monkeypatch.setattr(extractor.FeatureExtractor, "backward", backward)
+        adam = nncore.AdamState.for_params(pair.student.parameters())
+        local_train_epoch(pair, x, y, FBSTConfig(batch_size=5), k=2, adam=adam,
+                          rng=np.random.default_rng(42))
+        assert len(checked) == 3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_consumed_kd_gradients_equal_the_pure_ones(self, dtype):
+        rng = np.random.default_rng(43)
+
+        def trace():
+            t = make_trace(rng)
+            return extractor.ForwardTrace(**{f: getattr(t, f).astype(dtype)
+                                             for f in ("o1", "o2", "o3", "o4", "logits",
+                                                       "probs")})
+
+        student, teacher = trace(), trace()
+        labels = np.array([0, 2])
+        pure = fbst.DistillationLoss(clone_trace(teacher), labels, epsilon=0.7)
+        consumed = fbst.DistillationLoss(teacher, labels, epsilon=0.7)
+        expected = pure.output_grads(student)
+        grads = consumed.output_grads(student, consume=True)
+        assert consumed.teacher_trace is None
+        for name in extractor.ForwardTrace.HIDDEN_FIELDS:
+            assert grads[name] is getattr(teacher, name)
+        for name, g in expected.items():
+            assert g.dtype == grads[name].dtype
+            assert g.tobytes() == grads[name].tobytes()
+
+    def test_output_grads_leave_the_loss_value_unchanged(self):
+        # finite_diff_gradcheck evaluates the loss again after taking its
+        # gradients, so output_grads must not write into the teacher trace
+        rng = np.random.default_rng(44)
+        student, teacher = make_trace(rng), make_trace(rng)
+        held = clone_trace(teacher)
+        loss = fbst.DistillationLoss(teacher, np.array([1, 0]), epsilon=0.9)
+        before = loss.value(student)
+        loss.output_grads(student)
+        assert loss.value(student) == before
+        for name in ("o1", "o2", "o3", "o4", "logits", "probs"):
+            assert getattr(teacher, name).tobytes() == getattr(held, name).tobytes()
+
     def test_loss_objects_value_is_the_total_of_their_parts(self):
         rng = np.random.default_rng(34)
         student, teacher = make_trace(rng), make_trace(rng)

@@ -720,10 +720,12 @@ class TestStreamedRound:
         transport = fed.transport
         sockets = [transport._listener, *transport._user_side.values(),
                    *transport._server_side.values()]
-        assert len(sockets) == 1 + 2 * 2  # pairs open only for users that sent
+        # every user trains before the first upload, so a failed epoch sends
+        # nothing: no user's connection pair was ever opened
+        assert len(sockets) == 1
         assert all(s.fileno() == -1 for s in sockets)
         assert threading.active_count() == threads_before  # the pool has shut down
-        assert [e.user_id for e in fed.ledger.entries] == [0, 1]  # uploads before user 2
+        assert fed.ledger.entries == []
 
     def test_failed_connect_closes_the_owned_sockets(self, monkeypatch):
         datasets = [(f"w{i}", "synthetic") for i in range(4)]
