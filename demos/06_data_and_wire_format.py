@@ -1,7 +1,7 @@
 """Dataset ingestion and the binary weight-message format.
 
-Ingestion: tab-separated files, label first. Labels remap to contiguous
-0-based indices, every instance is z-normalized on its own, and
+Ingestion: tab- or whitespace-separated files, label first. Labels remap to
+contiguous 0-based indices, every instance is z-normalized on its own, and
 variable-length instances are zero-padded on the right after normalization.
 
 Wire format: hidden-layer bundles travel as binary messages with an `EFDL`

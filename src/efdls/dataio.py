@@ -1,10 +1,23 @@
 """UCR-2018-style dataset ingestion.
 
-Files are tab-separated, one instance per line, label first. Ingestion
-remaps labels to contiguous 0-based indices (sorted original order),
-z-normalizes each instance over its observed values, and zero right-pads
-variable-length instances to the max length across both splits. Padding
-happens after normalization, so pad values are exact zeros.
+Files hold one instance per line, label first. A line that holds a tab is
+split on tabs, any other on whitespace; fields are read with ``float`` and
+blank lines are skipped. Trailing NaNs are padding and are stripped; an
+interior NaN takes the row's observed mean. A row with fewer than two
+fields, an unparseable field, a non-finite label, an infinite value or no
+observed value raises an ``IngestionError`` naming ``file:line``.
+
+Ingestion remaps labels to contiguous 0-based indices (sorted original
+order), z-normalizes each instance over its observed values, and zero
+right-pads variable-length instances to the max length across both splits.
+Padding happens after normalization, so pad values are exact zeros.
+
+Each split file is tokenized in one pass. When its rows all hold the same
+number of values and every value is finite, the split is normalized and
+padded in whole-array passes, bit for bit as the per-row functions
+(``_clean_series``, ``z_normalize``, ``pad_to_length``) that NaN-carrying
+and ragged splits still take. A file with a row to reject is read again by
+the per-line parser ``_parse_tsv_split``, whose message is raised.
 
 ``DATASET_REGISTRY`` records the expected train/test/class/length figures for
 the 44 benchmark datasets used throughout; ``load_ucr_tsv`` validates a
@@ -132,8 +145,16 @@ def pad_to_length(series: np.ndarray, target: int) -> np.ndarray:
     return np.concatenate([series, np.zeros(target - series.shape[0])])
 
 
+def _split_fields(line: str) -> list:
+    """A line's fields: split on tabs when it holds one, else on whitespace."""
+    return line.split("\t") if "\t" in line else line.split()
+
+
 def _parse_tsv_split(path: str):
-    """Read one TSV file into (labels, list of raw value arrays)."""
+    """Read one TSV file line by line into (labels, list of raw value arrays).
+
+    Every rejected row raises an IngestionError that names ``path`` and the
+    line. ``_read_split`` falls back to this parser for its messages."""
     labels = []
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -141,7 +162,7 @@ def _parse_tsv_split(path: str):
             line = line.strip("\n").strip("\r")
             if not line.strip():
                 continue
-            fields = line.split("\t") if "\t" in line else line.split()
+            fields = _split_fields(line)
             if len(fields) < 2:
                 raise IngestionError(f"{path}:{lineno}: expected label plus values, got {len(fields)} fields")
             try:
@@ -150,17 +171,63 @@ def _parse_tsv_split(path: str):
             except ValueError as exc:
                 raise IngestionError(f"{path}:{lineno}: unparseable row ({exc})") from None
             # NaN values mark padding or gaps (see _clean_series); a NaN
-            # label or an infinite value has no such meaning.
+            # label, an infinite value or a row of NaN alone has no such meaning.
             if not np.isfinite(label):
                 raise IngestionError(f"{path}:{lineno}: non-finite label '{fields[0]}'")
             inf_at = np.flatnonzero(np.isinf(values))
             if inf_at.size:
                 raise IngestionError(f"{path}:{lineno}: infinite value in field {inf_at[0] + 2}")
+            if np.isnan(values).all():
+                raise IngestionError(f"{path}:{lineno}: instance contains no observed values")
             labels.append(label)
             rows.append(values)
     if not rows:
         raise IngestionError(f"{path}: no instances found")
     return np.array(labels), rows
+
+
+def _parse_table(path: str):
+    """One TSV file as (labels [N], values [N, fields - 1]) float64 arrays,
+    tokenized in one pass with the line rule and the ``float`` syntax of
+    ``_parse_tsv_split``; None when the rows differ in field count, a field
+    does not parse, or there is no row of at least two fields. Each row's
+    fields and floats die with the row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    width = len(_split_fields(lines[0])) if lines else 0
+    if width < 2:
+        return None
+    labels, values = np.empty(len(lines)), np.empty((len(lines), width - 1))
+    for i, line in enumerate(lines):
+        fields = _split_fields(line)
+        if len(fields) != width:
+            return None
+        try:
+            row = list(map(float, fields))
+        except ValueError:
+            return None
+        labels[i], values[i] = row[0], row[1:]
+    return labels, values
+
+
+def _read_split(path: str):
+    """(labels, series) of one split file.
+
+    ``series`` is a [N, L] array when every row holds L values, all finite.
+    Otherwise it is the list of each row's ``_clean_series``: rows that
+    carry NaN, and ragged splits, are cleaned one by one. A file with any
+    row to reject is read again by ``_parse_tsv_split``, which raises."""
+    parsed = _parse_table(path)
+    if parsed is not None:
+        labels, values = parsed
+        if np.isfinite(labels).all() and not np.isinf(values).any():
+            nan = np.isnan(values)
+            if not nan.any():
+                return labels, values
+            if not nan.all(axis=1).any():
+                return labels, [_clean_series(r) for r in values]
+    labels, rows = _parse_tsv_split(path)
+    return labels, [_clean_series(r) for r in rows]
 
 
 def _clean_series(raw: np.ndarray) -> np.ndarray:
@@ -174,6 +241,32 @@ def _clean_series(raw: np.ndarray) -> np.ndarray:
     if inner_nan.any():
         series[inner_nan] = series[~inner_nan].mean()
     return series
+
+
+def _normalize_split(series, target: int) -> np.ndarray:
+    """Each series ``z_normalize``d and zero-padded to ``target``, stacked.
+
+    An array of equal-length rows is normalized in place, in whole-array
+    passes: the per-row mean and std reductions, difference and quotient
+    are the ones ``z_normalize`` takes on each row, so every value has the
+    same bits."""
+    if not isinstance(series, np.ndarray):
+        return np.stack([pad_to_length(z_normalize(s), target) for s in series])
+    mean = series.mean(axis=1, keepdims=True)
+    std = series.std(axis=1, keepdims=True)
+    constant = std < 1e-12
+    np.subtract(series, mean, out=series)
+    np.divide(series, std, out=series, where=~constant)
+    np.copyto(series, 0.0, where=constant)
+    if series.shape[1] == target:
+        return series
+    return np.concatenate([series, np.zeros((series.shape[0], target - series.shape[1]))], axis=1)
+
+
+def _lengths(series) -> set:
+    if isinstance(series, np.ndarray):
+        return {series.shape[1]}
+    return {len(s) for s in series}
 
 
 def load_ucr_tsv(path: str, meta: DatasetMeta | None = None) -> TimeSeriesDataset:
@@ -192,14 +285,10 @@ def load_ucr_tsv(path: str, meta: DatasetMeta | None = None) -> TimeSeriesDatase
         if not os.path.exists(f):
             raise IngestionError(f"missing dataset file: {f}")
 
-    raw = {}
-    for split, f in (("train", train_file), ("test", test_file)):
-        labels, rows = _parse_tsv_split(f)
-        series = [_clean_series(r) for r in rows]
-        raw[split] = (labels, series)
+    raw = {"train": _read_split(train_file), "test": _read_split(test_file)}
 
     fixed_length = meta.length if meta is not None else None
-    lengths = {len(s) for _, series in raw.values() for s in series}
+    lengths = set().union(*(_lengths(series) for _, series in raw.values()))
     if fixed_length is not None and lengths != {fixed_length}:
         raise MetaMismatchError(
             f"{name}: expected fixed length {fixed_length}, found lengths {sorted(lengths)}"
@@ -207,13 +296,14 @@ def load_ucr_tsv(path: str, meta: DatasetMeta | None = None) -> TimeSeriesDatase
     target_len = max(lengths)
 
     all_labels = np.concatenate([raw["train"][0], raw["test"][0]])
-    label_map = {orig: idx for idx, orig in enumerate(sorted(set(all_labels.tolist())))}
+    originals = sorted(set(all_labels.tolist()))
+    label_map = {orig: idx for idx, orig in enumerate(originals)}
+    sorted_labels = np.array(originals)
 
     def finish(split):
         labels, series = raw[split]
-        x = np.stack([pad_to_length(z_normalize(s), target_len) for s in series])
-        y = np.array([label_map[v] for v in labels.tolist()], dtype=np.int64)
-        return x, y
+        y = np.searchsorted(sorted_labels, labels).astype(np.int64, copy=False)
+        return _normalize_split(series, target_len), y
 
     x_train, y_train = finish("train")
     x_test, y_test = finish("test")

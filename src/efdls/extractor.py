@@ -299,6 +299,14 @@ def load_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> Featur
     return model
 
 
-def clone_model(model: FeatureExtractor) -> FeatureExtractor:
-    """Independent deep copy (used to spawn a teacher from a student)."""
-    return copy.deepcopy(model)
+def clone_model(model: FeatureExtractor, hidden: WeightBundle | None = None) -> FeatureExtractor:
+    """Independent deep copy (used to spawn a teacher from a student).
+
+    Given a bundle ``hidden``, the copy's hidden layers are not copied from
+    the model but loaded from the bundle with ``load_hidden_weights``, so
+    each is written once."""
+    if hidden is None:
+        return copy.deepcopy(model)
+    # deepcopy takes an object found in its memo as that object's copy
+    memo = {id(arr): np.empty_like(arr) for arr in hidden_arrays(model).values()}
+    return load_hidden_weights(copy.deepcopy(model, memo), hidden)

@@ -87,8 +87,9 @@ class FBSTPair:
     """A user's student and its frozen teacher twin.
 
     The teacher is None, and training supervised-only, until the server first
-    loads weights into it. That load clones the student; every load then
-    copies the bundle into the clone's hidden arrays, in the student's dtype.
+    loads weights into it. That load clones the student with the bundle's
+    hidden values, in the student's dtype; every later load copies the
+    bundle into the teacher's hidden arrays.
     The clone's classifier never enters the loss. A student load copies into
     the student's own arrays.
     """
@@ -98,8 +99,10 @@ class FBSTPair:
         self.teacher = None
 
     def load_teacher(self, bundle: ext.WeightBundle) -> None:
-        teacher = ext.clone_model(self.student) if self.teacher is None else self.teacher
-        self.teacher = ext.load_hidden_weights(teacher, bundle)
+        if self.teacher is None:
+            self.teacher = ext.clone_model(self.student, bundle)
+        else:
+            ext.load_hidden_weights(self.teacher, bundle)
 
     def load_student(self, bundle: ext.WeightBundle) -> None:
         ext.load_hidden_weights(self.student, bundle)

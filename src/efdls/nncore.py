@@ -131,11 +131,22 @@ class DenseLayer:
             raise ShapeError(f"dense bias shape {self.bias.shape} does not match D_out={self.weight.shape[0]}")
 
 
+def _uniform(rng: np.random.Generator, bound: float, size, dtype) -> np.ndarray:
+    """``rng.uniform(-bound, bound, size).astype(dtype)`` bit for bit: the same
+    float64 draws, scaled and shifted in float64 as ``uniform`` does, with
+    the sum written straight into the ``dtype`` array."""
+    low, high = -bound, bound
+    draws = rng.random(size)
+    draws *= high - low
+    out = draws if np.dtype(dtype) == draws.dtype else np.empty(size, dtype=dtype)
+    return np.add(draws, low, out=out)
+
+
 def init_conv(c_out: int, c_in: int, k: int, rng: np.random.Generator, dtype=np.float64) -> ConvLayer:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] with fan_in = C_in*K."""
     bound = 1.0 / np.sqrt(c_in * k)
-    kernel = rng.uniform(-bound, bound, size=(c_out, c_in, k)).astype(dtype, copy=False)
-    bias = rng.uniform(-bound, bound, size=c_out).astype(dtype, copy=False)
+    kernel = _uniform(rng, bound, (c_out, c_in, k), dtype)
+    bias = _uniform(rng, bound, c_out, dtype)
     return ConvLayer(kernel, bias)
 
 
@@ -151,8 +162,8 @@ def init_batchnorm(c: int, literal_form: bool = False, dtype=np.float64) -> Batc
 
 def init_dense(d_out: int, d_in: int, rng: np.random.Generator, dtype=np.float64) -> DenseLayer:
     bound = 1.0 / np.sqrt(d_in)
-    weight = rng.uniform(-bound, bound, size=(d_out, d_in)).astype(dtype, copy=False)
-    bias = rng.uniform(-bound, bound, size=d_out).astype(dtype, copy=False)
+    weight = _uniform(rng, bound, (d_out, d_in), dtype)
+    bias = _uniform(rng, bound, d_out, dtype)
     return DenseLayer(weight, bias)
 
 

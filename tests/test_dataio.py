@@ -177,6 +177,158 @@ class TestLoadUcrTsv:
         assert np.array_equal(a.x_test, b.x_test)
 
 
+def per_row_load(path):
+    """The per-row ingest, kept as the oracle of ``load_ucr_tsv``: every
+    line parsed, cleaned, normalized and padded on its own."""
+    name = os.path.basename(path)
+    splits = [dataio._parse_tsv_split(os.path.join(path, f"{name}_{split}.tsv"))
+              for split in ("TRAIN", "TEST")]
+    series = [[dataio._clean_series(r) for r in rows] for _, rows in splits]
+    target = max(len(s) for split in series for s in split)
+    originals = sorted({v for labels, _ in splits for v in labels.tolist()})
+    out = []
+    for (labels, _), split in zip(splits, series):
+        out.append(np.stack([pad_to_length(z_normalize(s), target) for s in split]))
+        out.append(np.array([originals.index(v) for v in labels.tolist()], dtype=np.int64))
+    return out, {v: i for i, v in enumerate(originals)}
+
+
+def finite_rows(rng, n, length):
+    """Rows at scales from 1e-3 to 1e3, one exactly constant and one
+    constant up to rounding."""
+    rows = [rng.standard_normal(length) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-5, 5)
+            for _ in range(n - 2)]
+    return rows + [np.full(length, 3.3), np.full(length, 0.1) + np.arange(length) * 1e-17]
+
+
+def tsv_lines(labels, rows, sep="\t"):
+    return [sep.join([str(label)] + [repr(float(v)) for v in row]) for label, row in zip(labels, rows)]
+
+
+def nan_padded(rng, rows):
+    """Each row NaN-padded on the right to three fields past the longest."""
+    width = max(len(r) for r in rows) + 3
+    return [np.concatenate([r, np.full(width - len(r), np.nan)]) for r in rows]
+
+
+def ingest_case(kind, length, seed):
+    """(train lines, test lines, line end) of one ingest case."""
+    rng = np.random.default_rng(seed)
+    train_labels, test_labels = [3, 1, 2, 3, 1], [1, 2, 3, 2]
+    train = finite_rows(rng, 5, length)
+    test = finite_rows(rng, 4, length)
+    end, sep = "\n", "\t"
+    if kind == "nan_padded":
+        # the test split is NaN-padded past the train split's length
+        cut = [max(1, length + d) for d in (-1, 2, 0, 1)]
+        test = nan_padded(rng, [rng.standard_normal(c) for c in cut])
+    elif kind == "nan_gaps":
+        for row in train[:3]:
+            row[rng.choice(length, size=max(1, length // 3), replace=False)] = np.nan
+            row[-1] = 1.5  # keep the gaps interior
+    elif kind == "ragged":
+        train = [rng.standard_normal(max(1, length + d)) for d in (0, -1, 2, 0, 1)]
+    elif kind == "crlf":
+        end = "\r\n"
+    elif kind == "whitespace":
+        sep = "  "
+    train_lines = tsv_lines(train_labels, train, sep)
+    test_lines = tsv_lines(test_labels, test, sep)
+    if kind == "blank_lines":
+        train_lines = ["", "  "] + train_lines[:2] + ["\t"] + train_lines[2:] + [""]
+    elif kind == "whitespace":
+        test_lines = [" " + line.replace("  ", "   ") + " " for line in test_lines]
+    elif kind == "mixed_separators":
+        # each line picks its own rule: tabs when it holds one
+        train_lines = [line if i % 2 else line.replace("\t", " ") for i, line in enumerate(train_lines)]
+    return train_lines, test_lines, end
+
+
+INGEST_CASES = ([("finite", length) for length in (1, 2, 7, 24, 129, 256, 1024, 1500)]
+                + [(kind, length)
+                   for kind in ("nan_padded", "nan_gaps", "ragged", "crlf", "blank_lines",
+                                "whitespace", "mixed_separators")
+                   for length in (1, 7, 129)])
+
+
+def write_case(tmp_path, name, train_lines, test_lines, end="\n"):
+    d = tmp_path / name
+    d.mkdir()
+    for split, lines in (("TRAIN", train_lines), ("TEST", test_lines)):
+        with open(d / f"{name}_{split}.tsv", "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(line + end for line in lines))
+    return str(d)
+
+
+class TestWholeSplitIngest:
+    """``load_ucr_tsv`` against the per-row oracle, bit for bit."""
+
+    @pytest.mark.parametrize("kind,length", INGEST_CASES)
+    def test_matches_per_row_ingest(self, tmp_path, kind, length):
+        train_lines, test_lines, end = ingest_case(kind, length, seed=length)
+        path = write_case(tmp_path, "Case", train_lines, test_lines, end)
+        ds = load_ucr_tsv(path)
+        (x_train, y_train, x_test, y_test), label_map = per_row_load(path)
+        for got, want in ((ds.x_train, x_train), (ds.y_train, y_train),
+                          (ds.x_test, x_test), (ds.y_test, y_test)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+        assert ds.label_map == label_map
+        assert [type(k) for k in ds.label_map] == [float] * len(label_map)
+        assert ds.series_length == x_train.shape[1]
+
+    def test_finite_equal_length_splits_skip_the_per_row_path(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        path = write_case(tmp_path, "Fast", tsv_lines([1, 2, 1], finite_rows(rng, 3, 24)),
+                          tsv_lines([2, 1], finite_rows(rng, 2, 24)))
+        want = load_ucr_tsv(path)
+        for helper in ("_parse_tsv_split", "_clean_series", "z_normalize", "pad_to_length"):
+            monkeypatch.setattr(dataio, helper, None)
+        got = load_ucr_tsv(path)
+        assert got.x_train.tobytes() == want.x_train.tobytes()
+        assert got.x_test.tobytes() == want.x_test.tobytes()
+
+
+REJECTED_ROWS = {
+    "comment": "# a comment line",
+    "empty_tab_field": "1\t0.5\t\t0.7",
+    "non_finite_label": "nan\t0.5\t0.6\t0.7",
+    "infinite_value": "1\t0.5\t-inf\t0.7",
+    "all_nan_row": "2\tNaN\tNaN\tNaN",
+    "label_only": "1",
+    "unparseable_word": "1 0.5 oops 0.7",
+}
+
+
+class TestRejectionParity:
+    """Every row the per-line parser rejects is rejected by ``load_ucr_tsv``
+    with the same message, naming the file and line."""
+
+    @pytest.mark.parametrize("split", ["TRAIN", "TEST"])
+    @pytest.mark.parametrize("case", sorted(REJECTED_ROWS))
+    def test_same_message_and_line(self, tmp_path, case, split):
+        good = ["1\t0.1\t0.2\t0.4", "2\t0.3\t0.1\t0.2"]
+        bad = good[:1] + [""] + [REJECTED_ROWS[case]] + good[1:]
+        lines = {"TRAIN": good, "TEST": good, split: bad}
+        path = write_case(tmp_path, "Bad", lines["TRAIN"], lines["TEST"])
+        bad_file = os.path.join(path, f"Bad_{split}.tsv")
+        with pytest.raises(IngestionError) as per_line:
+            dataio._parse_tsv_split(bad_file)
+        with pytest.raises(IngestionError) as whole:
+            load_ucr_tsv(path)
+        assert str(whole.value) == str(per_line.value)
+        assert str(whole.value).startswith(f"{bad_file}:3: ")
+
+    def test_all_nan_row_names_file_and_line(self, tmp_path):
+        path = write_case(tmp_path, "Blank", ["1\t0.5\t0.6\t0.7", "2\tNaN\tNaN\tNaN"],
+                          ["1\t0.5\t0.6\t0.7"])
+        with pytest.raises(IngestionError) as info:
+            load_ucr_tsv(path)
+        assert str(info.value) == (f"{os.path.join(path, 'Blank_TRAIN.tsv')}:2: "
+                                   "instance contains no observed values")
+
+
 class TestRegistry:
     def test_44_datasets_registered(self):
         assert len(DATASET_REGISTRY) == 44

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import MINI_BLOCKS, MINI_HIDDEN, mini_model
+from conftest import MINI_BLOCKS, MINI_HIDDEN, mini_model, model_arrays
 from efdls import extractor, fbst, nncore
 from efdls.extractor import (
     BUNDLE_KEYS, FeatureExtractor, IncompatibleBundleError, extract_hidden_weights,
@@ -307,3 +307,69 @@ class TestHiddenArrays:
         hidden = extractor.hidden_arrays(m)
         for key in expected:
             assert m.parameters()[key] is hidden[key]
+
+
+
+class TestCloneModel:
+    def test_plain_clone_is_an_independent_copy(self):
+        model = mini_model(seed=60)
+        clone = extractor.clone_model(model)
+        held = model_arrays(model)
+        for key, arr in model_arrays(clone).items():
+            assert arr.tobytes() == held[key].tobytes(), key
+            assert not np.shares_memory(arr, held[key]), key
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_clone_with_a_bundle_holds_the_bundle_and_the_models_classifier(self, dtype):
+        model = mini_model(seed=61, dtype=dtype)
+        bundle = extract_hidden_weights(mini_model(seed=62))
+        clone = extractor.clone_model(model, bundle)
+        held = model_arrays(model)
+        cloned = model_arrays(clone)
+        for key, arr in cloned.items():
+            want = bundle.arrays[key].astype(dtype) if key in bundle.arrays else held[key]
+            assert arr.dtype == dtype and arr.tobytes() == want.tobytes(), key
+            for other in (*held.values(), *bundle.arrays.values()):
+                assert not np.shares_memory(arr, other), key
+
+    def test_clone_with_a_misshapen_bundle_is_refused(self):
+        model = mini_model(seed=63)
+        bundle = extract_hidden_weights(model)
+        bundle.arrays["dense.bias"] = np.zeros(MINI_HIDDEN + 1)
+        with pytest.raises(IncompatibleBundleError):
+            extractor.clone_model(model, bundle)
+
+class TestInitDraws:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_classes", [2, 3, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_every_parameter_is_a_uniform_draw_cast_to_dtype(self, seed, num_classes, dtype):
+        rng = np.random.default_rng(seed)
+
+        def draw(fan_in, size):
+            bound = 1.0 / np.sqrt(fan_in)
+            return rng.uniform(-bound, bound, size=size).astype(dtype)
+
+        expected = {}
+        c_in = 1
+        for i, (k, c_out) in enumerate(extractor.DEFAULT_BLOCKS, start=1):
+            expected[f"conv{i}.kernel"] = draw(c_in * k, (c_out, c_in, k))
+            expected[f"conv{i}.bias"] = draw(c_in * k, c_out)
+            expected[f"bn{i}.alpha"] = np.ones(c_out, dtype=dtype)
+            expected[f"bn{i}.beta"] = np.zeros(c_out, dtype=dtype)
+            expected[f"bn{i}.running_mean"] = np.zeros(c_out, dtype=dtype)
+            expected[f"bn{i}.running_var"] = np.ones(c_out, dtype=dtype)
+            c_in = c_out
+        hidden = extractor.DEFAULT_HIDDEN_DIM
+        expected["dense.weight"] = draw(c_in, (hidden, c_in))
+        expected["dense.bias"] = draw(c_in, hidden)
+        expected["classifier.weight"] = draw(hidden, (num_classes, hidden))
+        expected["classifier.bias"] = draw(hidden, num_classes)
+
+        model = FeatureExtractor(num_classes, seed=seed, dtype=dtype)
+        arrays = model_arrays(model)
+        assert sorted(arrays) == sorted(expected)
+        for key, arr in arrays.items():
+            assert arr.dtype == dtype and arr.flags.c_contiguous, key
+            assert arr.shape == expected[key].shape, key
+            assert arr.tobytes() == expected[key].tobytes(), key

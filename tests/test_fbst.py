@@ -200,7 +200,7 @@ class TestTeacherLifecycle:
         clones = []
         real_clone = extractor.clone_model
         monkeypatch.setattr(extractor, "clone_model",
-                            lambda model: clones.append(model) or real_clone(model))
+                            lambda model, *rest: clones.append(model) or real_clone(model, *rest))
         pair = FBSTPair(mini_model(num_classes=2, seed=43))
         source = extractor.extract_hidden_weights(mini_model(num_classes=2, seed=44))
         pair.load_teacher(source)
