@@ -39,10 +39,14 @@ print(f"\nuser {uid} receives user {partners[0]}'s bundle "
 
 # The server hands over the uploaded bundle itself, so users who share a
 # partner share one bundle. Each download is encoded for the wire and decoded
-# on arrival, and the decode gives every user its own copy.
+# on arrival: in-process into read-only views of the message's payloads, which
+# the user's load copies into its own arrays, and from a socket's byte frame
+# into the user's own copy.
 print("server hands over the upload itself:", received is bundles[partners[0]])
-own, _, _ = federation.decode_weight_message(
-    federation.encode_weight_message(received, epoch=1, user_id=uid))
+message = federation.encode_weight_message(received, epoch=1, user_id=uid)
+borrowed, _, _ = federation.decode_weight_message(message)
+print("in-process download is read-only:", not borrowed.arrays["dense.bias"].flags.writeable)
+own, _, _ = federation.decode_weight_message(bytes(message))
 own.arrays["dense.bias"][:] = 1e9
 print("upload untouched by a change to the user's copy:",
       not np.array_equal(bundles[partners[0]].arrays["dense.bias"], own.arrays["dense.bias"]))

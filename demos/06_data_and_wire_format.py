@@ -38,8 +38,9 @@ model = extractor.FeatureExtractor(num_classes=2, blocks=((3, 4), (3, 6), (3, 4)
                                    hidden_dim=4, seed=0)
 bundle = extractor.extract_hidden_weights(model)
 message = federation.encode_weight_message(bundle, epoch=3, user_id=12)
+frame = bytes(message)  # the version-1 frame a socket carries
 print(f"\nencoded {len(bundle.arrays)} arrays into {len(message):,} bytes")
-print("header:", message[:4], "version", message[4])
+print("header:", frame[:4], "version", frame[4])
 
 decoded, epoch, uid = federation.decode_weight_message(message)
 print(f"decoded epoch={epoch} user={uid}; values exact at single precision:",
@@ -47,6 +48,6 @@ print(f"decoded epoch={epoch} user={uid}; values exact at single precision:",
           for k, v in bundle.arrays.items()))
 
 try:
-    federation.decode_weight_message(message[:-3])
+    federation.decode_weight_message(frame[:-3])
 except federation.MalformedMessageError as err:
     print(f"truncated message rejected: {err}")

@@ -8,9 +8,10 @@ fields, an unparseable field, a non-finite label, an infinite value or no
 observed value raises an ``IngestionError`` naming ``file:line``.
 
 Ingestion remaps labels to contiguous 0-based indices (sorted original
-order), z-normalizes each instance over its observed values, and zero
-right-pads variable-length instances to the max length across both splits.
-Padding happens after normalization, so pad values are exact zeros.
+order), z-normalizes each instance over its observed values (an instance
+whose observed values are all equal becomes zeros), and zero right-pads
+variable-length instances to the max length across both splits. Padding
+happens after normalization, so pad values are exact zeros.
 
 Each split file is tokenized in one pass. When its rows all hold the same
 number of values and every value is finite, the split is normalized and
@@ -123,13 +124,16 @@ class TimeSeriesDataset:
 
 
 def z_normalize(series: np.ndarray) -> np.ndarray:
-    """Per-instance standardization; constant series map to all-zeros."""
+    """Per-instance standardization; constant series map to all-zeros. A
+    series is constant when its values are all equal, or its std is below
+    1e-12: the std of equal values need not be 0, since their mean can round
+    off them."""
     series = np.asarray(series, dtype=np.float64)
     if series.size == 0:
         raise IngestionError("cannot normalize an empty series")
     mean = series.mean()
     std = series.std()
-    if std < 1e-12:
+    if std < 1e-12 or series.max() == series.min():
         return np.zeros_like(series)
     return (series - mean) / std
 
@@ -232,14 +236,17 @@ def _read_split(path: str):
 
 def _clean_series(raw: np.ndarray) -> np.ndarray:
     """Strip trailing-NaN padding; replace interior NaNs with the observed
-    mean (so they normalize to exact zero)."""
+    mean (so they normalize to exact zero), held inside the observed range:
+    the mean of equal values can round off them, and a row whose observed
+    values are all equal stays constant."""
     finite = np.flatnonzero(~np.isnan(raw))
     if finite.size == 0:
         raise IngestionError("instance contains no observed values")
     series = raw[: finite[-1] + 1].copy()
     inner_nan = np.isnan(series)
     if inner_nan.any():
-        series[inner_nan] = series[~inner_nan].mean()
+        observed = series[~inner_nan]
+        series[inner_nan] = np.clip(observed.mean(), observed.min(), observed.max())
     return series
 
 
@@ -254,7 +261,8 @@ def _normalize_split(series, target: int) -> np.ndarray:
         return np.stack([pad_to_length(z_normalize(s), target) for s in series])
     mean = series.mean(axis=1, keepdims=True)
     std = series.std(axis=1, keepdims=True)
-    constant = std < 1e-12
+    constant = (std < 1e-12) | (series.max(axis=1, keepdims=True)
+                                == series.min(axis=1, keepdims=True))
     np.subtract(series, mean, out=series)
     np.divide(series, std, out=series, where=~constant)
     np.copyto(series, 0.0, where=constant)

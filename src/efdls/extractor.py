@@ -45,9 +45,14 @@ def is_learnable_key(key: str) -> bool:
 
 @dataclass(frozen=True)
 class WeightBundle:
-    """Immutable snapshot of one model's hidden-layer arrays.
+    """One model's hidden-layer arrays, ``arrays`` mapping each BUNDLE_KEYS
+    entry to an array.
 
-    ``arrays`` maps each BUNDLE_KEYS entry to an owned copy.
+    ``extract_hidden_weights`` makes a snapshot of owned copies. A bundle
+    the federation round builds in-process is borrowed instead: read-only
+    views of a model's arrays (``borrow_hidden_weights``) or of a message's
+    payloads, valid until the epoch ends. ``copy()`` gives owned copies, to
+    hold one longer.
     """
 
     arrays: dict
@@ -263,6 +268,19 @@ def extract_hidden_weights(model: FeatureExtractor) -> WeightBundle:
     """Deep-copied snapshot of the hidden layers (conv blocks + hidden dense,
     with BN running stats riding along). The classifier never leaves the user."""
     arrays = {k: v.copy() for k, v in hidden_arrays(model).items()}
+    return WeightBundle(arrays=arrays)
+
+
+def borrow_hidden_weights(model: FeatureExtractor) -> WeightBundle:
+    """Read-only views of the hidden layers, keyed as BUNDLE_KEYS: the
+    model's live arrays, not copies. The bundle follows the model, so it
+    holds these values only until the model trains or loads a bundle; take
+    a ``copy()`` to keep them past that."""
+    arrays = {}
+    for key, arr in hidden_arrays(model).items():
+        view = arr.view()
+        view.flags.writeable = False
+        arrays[key] = view
     return WeightBundle(arrays=arrays)
 
 

@@ -10,12 +10,13 @@ takes part in a round. Every federated epoch:
   1. every user trains locally (supervised-only until it has a teacher; a
      user that is never connected is supervised-only for the whole run);
   2. once every user has trained, each connected user's hidden layers are
-     snapshotted into a bundle, uploaded and released, and the decoded
-     upload is handed to the strategy's row of ``strategies.ROUNDS``; no
-     other user's hidden layers are copied. No upload exists while a user
-     trains. The round pulls the uploads one by one, in user order, from a
-     generator, so a fedavg/fkd upload is folded into the running mean and
-     gone before the next user's is built, while efdls keeps them all;
+     borrowed into a bundle of read-only views (``extractor.
+     borrow_hidden_weights``), uploaded and released, and the decoded
+     upload is handed to the strategy's row of ``strategies.ROUNDS``. No
+     upload exists while a user trains. The round pulls the uploads one by
+     one, in user order, from a generator, so a fedavg/fkd upload is folded
+     into the running mean and gone before the next user's is built, while
+     efdls keeps them all;
   3. once ALL connected uploads for the epoch are in, the round returns and
      the server dispatches one bundle back per user. The barrier is
      structural: no download exists until the round has consumed every
@@ -35,15 +36,28 @@ travel in, so an upload carries the student's hidden arrays exactly and a
 decoded download is loaded as it is. Uploads and downloads travel as encoded
 weight messages even in-process, so ledger byte counts are real message
 sizes and the in-process and socket transports produce identical results;
-the socket transport connects each user at its first message. Per connected
-user per epoch there is exactly one upload and one download, which makes the
-run's ledger total exactly 2 * bundle_bytes * FLEs * N_conn. The one
-exception is efdls with a single connected user: it has no partner, so the
-round sends no download and the ledger holds bundle_bytes * FLEs.
+the socket transport connects each user at its first message.
+
+In-process, a message borrows its payloads from the bundle it encodes and
+decodes into read-only views of them, so a bundle the round builds is
+borrowed, read-only, until the epoch ends: the held uploads, the dispatched
+partner bundles and the downloads are views of the students' own arrays, or
+of the float32 copy of the mean made for each message, and cost no memory
+until a load copies them into the receiver's arrays. Nothing writes a
+student while the round holds a view of it: every user has trained before
+the first upload, and the downloads that load students (fedavg's) hold the
+mean, not a student. Keep ``bundle.copy()`` to hold a bundle past its epoch.
+Over sockets every decoded bundle is owned.
+
+Per connected user per epoch there is exactly one upload and one download,
+which makes the run's ledger total exactly 2 * bundle_bytes * FLEs * N_conn.
+The one exception is efdls with a single connected user: it has no partner,
+so the round sends no download and the ledger holds bundle_bytes * FLEs.
 """
 
 from __future__ import annotations
 
+import bisect
 import numbers
 import socket
 import struct
@@ -290,17 +304,40 @@ def _value_fault(key: str, values: np.ndarray) -> str | None:
     return None
 
 
-def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) -> bytes:
+class WeightMessage:
+    """An encoded weight message held as its parts, in wire order: header
+    bytes and the float32 payload arrays, borrowed from the bundle that was
+    encoded, not copied. ``len(message)`` is its wire size and
+    ``bytes(message)`` its version-1 frame. A borrowed payload follows its
+    array, so the message holds the encoded values only while that array
+    does not change."""
+
+    __slots__ = ("parts", "nbytes")
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+        self.nbytes = sum(memoryview(p).nbytes for p in self.parts)
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.parts)
+
+
+def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) -> WeightMessage:
     """Serialize a bundle: magic, version, epoch/user ids, then one block per
     array (tag byte, dim count, little-endian u32 dims, float32 payload).
     Arrays need at most MAX_WIRE_NDIM dims, each in [1, 2**32), and values
     that are finite in float32, never negative in a running variance, since
-    the decoder rejects any other."""
+    the decoder rejects any other. A contiguous float32 array is the
+    message's payload itself; any other is converted into one."""
     for name, value in (("epoch", epoch), ("user_id", user_id)):
         if not isinstance(value, numbers.Integral) or not 0 <= value < 2 ** 32:
             raise ValueError(f"{name} must be an integer in [0, 2**32), got {value!r}")
-    parts = [MESSAGE_MAGIC, bytes([MESSAGE_VERSION]),
-             struct.pack("<II", epoch, user_id), bytes([len(bundle.arrays)])]
+    parts = []
+    header = [MESSAGE_MAGIC, bytes([MESSAGE_VERSION]),
+              struct.pack("<II", epoch, user_id), bytes([len(bundle.arrays)])]
     for key, arr in bundle.arrays.items():
         if key not in _KEY_TO_TAG:
             raise ValueError(f"bundle array '{key}' has no wire tag")
@@ -312,30 +349,61 @@ def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) ->
         if fault is not None:
             raise ValueError(f"bundle array '{key}' of user {user_id} at epoch {epoch} "
                              f"holds {fault} in float32")
-        parts.append(bytes([_KEY_TO_TAG[key], arr.ndim]))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(payload.tobytes())
-    return b"".join(parts)
+        header += [bytes([_KEY_TO_TAG[key], arr.ndim]), struct.pack(f"<{arr.ndim}I", *arr.shape)]
+        parts += [b"".join(header), payload]
+        header = []
+    if header:
+        parts.append(b"".join(header))
+    return WeightMessage(parts)
 
 
-def decode_weight_message(data: bytes) -> tuple:
-    """Parse an encoded message back into (bundle, epoch, user_id).
+def decode_weight_message(data) -> tuple:
+    """Parse an encoded message, a ``WeightMessage`` or a byte frame, back
+    into (bundle, epoch, user_id).
 
     Validation is strict: magic and version are checked, block shapes must
     be ones the encoder writes, every byte must be accounted for, and payload
-    values must be finite and, in a running variance, not negative."""
+    values must be finite and, in a running variance, not negative. Offsets
+    are positions in the frame. A byte frame is a message of one part and
+    decodes into owned copies. A payload that is a whole float32 array part
+    of a ``WeightMessage`` is taken as a read-only view of that array."""
+    parts = data.parts if isinstance(data, WeightMessage) else (data,)
+    starts = [0]  # each part's offset in the frame, then the frame's end
+    for part in parts:
+        starts.append(starts[-1] + memoryview(part).nbytes)
+    size = starts[-1]
     offset = 0
+    joined = None
 
     def skip(n: int, what: str) -> int:
         """Move past the next n bytes; returns where they start."""
         nonlocal offset
-        if offset + n > len(data):
-            raise MalformedMessageError(f"message truncated while reading {what}", len(data))
+        if offset + n > size:
+            raise MalformedMessageError(f"message truncated while reading {what}", size)
         offset += n
         return offset - n
 
+    def locate(start: int, n: int, payload: bool = False):
+        """A buffer holding the n bytes at ``start`` and their offset in it:
+        the byte part they lie in, a float32 array part that is exactly
+        them when they are a payload, or else the joined frame."""
+        nonlocal joined
+        if n == 0:
+            return b"", 0
+        i = bisect.bisect_right(starts, start) - 1
+        if i < len(parts) and start + n <= starts[i + 1]:
+            part = parts[i]
+            if not isinstance(part, np.ndarray):
+                return part, start - starts[i]
+            if payload and start == starts[i] and n == part.nbytes and part.dtype == WIRE_DTYPE:
+                return part, 0
+        if joined is None:
+            joined = b"".join(parts)
+        return joined, start
+
     def take(n: int, what: str) -> bytes:
-        return data[skip(n, what):offset]
+        buf, at = locate(skip(n, what), n)
+        return bytes(buf[at:at + n])
 
     magic = take(4, "magic")
     if magic != MESSAGE_MAGIC:
@@ -363,17 +431,22 @@ def decode_weight_message(data: bytes) -> tuple:
         numel = 1
         for d in dims:
             numel *= d
-        payload_offset = skip(WIRE_DTYPE.itemsize * numel, f"block {b} payload")
-        # read in place and copied once; the temporary view is gone before
-        # any error below, so ``data`` is never left exported
-        arr = np.frombuffer(data, dtype=WIRE_DTYPE, count=numel,
-                            offset=payload_offset).reshape(dims).copy()
+        nbytes = WIRE_DTYPE.itemsize * numel
+        payload_offset = skip(nbytes, f"block {b} payload")
+        buf, at = locate(payload_offset, nbytes, payload=True)
+        if isinstance(buf, np.ndarray):
+            arr = buf.reshape(dims)
+            arr.flags.writeable = False
+        else:
+            # read in place and copied once; the temporary view is gone
+            # before any error below, so a byte frame is never left exported
+            arr = np.frombuffer(buf, dtype=WIRE_DTYPE, count=numel, offset=at).reshape(dims).copy()
         fault = _value_fault(key, arr)
         if fault is not None:
             raise MalformedMessageError(f"{fault} in block {b}", payload_offset)
         arrays[key] = arr
-    if offset != len(data):
-        raise MalformedMessageError(f"{len(data) - offset} trailing bytes after last block", offset)
+    if offset != size:
+        raise MalformedMessageError(f"{size - offset} trailing bytes after last block", offset)
     return ext.WeightBundle(arrays=arrays), epoch, user_id
 
 
@@ -382,33 +455,39 @@ def decode_weight_message(data: bytes) -> tuple:
 # ---------------------------------------------------------------------------
 
 class InProcTransport:
-    """Default transport: messages stay in memory."""
+    """Default transport: messages stay in memory, and each is handed over
+    as it is, its payloads still borrowed from the sender's arrays."""
 
-    def upload(self, user_id: int, data: bytes) -> bytes:
+    def upload(self, user_id: int, data: WeightMessage) -> WeightMessage:
         return data
 
-    def download(self, user_id: int, data: bytes) -> bytes:
+    def download(self, user_id: int, data: WeightMessage) -> WeightMessage:
         return data
 
     def close(self) -> None:
         pass
 
 
-def _send_frame(sock: socket.socket, data: bytes) -> None:
-    sock.sendall(struct.pack("<I", len(data)) + data)
+def _send_frame(sock: socket.socket, data) -> None:
+    """Send a message's length-prefixed frame in one ``sendall``."""
+    sock.sendall(struct.pack("<I", len(data)) + bytes(data))
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("socket closed mid-frame")
-        buf += chunk
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """The next n bytes, received into one buffer of that size. Each receive
+    blocks at most the socket's timeout."""
+    buf = bytearray(n)
+    with memoryview(buf) as view:
+        got = 0
+        while got < n:
+            count = sock.recv_into(view[got:])
+            if not count:
+                raise ConnectionError("socket closed mid-frame")
+            got += count
     return buf
 
 
-def _recv_frame(sock: socket.socket) -> bytes:
+def _recv_frame(sock: socket.socket) -> bytearray:
     (length,) = struct.unpack("<I", _recv_exact(sock, 4))
     return _recv_exact(sock, length)
 
@@ -417,7 +496,9 @@ class SocketTransport:
     """Loopback TCP transport carrying the same length-prefixed weight
     messages; one persistent connection per user, opened at the user's first
     message. The send side runs on a helper thread so arbitrarily large
-    frames cannot deadlock the process.
+    frames cannot deadlock the process. A message is sent as its byte frame,
+    which the receiving side reads into one buffer, so what it decodes is
+    owned copies.
     Every socket times out after SOCKET_TIMEOUT_S, so a dead or stalled peer
     raises an OSError instead of blocking forever."""
 
@@ -443,7 +524,7 @@ class SocketTransport:
             conn.settimeout(SOCKET_TIMEOUT_S)
         return self._user_side[user_id], self._server_side[user_id]
 
-    def _pump(self, sender: socket.socket, receiver: socket.socket, data: bytes) -> bytes:
+    def _pump(self, sender: socket.socket, receiver: socket.socket, data) -> bytearray:
         def send():
             # a send that fails leaves the frame short, so the receive fails
             # too and reports it
@@ -459,11 +540,11 @@ class SocketTransport:
         finally:
             t.join()
 
-    def upload(self, user_id: int, data: bytes) -> bytes:
+    def upload(self, user_id: int, data) -> bytearray:
         user_side, server_side = self._pair(user_id)
         return self._pump(user_side, server_side, data)
 
-    def download(self, user_id: int, data: bytes) -> bytes:
+    def download(self, user_id: int, data) -> bytearray:
         user_side, server_side = self._pair(user_id)
         return self._pump(server_side, user_side, data)
 
@@ -628,14 +709,15 @@ class Federation:
             for user in self.users:
                 if user.user_id in connected:
                     yield user.user_id, self._round_trip(
-                        "upload", ext.extract_hidden_weights(user.pair.student), k,
+                        "upload", ext.borrow_hidden_weights(user.pair.student), k,
                         user.user_id)
 
         downloads = strategies.apply_round(config.strategy, uploads())
 
         for uid, bundle in downloads:
-            # Downloads may share one bundle; decoding gives each user its
-            # own copy.
+            # Downloads may share one bundle, and in-process a decoded one
+            # is a read-only view of it; the load copies it into the user's
+            # own arrays.
             bundle = self._round_trip("download", bundle, k, uid)
             # The last epoch's downloads are carried and recorded but never
             # loaded: training is over.

@@ -271,7 +271,7 @@ def test_c9_codec_roundtrip_and_fuzz():
         for key, arr in bundle.arrays.items():
             assert np.array_equal(decoded.arrays[key], arr.astype(np.float32))
 
-    base = federation.encode_weight_message(random_bundle(rng), 3, 4)
+    base = bytes(federation.encode_weight_message(random_bundle(rng), 3, 4))
     failures = 0
     for case in range(1000):
         mode = case % 3

@@ -29,6 +29,23 @@ class TestZNormalize:
     def test_constant_series_maps_to_zeros(self):
         assert np.array_equal(z_normalize(np.full(7, 3.3)), np.zeros(7))
 
+    @pytest.mark.parametrize("value", [1000000.1, -330000.7, 123456.789])
+    def test_large_constant_whose_mean_rounds_off_maps_to_zeros(self, value):
+        series = np.full(1500, value)
+        assert series.std() > 0.0  # the mean rounds off the value
+        assert np.array_equal(z_normalize(series), np.zeros(1500))
+        split = np.full((3, 1500), value)
+        assert np.array_equal(dataio._normalize_split(split, 1500), np.zeros((3, 1500)))
+
+    def test_gaps_in_a_large_constant_row_keep_it_constant(self):
+        assert np.full(9, 1000000.1).mean() != 1000000.1  # the observed mean rounds off
+        raw = np.full(12, 1000000.1)
+        raw[[1, 3, 4]] = np.nan
+        raw = np.concatenate([raw, [np.nan, np.nan]])  # trailing padding
+        cleaned = dataio._clean_series(raw)
+        assert np.array_equal(cleaned, np.full(12, 1000000.1))
+        assert np.array_equal(z_normalize(cleaned), np.zeros(12))
+
     def test_two_point_closed_form(self):
         np.testing.assert_allclose(z_normalize(np.array([0.0, 2.0])), [-1.0, 1.0])
 
@@ -194,11 +211,12 @@ def per_row_load(path):
 
 
 def finite_rows(rng, n, length):
-    """Rows at scales from 1e-3 to 1e3, one exactly constant and one
-    constant up to rounding."""
+    """Rows at scales from 1e-3 to 1e3, one exactly constant, one constant
+    up to rounding, and one constant whose mean rounds off its value."""
     rows = [rng.standard_normal(length) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-5, 5)
-            for _ in range(n - 2)]
-    return rows + [np.full(length, 3.3), np.full(length, 0.1) + np.arange(length) * 1e-17]
+            for _ in range(n - 3)]
+    return rows + [np.full(length, 3.3), np.full(length, 0.1) + np.arange(length) * 1e-17,
+                   np.full(length, 1000000.1)]
 
 
 def tsv_lines(labels, rows, sep="\t"):

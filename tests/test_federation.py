@@ -96,7 +96,7 @@ def _zero_mini_message() -> bytes:
     bundle = random_bundle(np.random.default_rng(13))
     for arr in bundle.arrays.values():
         arr[...] = 0.0
-    return encode_weight_message(bundle, epoch=3, user_id=4)
+    return bytes(encode_weight_message(bundle, epoch=3, user_id=4))
 
 
 ZERO_MESSAGE = _zero_mini_message()
@@ -113,21 +113,22 @@ class TestWeightMessageCodec:
             assert np.array_equal(decoded.arrays[key], arr.astype(np.float32))
 
     def test_magic_constant(self):
-        data = encode_weight_message(random_bundle(np.random.default_rng(1)), 0, 0)
+        data = bytes(encode_weight_message(random_bundle(np.random.default_rng(1)), 0, 0))
         assert data[:4] == bytes([0x45, 0x46, 0x44, 0x4C])  # "EFDL"
 
     def test_version_byte(self):
-        data = encode_weight_message(random_bundle(np.random.default_rng(2)), 0, 0)
+        data = bytes(encode_weight_message(random_bundle(np.random.default_rng(2)), 0, 0))
         assert data[4] == 1
 
     def test_truncation_by_one_errors_at_buffer_end(self):
-        data = encode_weight_message(random_bundle(np.random.default_rng(3)), 1, 2)
+        data = bytes(encode_weight_message(random_bundle(np.random.default_rng(3)), 1, 2))
         with pytest.raises(MalformedMessageError) as err:
             decode_weight_message(data[:-1])
         assert err.value.offset == len(data) - 1
 
     def test_bad_magic_offset_zero(self):
-        data = bytearray(encode_weight_message(random_bundle(np.random.default_rng(4)), 0, 0))
+        bundle = random_bundle(np.random.default_rng(4))
+        data = bytearray(bytes(encode_weight_message(bundle, 0, 0)))
         data[0] ^= 0xFF
         with pytest.raises(MalformedMessageError, match=r"^bad magic b'\\xbaFDL' ") as err:
             decode_weight_message(bytes(data))
@@ -135,7 +136,7 @@ class TestWeightMessageCodec:
 
     def test_decoded_arrays_own_their_memory(self):
         bundle = random_bundle(np.random.default_rng(14))
-        buf = bytearray(encode_weight_message(bundle, epoch=2, user_id=3))
+        buf = bytearray(bytes(encode_weight_message(bundle, epoch=2, user_id=3)))
         short = buf[:-1]
         with pytest.raises(MalformedMessageError) as err:
             decode_weight_message(short)
@@ -149,21 +150,22 @@ class TestWeightMessageCodec:
             assert got.flags.writeable and got.flags.owndata
 
     def test_bad_version_offset_four(self):
-        data = bytearray(encode_weight_message(random_bundle(np.random.default_rng(5)), 0, 0))
+        bundle = random_bundle(np.random.default_rng(5))
+        data = bytearray(bytes(encode_weight_message(bundle, 0, 0)))
         data[4] = 99
         with pytest.raises(MalformedMessageError) as err:
             decode_weight_message(bytes(data))
         assert err.value.offset == 4
 
     def test_trailing_bytes_rejected(self):
-        data = encode_weight_message(random_bundle(np.random.default_rng(6)), 0, 0)
+        data = bytes(encode_weight_message(random_bundle(np.random.default_rng(6)), 0, 0))
         with pytest.raises(MalformedMessageError, match="trailing"):
             decode_weight_message(data + b"\x00")
 
     def test_fuzz_structural_corruption_always_structured_error(self):
         rng = np.random.default_rng(7)
         bundle = random_bundle(rng)
-        data = encode_weight_message(bundle, epoch=9, user_id=1)
+        data = bytes(encode_weight_message(bundle, epoch=9, user_id=1))
         for case in range(1000):
             mode = case % 3
             if mode == 0:  # truncate somewhere strictly inside
@@ -185,7 +187,7 @@ class TestWeightMessageCodec:
     def test_fuzz_payload_corruption_never_crashes(self):
         rng = np.random.default_rng(8)
         bundle = random_bundle(rng)
-        data = encode_weight_message(bundle, epoch=0, user_id=0)
+        data = bytes(encode_weight_message(bundle, epoch=0, user_id=0))
         header = 14  # magic + version + epoch + user + block count
         for _ in range(200):
             buf = bytearray(data)
@@ -236,7 +238,7 @@ class TestWeightMessageCodec:
     @pytest.mark.parametrize("value", [-1e-3, -0.0])
     def test_running_variance_below_zero_rejected_at_its_payload(self, value):
         bundle = random_bundle(np.random.default_rng(16))
-        data = encode_weight_message(bundle, epoch=0, user_id=0)
+        data = bytes(encode_weight_message(bundle, epoch=0, user_id=0))
         block = list(bundle.arrays).index("bn2.running_var")
         payload = block_payload_offset(data, block)
         second = payload + 4  # the block's second value
@@ -249,7 +251,7 @@ class TestWeightMessageCodec:
             assert err.value.offset == payload
         else:  # -0.0 is not below zero: it decodes and encodes back unchanged
             decoded, epoch, uid = decode_weight_message(mutated)
-            assert encode_weight_message(decoded, epoch, uid) == mutated
+            assert bytes(encode_weight_message(decoded, epoch, uid)) == mutated
 
     @given(mutation=st.one_of(
         st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, len(ZERO_MESSAGE) - 1),
@@ -278,7 +280,7 @@ class TestWeightMessageCodec:
             bundle, epoch, uid = decode_weight_message(mutated)
         except MalformedMessageError:
             return
-        assert encode_weight_message(bundle, epoch, uid) == mutated
+        assert bytes(encode_weight_message(bundle, epoch, uid)) == mutated
 
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -298,6 +300,91 @@ class TestWeightMessageCodec:
         for key, arr in arrays.items():
             assert decoded.arrays[key].shape == arr.shape
             assert np.array_equal(decoded.arrays[key], arr)
+
+
+# sha256 of the version-1 frame of a seeded paper-width bundle, as the
+# copying encoder wrote it
+PAPER_FRAME_SHA256 = "22896da8a2f9bdb1e8e5962b538c77c3b3a2ab6fe86a5008328ff6f06b6d1a83"
+
+
+def _cut_frame(frame: bytes, cuts) -> federation.WeightMessage:
+    """A message whose parts are the frame cut at the given offsets."""
+    bounds = [0, *sorted(set(cuts)), len(frame)]
+    return federation.WeightMessage(frame[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+class TestBorrowedMessages:
+    """An encoded message holds its payloads as the bundle's own float32
+    arrays; its frame is the version-1 frame, and decoding it in-process
+    gives read-only views of them."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_paper_width_frame_is_pinned(self, dtype):
+        import hashlib
+
+        model = extractor.FeatureExtractor(num_classes=3, seed=2022, dtype=dtype)
+        message = encode_weight_message(extractor.extract_hidden_weights(model), 3, 12)
+        frame = bytes(message)
+        assert len(message) == len(frame) == 1_129_634
+        assert hashlib.sha256(frame).hexdigest() == PAPER_FRAME_SHA256
+
+    def test_float32_payloads_are_borrowed_and_decode_read_only(self):
+        bundle = random_bundle(np.random.default_rng(20))
+        bundle = WeightBundle({k: v.astype(np.float32) for k, v in bundle.arrays.items()})
+        message = encode_weight_message(bundle, 1, 2)
+        decoded, epoch, uid = decode_weight_message(message)
+        assert (epoch, uid) == (1, 2)
+        for key, arr in bundle.arrays.items():
+            view = decoded.arrays[key]
+            assert np.shares_memory(view, arr) and not view.flags.writeable, key
+            assert view.tobytes() == arr.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                view[...] = 0.0
+        owned, _, _ = decode_weight_message(bytes(message))
+        for key, arr in owned.arrays.items():
+            assert arr.flags.owndata and arr.flags.writeable, key
+            assert arr.tobytes() == bundle.arrays[key].tobytes()
+
+    def test_other_dtypes_travel_as_converted_copies(self):
+        bundle = random_bundle(np.random.default_rng(21))  # float64
+        decoded, _, _ = decode_weight_message(encode_weight_message(bundle, 0, 0))
+        for key, arr in bundle.arrays.items():
+            assert not np.shares_memory(decoded.arrays[key], arr), key
+            assert np.array_equal(decoded.arrays[key], arr.astype(np.float32))
+
+    @given(cuts=st.lists(st.integers(0, len(ZERO_MESSAGE)), max_size=6),
+           mutation=st.one_of(st.just(None), st.integers(0, len(ZERO_MESSAGE) - 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_any_split_of_a_frame_decodes_as_the_frame(self, cuts, mutation):
+        # one parser: parts cut anywhere read as the frame they join into,
+        # with its values, or its error and offset
+        frame = ZERO_MESSAGE if mutation is None else ZERO_MESSAGE[:mutation]
+        outcomes = []
+        for data in (frame, _cut_frame(frame, [c for c in cuts if c <= len(frame)])):
+            try:
+                bundle, epoch, uid = decode_weight_message(data)
+            except MalformedMessageError as exc:
+                outcomes.append((str(exc), exc.offset))
+            else:
+                outcomes.append((epoch, uid, {k: v.tobytes() for k, v in bundle.arrays.items()}))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("key,value,fault", [
+        ("conv1.bias", np.nan, "non-finite values"),
+        ("bn2.running_var", -1.0, "negative running-variance values"),
+    ])
+    def test_array_part_gets_the_frame_checks(self, key, value, fault):
+        # the encoder refuses such values, so they are written after it ran,
+        # into the array the message borrows
+        bundle = random_bundle(np.random.default_rng(22))
+        bundle = WeightBundle({k: v.astype(np.float32) for k, v in bundle.arrays.items()})
+        message = encode_weight_message(bundle, 0, 0)
+        block = list(bundle.arrays).index(key)
+        payload = block_payload_offset(bytes(message), block)
+        bundle.arrays[key][0] = value
+        with pytest.raises(MalformedMessageError,
+                           match=rf"^{fault} in block {block} \(at byte offset {payload}\)$"):
+            decode_weight_message(message)
 
 
 class TestRunFederation:
@@ -557,7 +644,7 @@ class TestStreamedRound:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_each_bundle_is_released_before_the_next_is_extracted(self, monkeypatch, workers):
-        real = extractor.extract_hidden_weights
+        real = extractor.borrow_hidden_weights
         refs = []
 
         def tracking(model):
@@ -566,7 +653,7 @@ class TestStreamedRound:
             refs.append(weakref.ref(bundle))
             return bundle
 
-        monkeypatch.setattr(extractor, "extract_hidden_weights", tracking)
+        monkeypatch.setattr(extractor, "borrow_hidden_weights", tracking)
         datasets = [(f"w{i}", "synthetic") for i in range(4)]
         config = toy_config(n_tot=4, conn_ratio=0.75, fles=2, datasets=datasets,
                             workers=workers)
@@ -585,7 +672,7 @@ class TestStreamedRound:
         uploads = []
         real_run_epoch = Federation._run_epoch
         real_round_trip = Federation._round_trip
-        real_extract = extractor.extract_hidden_weights
+        real_extract = extractor.borrow_hidden_weights
 
         def run_epoch(fed, k, on_epoch=None):
             refs.clear()
@@ -605,7 +692,7 @@ class TestStreamedRound:
 
         monkeypatch.setattr(Federation, "_run_epoch", run_epoch)
         monkeypatch.setattr(Federation, "_round_trip", round_trip)
-        monkeypatch.setattr(extractor, "extract_hidden_weights", extract)
+        monkeypatch.setattr(extractor, "borrow_hidden_weights", extract)
         datasets = [(f"w{i}", "synthetic") for i in range(4)]
         config = toy_config(n_tot=4, conn_ratio=0.75, fles=2, datasets=datasets,
                             strategy=strategy, workers=workers)
@@ -618,8 +705,8 @@ class TestStreamedRound:
     def test_hidden_weights_are_extracted_only_for_uploads(self, monkeypatch, strategy,
                                                            conn_resample):
         extracted = []
-        real = extractor.extract_hidden_weights
-        monkeypatch.setattr(extractor, "extract_hidden_weights",
+        real = extractor.borrow_hidden_weights
+        monkeypatch.setattr(extractor, "borrow_hidden_weights",
                             lambda model: extracted.append(model) or real(model))
         datasets = [(f"w{i}", "synthetic") for i in range(4)]
         fed = Federation(toy_config(n_tot=4, conn_ratio=0.5, fles=3, datasets=datasets,
@@ -673,7 +760,7 @@ class TestStreamedRound:
 
         class RecordingTransport(federation.InProcTransport):
             def download(self, user_id, data):
-                last[user_id] = data
+                last[user_id] = bytes(data)
                 return data
 
         datasets = [(f"w{i}", "synthetic") for i in range(3)]
@@ -822,6 +909,62 @@ class TestStreamedRound:
         assert len(fed.ledger) == stalled
 
 
+class Trickle:
+    """A socket whose every receive takes at most ``step`` bytes."""
+
+    def __init__(self, sock, step):
+        self.sock, self.step, self.receives = sock, step, 0
+
+    def recv_into(self, view):
+        self.receives += 1
+        return self.sock.recv_into(view, min(self.step, len(view)))
+
+
+class TestFrames:
+    """A frame is received whole into one buffer, however it arrives."""
+
+    @staticmethod
+    def _send_in_pieces(sock, data, step):
+        def send():
+            for start in range(0, len(data), step):
+                sock.sendall(data[start:start + step])
+
+        thread = threading.Thread(target=send)
+        thread.start()
+        return thread
+
+    def test_frame_sent_in_many_small_writes_arrives_whole(self):
+        frame = bytes(encode_weight_message(random_bundle(np.random.default_rng(30)), 1, 2))
+        sender, receiver = federation.socket.socketpair()
+        with sender, receiver:
+            receiver.settimeout(5.0)
+            thread = self._send_in_pieces(sender, struct.pack("<I", len(frame)) + frame, 7)
+            trickle = Trickle(receiver, 5)
+            got = federation._recv_frame(trickle)
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert isinstance(got, bytearray) and got == frame
+        assert trickle.receives > len(frame) // 5  # one buffer filled by many receives
+        assert decode_weight_message(got)[1:] == (1, 2)
+
+    def test_frame_cut_short_by_a_close_raises_connection_error(self):
+        sender, receiver = federation.socket.socketpair()
+        with receiver:
+            receiver.settimeout(5.0)
+            with sender:
+                sender.sendall(struct.pack("<I", 100) + bytes(60))
+            with pytest.raises(ConnectionError, match="^socket closed mid-frame$"):
+                federation._recv_frame(receiver)
+
+    def test_each_receive_keeps_the_socket_timeout(self):
+        sender, receiver = federation.socket.socketpair()
+        with sender, receiver:
+            receiver.settimeout(0.2)
+            sender.sendall(struct.pack("<I", 100) + bytes(60))
+            with pytest.raises(TimeoutError):
+                federation._recv_frame(receiver)
+
+
 class RewritingTransport(federation.InProcTransport):
     """Carries every message unchanged, except user 1's message in
     ``direction`` at federated epoch ``epoch``, which ``rewrite`` edits."""
@@ -830,9 +973,10 @@ class RewritingTransport(federation.InProcTransport):
         self.direction, self.epoch, self.rewrite = direction, epoch, rewrite
 
     def _carry(self, direction, user_id, data):
-        (epoch,) = struct.unpack_from("<I", data, 5)
+        frame = bytes(data)
+        (epoch,) = struct.unpack_from("<I", frame, 5)
         if (direction, user_id, epoch) == (self.direction, 1, self.epoch):
-            return self.rewrite(data)
+            return self.rewrite(frame)
         return data
 
     def upload(self, user_id, data):
@@ -954,8 +1098,8 @@ class TestRoundChecks:
         # fedavg's next forward with an error that named no user
         fed = self.federation(strategy, RewritingTransport(direction, 1, negative_running_var))
         block = extractor.BUNDLE_KEYS.index("bn1.running_var")
-        offset = block_payload_offset(encode_weight_message(
-            extractor.extract_hidden_weights(fed.users[1].pair.student), 1, 1), block)
+        offset = block_payload_offset(bytes(encode_weight_message(
+            extractor.extract_hidden_weights(fed.users[1].pair.student), 1, 1)), block)
         with pytest.raises(MalformedMessageError) as info:
             fed.run()
         assert str(info.value) == (f"user 1 {direction} at federated epoch 1: negative "
@@ -977,9 +1121,14 @@ class TestRoundTable:
 
         def recording(tag, uploads):
             uploads = list(uploads)
-            before = [{k: v.copy() for k, v in b.arrays.items()} for _, b in uploads]
+            before = [b.copy() for _, b in uploads]
             downloads = real_round(tag, uploads)
-            rounds.append((uploads, before, downloads))
+            for (_, bundle), copy in zip(uploads, before):
+                for key, arr in copy.arrays.items():
+                    assert np.array_equal(bundle.arrays[key], arr)
+            # a round's bundles are borrowed until the epoch ends: the
+            # values are recorded as copies
+            rounds.append((downloads, [(uid, b.copy()) for uid, b in downloads]))
             return downloads
 
         monkeypatch.setattr(strategies, "apply_round", recording)
@@ -990,12 +1139,8 @@ class TestRoundTable:
         fed.run()
 
         assert len(rounds) == 2
-        for uploads, before, _ in rounds:
-            for (_, bundle), arrays in zip(uploads, before):
-                for key, arr in arrays.items():
-                    assert np.array_equal(bundle.arrays[key], arr)
         # epoch 1's downloads are the last ones loaded
-        downloads = dict(rounds[0][2])
+        downloads, copies = map(dict, rounds[0])
         source = downloads[0]
         assert downloads[2] is source
         models = {uid: extractor.hidden_arrays(getattr(fed.users[uid].pair, model))
@@ -1005,7 +1150,8 @@ class TestRoundTable:
             for uid in (0, 2):
                 assert not np.shares_memory(models[uid][key], arr)
                 if model == "teacher":  # teachers keep what they loaded
-                    assert np.array_equal(models[uid][key], arr.astype(np.float32))
+                    loaded = copies[0].arrays[key].astype(np.float32)
+                    assert np.array_equal(models[uid][key], loaded)
 
     @pytest.mark.parametrize("strategy,module,name", [
         ("fedavg", strategies, "fedavg_aggregate"),
@@ -1027,6 +1173,118 @@ class TestRoundTable:
         config = toy_config(strategy=strategy)
         run_federation(config)
         assert len(calls) == config.fles
+
+
+class TestBorrowedRound:
+    """In-process, the round's uploads are read-only views of the students'
+    arrays; over sockets they are decoded into owned copies."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_held_uploads_are_views_in_process_and_owned_over_sockets(self, monkeypatch,
+                                                                      transport):
+        seen = []
+        real = dbwm.match_table
+
+        def matching(uploads):
+            for uid, bundle in uploads:
+                student = extractor.hidden_arrays(fed.users[uid].pair.student)
+                for key, arr in bundle.arrays.items():
+                    if transport == "inproc":
+                        assert np.shares_memory(arr, student[key]), (uid, key)
+                        assert not arr.flags.writeable, (uid, key)
+                        with pytest.raises(ValueError, match="read-only"):
+                            arr[...] = 0.0
+                    else:
+                        assert arr.flags.owndata and arr.flags.writeable, (uid, key)
+                        assert not np.shares_memory(arr, student[key]), (uid, key)
+                    assert arr.tobytes() == student[key].tobytes(), (uid, key)
+                seen.append(uid)
+            return real(uploads)
+
+        monkeypatch.setattr(dbwm, "match_table", matching)
+        datasets = [(f"w{i}", "synthetic") for i in range(3)]
+        fed = Federation(toy_config(n_tot=3, fles=2, datasets=datasets, transport=transport))
+        fed.run()
+        assert seen == [0, 1, 2] * 2
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("strategy", ["efdls", "fkd", "fedavg"])
+    def test_no_student_is_written_while_a_view_of_it_lives(self, monkeypatch, strategy,
+                                                            workers):
+        # every array borrowed from a student or decoded from an upload,
+        # held weakly; none may alias a student that trains or loads
+        refs = []
+        real_borrow = extractor.borrow_hidden_weights
+        real_round_trip = Federation._round_trip
+        real_train = fbst.local_train_epoch
+        real_load = fbst.FBSTPair.load_student
+        checks = []
+
+        def track(bundle):
+            refs.extend(weakref.ref(arr) for arr in bundle.arrays.values())
+            return bundle
+
+        def assert_unaliased(pair):
+            alive = [arr for arr in (ref() for ref in refs) if arr is not None]
+            for target in extractor.hidden_arrays(pair.student).values():
+                assert not any(np.shares_memory(target, arr) for arr in alive)
+            checks.append(len(alive))
+
+        def train(pair, *args, **kwargs):
+            assert_unaliased(pair)
+            return real_train(pair, *args, **kwargs)
+
+        def load_student(pair, bundle):
+            assert_unaliased(pair)
+            real_load(pair, bundle)
+
+        monkeypatch.setattr(extractor, "borrow_hidden_weights",
+                            lambda model: track(real_borrow(model)))
+        monkeypatch.setattr(Federation, "_round_trip",
+                            lambda fed, *args: track(real_round_trip(fed, *args)))
+        monkeypatch.setattr(fbst, "local_train_epoch", train)
+        monkeypatch.setattr(fbst.FBSTPair, "load_student", load_student)
+        datasets = [(f"w{i}", "synthetic") for i in range(4)]
+        run_federation(toy_config(n_tot=4, fles=3, strategy=strategy, datasets=datasets,
+                                  workers=workers))
+        assert len(refs) > 0
+        assert len(checks) == 4 * 3 + (4 * 2 if strategy == "fedavg" else 0)
+
+
+def write_waves(root, name, length, rows=(10, 6), seed=0):
+    """A two-class UCR-style set of noisy sines, each row ``length`` long."""
+    rng = np.random.default_rng(seed)
+    path = root / name
+    path.mkdir()
+    t = np.linspace(0.0, 4.0 * np.pi, length)
+    for split, n in zip(("TRAIN", "TEST"), rows):
+        lines = []
+        for i in range(n):
+            row = np.sin(t * (1 + i % 2)) + 0.2 * rng.standard_normal(length)
+            lines.append("\t".join([str(i % 2 + 1)] + [repr(float(v)) for v in row]))
+        (path / f"{name}_{split}.tsv").write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestMixedSeriesLengths:
+    """Users whose tasks differ in series length share hidden bundles of one
+    shape, and a run over sockets, whose bundles are owned copies, matches
+    the in-process run, whose bundles are borrowed views."""
+
+    @pytest.mark.parametrize("strategy", ["baseline", "fedavg", "fkd", "efdls"])
+    def test_lengths_24_64_128_24_match_across_transports(self, tmp_path, strategy):
+        datasets = [(f"L{n}", write_waves(tmp_path, f"L{n}", n, seed=n)) for n in (24, 64, 128)]
+        runs = []
+        for transport in ("inproc", "socket"):
+            losses = {}
+            fed = Federation(toy_config(n_tot=4, fles=3, strategy=strategy, datasets=datasets,
+                                        transport=transport))
+            report, ledger = fed.run(
+                on_epoch=lambda uid, k, rep: losses.__setitem__((uid, k), rep))
+            assert [u.dataset.series_length for u in fed.users] == [24, 64, 128, 24]
+            runs.append((report.table.values.tolist(), losses, ledger.entries))
+        assert runs[0] == runs[1]
+        assert len(runs[0][2]) == (0 if strategy == "baseline" else 2 * 4 * 3)
 
 
 def _single_block_message(ndim: int, dims, payload: bytes = b"") -> bytes:
@@ -1147,7 +1405,8 @@ class TestTeacherLifecycle:
         real = fbst.FBSTPair.load_teacher
 
         def recording(pair, bundle):
-            last[id(pair)] = bundle
+            # the bundle for the memory check, its copy for the values
+            last[id(pair)] = bundle, bundle.copy()
             real(pair, bundle)
 
         monkeypatch.setattr(fbst.FBSTPair, "load_teacher", recording)
@@ -1157,11 +1416,11 @@ class TestTeacherLifecycle:
         fed.run()
         assert len(last) == 3
         for user in fed.users:
-            download = last[id(user.pair)]
+            download, values = last[id(user.pair)]
             for key, arr in extractor.hidden_arrays(user.pair.teacher).items():
                 wire = download.arrays[key]
                 assert wire.dtype == arr.dtype == np.float32, (user.user_id, key)
-                assert arr.tobytes() == wire.tobytes(), (user.user_id, key)
+                assert arr.tobytes() == values.arrays[key].tobytes(), (user.user_id, key)
                 assert not np.shares_memory(arr, wire), (user.user_id, key)
 
 
@@ -1249,7 +1508,7 @@ class TestBlockShapeLimits:
         bundle = random_bundle(np.random.default_rng(12))
         for arr in bundle.arrays.values():
             arr[...] = 0.0
-        data = encode_weight_message(bundle, 0, 0)
+        data = bytes(encode_weight_message(bundle, 0, 0))
         for value in range(256):
             buf = bytearray(data)
             buf[15] = value
