@@ -10,7 +10,7 @@ Distances come from a Gram screen followed by an exact recheck:
 
 - **Gram screen.** G = B Bᵀ over the n connected bundles, accumulated in
   float64 one column chunk of one learnable array at a time, so the extra
-  memory is one n x ``GRAM_CHUNK`` float64 block (4 MiB for 64 users) rather
+  memory is one n x ``GRAM_CHUNK`` float64 block (1 MiB for 64 users) rather
   than an n x P stack. The upper triangle is mirrored, so the matrix is
   exactly symmetric. Each approximate distance is Gᵢᵢ + Gⱼⱼ − 2Gᵢⱼ.
 - **Error bound.** A float64 sum of P products is off by at most γ_P times
@@ -59,7 +59,9 @@ def bundle_distance(a: WeightBundle, b: WeightBundle) -> float:
     return total
 
 
-GRAM_CHUNK = 8192
+# Columns per Gram block. The block is alive while the previous round's
+# teachers are, so it is kept small; the screen is no slower than at 8,192.
+GRAM_CHUNK = 2048
 
 
 def _gram_matrix(bundles: list) -> np.ndarray:
@@ -114,7 +116,9 @@ def match_partners(distances: np.ndarray) -> list:
 
 def dispatch_matched(uploads: list, partners: list) -> list:
     """Per user, the partner's uploaded bundle itself (not a copy):
-    returns [(user_id, partner_bundle), ...] in upload order."""
+    returns [(user_id, partner_bundle), ...] in upload order. A user that
+    keeps its download must take it from a copy that does not change; the
+    federation freezes one copy per dispatched bundle as it sends it."""
     if len(partners) != len(uploads):
         raise ValueError(f"assignment covers {len(partners)} users, {len(uploads)} uploaded")
     return [(uid, uploads[j][1]) for (uid, _), j in zip(uploads, partners)]

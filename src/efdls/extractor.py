@@ -318,13 +318,23 @@ def load_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> Featur
 
 
 def clone_model(model: FeatureExtractor, hidden: WeightBundle | None = None) -> FeatureExtractor:
-    """Independent deep copy (used to spawn a teacher from a student).
+    """Independent deep copy of the model.
 
-    Given a bundle ``hidden``, the copy's hidden layers are not copied from
-    the model but loaded from the bundle with ``load_hidden_weights``, so
-    each is written once."""
+    Given a bundle ``hidden``, the copy's hidden arrays are the bundle's own
+    arrays instead, as read-only views: this is how a teacher is made from
+    its student. Only an array whose dtype is not the model's is cast, into
+    a read-only array of the clone's own. So the clone holds the bundle's
+    values only while nothing writes to them, and clones made from one
+    bundle share its memory. Nothing is built unless the whole bundle
+    fits."""
     if hidden is None:
         return copy.deepcopy(model)
+    targets = hidden_arrays(model)
+    check_bundle(hidden, targets)
     # deepcopy takes an object found in its memo as that object's copy
-    memo = {id(arr): np.empty_like(arr) for arr in hidden_arrays(model).values()}
-    return load_hidden_weights(copy.deepcopy(model, memo), hidden)
+    memo = {}
+    for key, arr in targets.items():
+        held = np.ascontiguousarray(hidden.arrays[key], dtype=arr.dtype).view()
+        held.flags.writeable = False
+        memo[id(arr)] = held
+    return copy.deepcopy(model, memo)

@@ -2,10 +2,13 @@
 
 Each user holds a student and, from its first load on, a frozen teacher of
 the same shape. Only the student sees a gradient; the teacher's hidden-layer
-outputs act as regression targets through a feature-matching loss, and its
-weights change only when the server hands down a bundle. A teacher is a clone
-of its student, so it stores and computes in the student's dtype. Users that
-never receive one (fedavg, baseline, disconnected) never hold a teacher.
+outputs act as regression targets through a feature-matching loss. Each
+load makes a new teacher, a clone of the student that keeps the bundle it
+is handed as its read-only hidden arrays, so a teacher stores and computes
+in the student's dtype and never writes its weights. Read-only teachers are
+safe for pool threads to share, and in a run the teachers handed one
+partner's bundle share one copy of it. Users that never receive one
+(fedavg, baseline, disconnected) never hold a teacher.
 
 Loss pieces:
   * feature-matching (KD) loss: for each of the four hidden outputs, squared
@@ -87,11 +90,14 @@ class FBSTPair:
     """A user's student and its frozen teacher twin.
 
     The teacher is None, and training supervised-only, until the server first
-    loads weights into it. That load clones the student with the bundle's
-    hidden values, in the student's dtype; every later load copies the
-    bundle into the teacher's hidden arrays.
-    The clone's classifier never enters the loss. A student load copies into
-    the student's own arrays.
+    loads weights into it. Every load replaces the teacher with
+    ``extractor.clone_model(student, bundle)``: a model that keeps the
+    bundle's own hidden arrays, read-only, cast only where their dtype is
+    not the student's, so it must be handed a bundle that nothing writes to
+    afterwards. A rejected load leaves the old teacher as it was. The clone
+    takes the student's classifier at each load; the teacher's classifier
+    never enters the loss. A student load (``extractor.load_hidden_weights``,
+    the one loader of students) copies into the student's own arrays.
     """
 
     def __init__(self, student: ext.FeatureExtractor):
@@ -99,10 +105,7 @@ class FBSTPair:
         self.teacher = None
 
     def load_teacher(self, bundle: ext.WeightBundle) -> None:
-        if self.teacher is None:
-            self.teacher = ext.clone_model(self.student, bundle)
-        else:
-            ext.load_hidden_weights(self.teacher, bundle)
+        self.teacher = ext.clone_model(self.student, bundle)
 
     def load_student(self, bundle: ext.WeightBundle) -> None:
         ext.load_hidden_weights(self.student, bundle)

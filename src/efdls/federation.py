@@ -22,8 +22,11 @@ takes part in a round. Every federated epoch:
      structural: no download exists until the round has consumed every
      upload of the epoch's one connected set;
   4. each download is loaded as soon as it is decoded, by the row's
-     ``FBSTPair`` method (teachers for efdls/fkd, students for fedavg). The
-     last epoch's downloads are carried and recorded but never loaded.
+     ``FBSTPair`` method (teachers for efdls/fkd, students for fedavg). In
+     an epoch whose downloads are loaded, each dispatched bundle is first
+     frozen into one owned copy, which every download of it is encoded
+     from. The last epoch's downloads are carried and recorded but never
+     loaded, and nothing is copied for them.
 
 Every message the round receives is checked before anything uses it: it
 must decode, its header must carry the epoch and user id it was sent with,
@@ -40,14 +43,17 @@ the socket transport connects each user at its first message.
 
 In-process, a message borrows its payloads from the bundle it encodes and
 decodes into read-only views of them, so a bundle the round builds is
-borrowed, read-only, until the epoch ends: the held uploads, the dispatched
-partner bundles and the downloads are views of the students' own arrays, or
-of the float32 copy of the mean made for each message, and cost no memory
-until a load copies them into the receiver's arrays. Nothing writes a
-student while the round holds a view of it: every user has trained before
-the first upload, and the downloads that load students (fedavg's) hold the
-mean, not a student. Keep ``bundle.copy()`` to hold a bundle past its epoch.
-Over sockets every decoded bundle is owned.
+borrowed, read-only: the held uploads and the dispatched partner bundles are
+views of the students' own arrays, and the mean is one float32 array every
+download borrows. They cost no memory. Nothing writes a student while the
+round holds a view of it: every user has trained before the first upload,
+and the downloads that load students (fedavg's) hold the mean, not a
+student. A teacher keeps the decoded download it is handed, and a partner's
+student trains next epoch, so each dispatched bundle is frozen into one
+copy before its first download; in-process every teacher handed it keeps
+read-only views of that one copy. Over sockets every decoded bundle is
+owned, and a teacher keeps its own. Keep ``bundle.copy()`` to hold any
+other bundle past its epoch.
 
 Per connected user per epoch there is exactly one upload and one download,
 which makes the run's ledger total exactly 2 * bundle_bytes * FLEs * N_conn.
@@ -469,8 +475,10 @@ class InProcTransport:
 
 
 def _send_frame(sock: socket.socket, data) -> None:
-    """Send a message's length-prefixed frame in one ``sendall``."""
-    sock.sendall(struct.pack("<I", len(data)) + bytes(data))
+    """Send a message's length-prefixed frame in one ``sendall``, built once:
+    the length prefix and the message's parts are joined into one buffer."""
+    parts = data.parts if isinstance(data, WeightMessage) else (data,)
+    sock.sendall(b"".join((struct.pack("<I", len(data)), *parts)))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytearray:
@@ -714,14 +722,22 @@ class Federation:
 
         downloads = strategies.apply_round(config.strategy, uploads())
 
+        # Downloads may share one bundle, and in-process a decoded one is a
+        # read-only view of it, which a teacher keeps. A dispatched efdls
+        # bundle is a view of its user's student, which trains next epoch, so
+        # each dispatched bundle is frozen into one owned copy at its first
+        # download, and its later downloads are encoded from that same copy.
+        # The last epoch's downloads are carried and recorded but never
+        # loaded: training is over, and nothing is copied.
+        load = k < config.fles
+        frozen = {}  # id of a dispatched bundle, alive in downloads -> its copy
         for uid, bundle in downloads:
-            # Downloads may share one bundle, and in-process a decoded one
-            # is a read-only view of it; the load copies it into the user's
-            # own arrays.
+            if load:
+                if id(bundle) not in frozen:
+                    frozen[id(bundle)] = bundle.copy()
+                bundle = frozen[id(bundle)]
             bundle = self._round_trip("download", bundle, k, uid)
-            # The last epoch's downloads are carried and recorded but never
-            # loaded: training is over.
-            if k < config.fles:
+            if load:
                 getattr(self.users[uid].pair, self.round[1])(bundle)
 
     def run(self, on_epoch=None):

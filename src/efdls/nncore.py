@@ -131,15 +131,25 @@ class DenseLayer:
             raise ShapeError(f"dense bias shape {self.bias.shape} does not match D_out={self.weight.shape[0]}")
 
 
+# float64 draws per pass of _uniform: 128 KiB of scratch
+UNIFORM_CHUNK = 16384
+
+
 def _uniform(rng: np.random.Generator, bound: float, size, dtype) -> np.ndarray:
     """``rng.uniform(-bound, bound, size).astype(dtype)`` bit for bit: the same
-    float64 draws, scaled and shifted in float64 as ``uniform`` does, with
-    the sum written straight into the ``dtype`` array."""
+    float64 draws from the same stream, scaled and shifted in float64 as
+    ``uniform`` does. They are drawn UNIFORM_CHUNK at a time into one reused
+    float64 chunk, and each sum is written straight into the ``dtype``
+    array, so no float64 array of the full size exists."""
     low, high = -bound, bound
-    draws = rng.random(size)
-    draws *= high - low
-    out = draws if np.dtype(dtype) == draws.dtype else np.empty(size, dtype=dtype)
-    return np.add(draws, low, out=out)
+    out = np.empty(size, dtype=dtype)
+    flat = out.reshape(-1)
+    chunk = np.empty(min(flat.size, UNIFORM_CHUNK))
+    for start in range(0, flat.size, UNIFORM_CHUNK):
+        draws = rng.random(out=chunk[:min(UNIFORM_CHUNK, flat.size - start)])
+        draws *= high - low
+        np.add(draws, low, out=flat[start:start + draws.size])
+    return out
 
 
 def init_conv(c_out: int, c_in: int, k: int, rng: np.random.Generator, dtype=np.float64) -> ConvLayer:

@@ -14,9 +14,10 @@ A round consumes its uploads once, as they arrive. The mean folds each upload
 into one float64 running sum and lets it go, so fedavg/fkd hold one upload at
 a time; efdls matches every bundle against every other and so holds them all.
 
-Downloads share bundles: every fedavg/fkd user is handed the one mean, and an
-efdls user its partner's uploaded bundle itself. Each download is encoded
-and decoded on its way to the user, so every user loads a private copy.
+Downloads share bundles: every fedavg/fkd user is handed the one mean, cast
+once to the uploads' dtype, and an efdls user its partner's uploaded bundle
+itself. Each download is encoded and decoded on its way to the user; a
+student load copies it, and a teacher keeps it (see ``federation``).
 
 FedAvgM / FedGrad / FTL / FTLS variants are out of scope; a new row is the
 extension point for adding them.
@@ -59,15 +60,26 @@ def fedavg_aggregate(bundles) -> WeightBundle:
 
 
 def _mean_for_all(uploads) -> list:
-    uids = []
+    """Every user is handed the one mean, in the dtype each array was
+    uploaded in: a run's float32 mean is cast once, here, and every download
+    message borrows it. A value beyond the float32 range becomes inf, which
+    the encoder refuses, naming the user and the epoch."""
+    uids, dtypes = [], {}
 
     def bundle_of(upload):
-        uids.append(upload[0])
-        return upload[1]
+        uid, bundle = upload
+        if not uids:
+            dtypes.update((key, arr.dtype) for key, arr in bundle.arrays.items())
+        uids.append(uid)
+        return bundle
 
     # map, unlike a generator's loop variable, keeps no reference to the
     # upload it last returned
     mean = fedavg_aggregate(map(bundle_of, uploads))
+    if any(arr.dtype != dtypes[key] for key, arr in mean.arrays.items()):
+        with np.errstate(over="ignore"):
+            mean = WeightBundle(arrays={key: arr.astype(dtypes[key])
+                                        for key, arr in mean.arrays.items()})
     return [(uid, mean) for uid in uids]
 
 

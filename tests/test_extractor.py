@@ -329,8 +329,13 @@ class TestCloneModel:
         for key, arr in cloned.items():
             want = bundle.arrays[key].astype(dtype) if key in bundle.arrays else held[key]
             assert arr.dtype == dtype and arr.tobytes() == want.tobytes(), key
-            for other in (*held.values(), *bundle.arrays.values()):
+            for other in held.values():
                 assert not np.shares_memory(arr, other), key
+            # a hidden array is the bundle's own, read-only, unless it is cast
+            for other_key, other in bundle.arrays.items():
+                kept = other_key == key and other.dtype == dtype
+                assert np.shares_memory(arr, other) == kept, (key, other_key)
+            assert arr.flags.writeable == (key not in bundle.arrays), key
 
     def test_clone_with_a_misshapen_bundle_is_refused(self):
         model = mini_model(seed=63)

@@ -208,10 +208,16 @@ class TestTeacherLifecycle:
         teacher = pair.teacher
         for key, arr in extractor.hidden_arrays(teacher).items():
             assert np.array_equal(arr, source.arrays[key]), key
-            assert not np.shares_memory(arr, source.arrays[key]), key
-        # later loads overwrite the same teacher in place
-        pair.load_teacher(extractor.extract_hidden_weights(pair.student))
-        assert pair.teacher is teacher and len(clones) == 1
+            # the teacher keeps the bundle's own array, read-only
+            assert np.shares_memory(arr, source.arrays[key]), key
+            assert not arr.flags.writeable, key
+        # every later load clones the student again, onto the new bundle
+        later = extractor.extract_hidden_weights(pair.student)
+        pair.load_teacher(later)
+        assert pair.teacher is not teacher and clones == [pair.student] * 2
+        for key, arr in extractor.hidden_arrays(pair.teacher).items():
+            assert np.array_equal(arr, later.arrays[key]), key
+            assert np.shares_memory(arr, later.arrays[key]), key
 
     def test_loaded_teacher_shares_no_memory_with_student(self):
         pair = FBSTPair(mini_model(num_classes=2, seed=45))
@@ -235,33 +241,43 @@ class TestTeacherLifecycle:
         wide = extractor.extract_hidden_weights(mini_model(num_classes=2, seed=48))
         wire = float32_bundle(extractor.extract_hidden_weights(mini_model(num_classes=2, seed=49)))
         pair.load_teacher(wide)
-        teacher = pair.teacher
         for source in (wire, wide, wire):
             pair.load_teacher(source)
-            assert pair.teacher is teacher
-            for key, arr in extractor.hidden_arrays(teacher).items():
+            for key, arr in extractor.hidden_arrays(pair.teacher).items():
                 assert arr.dtype == dtype, key
                 assert np.array_equal(arr, source.arrays[key].astype(dtype)), key
-                assert not np.shares_memory(arr, source.arrays[key]), key
-        # a rejected later load leaves every array as it was
+                # a bundle in the student's dtype is kept, any other is cast
+                assert np.shares_memory(arr, source.arrays[key]) == \
+                    (source.arrays[key].dtype == dtype), key
+                assert not arr.flags.writeable, key
+        # a rejected later load leaves the teacher as it was
+        teacher = pair.teacher
         held = {k: v.copy() for k, v in extractor.hidden_arrays(teacher).items()}
         bad = wide.copy()
         bad.arrays["dense.bias"] = np.zeros(MINI_HIDDEN + 1)
         with pytest.raises(extractor.IncompatibleBundleError):
             pair.load_teacher(bad)
+        assert pair.teacher is teacher
         for key, arr in extractor.hidden_arrays(teacher).items():
             assert arr.dtype == dtype and np.array_equal(arr, held[key]), key
 
-    def test_every_load_is_a_hidden_weight_load(self, monkeypatch):
+    def test_only_student_loads_are_hidden_weight_loads(self, monkeypatch):
         loads = []
+        clones = []
         real_load = extractor.load_hidden_weights
+        real_clone = extractor.clone_model
         monkeypatch.setattr(extractor, "load_hidden_weights",
                             lambda model, bundle: loads.append(model) or real_load(model, bundle))
+        monkeypatch.setattr(extractor, "clone_model",
+                            lambda model, bundle: clones.append(bundle) or real_clone(model, bundle))
         pair = FBSTPair(mini_model(num_classes=2, seed=50))
-        for _ in range(2):
-            pair.load_teacher(random_bundle(np.random.default_rng(51)))
+        teachers = [random_bundle(np.random.default_rng(51)) for _ in range(2)]
+        for bundle in teachers:
+            pair.load_teacher(bundle)
         pair.load_student(random_bundle(np.random.default_rng(52)))
-        assert loads == [pair.teacher, pair.teacher, pair.student]
+        # a teacher load is a clone onto the bundle, a student load a copy
+        assert clones == teachers
+        assert loads == [pair.student]
 
 
 class TestLocalTrainEpoch:

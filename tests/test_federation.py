@@ -1,7 +1,10 @@
 import struct
+import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MINI_BLOCKS, MINI_HIDDEN, model_arrays, random_bundle
-from efdls import dbwm, extractor, fbst, federation, nncore, strategies
+from efdls import cli, dbwm, extractor, fbst, federation, nncore, strategies
 from efdls.extractor import WeightBundle
 from efdls.fbst import ConfigError
 from efdls.federation import (
@@ -956,6 +959,39 @@ class TestFrames:
             with pytest.raises(ConnectionError, match="^socket closed mid-frame$"):
                 federation._recv_frame(receiver)
 
+    def test_a_frame_is_built_once(self):
+        model = extractor.FeatureExtractor(2, dtype=federation.WIRE_DTYPE)
+        message = encode_weight_message(extractor.borrow_hidden_weights(model), 1, 2)
+        n = len(message)
+        got = bytearray(4 + n)
+        sender, receiver = federation.socket.socketpair()
+
+        def receive():
+            with memoryview(got) as view:
+                at = 0
+                while at < len(got):
+                    count = receiver.recv_into(view[at:])
+                    if not count:
+                        break
+                    at += count
+
+        with sender, receiver:
+            sender.settimeout(5.0)
+            receiver.settimeout(5.0)
+            thread = threading.Thread(target=receive)
+            tracemalloc.start()
+            try:
+                thread.start()
+                federation._send_frame(sender, message)
+                thread.join(timeout=5.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert not thread.is_alive()
+        assert n > 10 ** 6  # a paper-width message
+        assert peak <= 1.1 * n
+        assert bytes(got) == struct.pack("<I", n) + bytes(message)
+
     def test_each_receive_keeps_the_socket_timeout(self):
         sender, receiver = federation.socket.socketpair()
         with sender, receiver:
@@ -1109,12 +1145,13 @@ class TestRoundChecks:
 
 
 class TestRoundTable:
-    """The server hands one bundle to every user who downloads it; decoding
-    the download gives each user a private copy."""
+    """The server hands one bundle to every user who downloads it. A student
+    copies its download; in-process the teachers handed one bundle share one
+    frozen copy of it."""
 
     @pytest.mark.parametrize("strategy,model", [("efdls", "teacher"), ("fkd", "teacher"),
                                                 ("fedavg", "student")])
-    def test_shared_downloads_leave_private_models_and_intact_uploads(
+    def test_shared_downloads_leave_intact_uploads_and_private_students(
             self, monkeypatch, strategy, model):
         rounds = []
         real_round = strategies.apply_round
@@ -1146,7 +1183,8 @@ class TestRoundTable:
         models = {uid: extractor.hidden_arrays(getattr(fed.users[uid].pair, model))
                   for uid in (0, 2)}
         for key, arr in source.arrays.items():
-            assert not np.shares_memory(models[0][key], models[2][key])
+            # students are private; the two teachers keep one frozen copy
+            assert np.shares_memory(models[0][key], models[2][key]) == (model == "teacher")
             for uid in (0, 2):
                 assert not np.shares_memory(models[uid][key], arr)
                 if model == "teacher":  # teachers keep what they loaded
@@ -1421,7 +1459,155 @@ class TestTeacherLifecycle:
                 wire = download.arrays[key]
                 assert wire.dtype == arr.dtype == np.float32, (user.user_id, key)
                 assert arr.tobytes() == values.arrays[key].tobytes(), (user.user_id, key)
-                assert not np.shares_memory(arr, wire), (user.user_id, key)
+                # the teacher keeps the decoded download itself, read-only
+                assert np.shares_memory(arr, wire), (user.user_id, key)
+                assert not arr.flags.writeable, (user.user_id, key)
+
+
+class CopyingTeacherPair(fbst.FBSTPair):
+    """The copying teacher lifecycle, kept as an oracle: the first load clones
+    the student, and every load copies the bundle into that one teacher's
+    own arrays."""
+
+    def load_teacher(self, bundle):
+        if self.teacher is None:
+            self.teacher = extractor.clone_model(self.student)
+        extractor.load_hidden_weights(self.teacher, bundle)
+
+
+class TestSharedTeachers:
+    """A teacher keeps the decoded download it is handed. Each dispatched
+    bundle a teacher loads is frozen into one copy first, so in-process the
+    teachers handed one partner share that copy and none shares memory with
+    a student."""
+
+    @staticmethod
+    def _run_into(monkeypatch, config, out_dir):
+        """The run's pair type, loss reports and ledger entries, with its
+        summary.json and results.csv as bytes."""
+        reports, feds = [], []
+        real_run = Federation.run
+
+        def run(fed, on_epoch=None):
+            feds.append(fed)
+            return real_run(fed, on_epoch=lambda uid, k, rep: reports.append((uid, k, rep)))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Federation, "run", run)
+            cli._run_into(config, str(out_dir), False)
+        return (type(feds[0].users[0].pair), reports, feds[0].ledger.entries,
+                (out_dir / "summary.json").read_bytes(), (out_dir / "results.csv").read_bytes())
+
+    @pytest.mark.parametrize("conn_resample", [False, True])
+    @pytest.mark.parametrize("teacher_bn_mode", ["batch", "running"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("strategy", ["efdls", "fkd"])
+    def test_kept_downloads_match_copying_teachers(self, monkeypatch, tmp_path, strategy,
+                                                   transport, workers, teacher_bn_mode,
+                                                   conn_resample):
+        datasets = [(f"w{i}", "synthetic") for i in range(5)]
+
+        def config():
+            return toy_config(n_tot=5, conn_ratio=0.6, fles=4, datasets=datasets,
+                              strategy=strategy, transport=transport, workers=workers,
+                              teacher_bn_mode=teacher_bn_mode, conn_resample=conn_resample)
+
+        kept = self._run_into(monkeypatch, config(), tmp_path / "kept")
+        monkeypatch.setattr(fbst, "FBSTPair", CopyingTeacherPair)
+        copied = self._run_into(monkeypatch, config(), tmp_path / "copied")
+        assert (kept[0], copied[0]) == (CopyingTeacherPair.__base__, CopyingTeacherPair)
+        assert any(rep.kd > 0.0 for _, _, rep in kept[1])
+        assert kept[1:] == copied[1:]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_teachers_handed_one_partner_share_one_frozen_copy(self, monkeypatch, transport,
+                                                               workers):
+        # users 0, 2 and 3 are all handed user 1's bundle
+        monkeypatch.setattr(dbwm, "match_partners", lambda distances: [1, 0, 1, 1])
+        real_step = nncore.adam_step
+        steps = []
+
+        def step(params, grads, adam):
+            # no teacher array is writeable or shares memory with the student
+            # that takes this step
+            for user in fed.users:
+                if user.pair.teacher is None:
+                    continue
+                for key, arr in extractor.hidden_arrays(user.pair.teacher).items():
+                    assert not arr.flags.writeable, (user.user_id, key)
+                    assert not any(np.shares_memory(arr, p) for p in params.values()), \
+                        (user.user_id, key)
+            steps.append(1)
+            return real_step(params, grads, adam)
+
+        monkeypatch.setattr(nncore, "adam_step", step)
+        datasets = [(f"w{i}", "synthetic") for i in range(4)]
+        fed = Federation(toy_config(n_tot=4, fles=3, datasets=datasets, transport=transport,
+                                    workers=workers))
+        # pool threads read the shared teachers while others train: switch often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fed.run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(steps) > 0
+        teachers = [extractor.hidden_arrays(u.pair.teacher) for u in fed.users]
+        students = [model_arrays(u.pair.student) for u in fed.users]
+        for key in extractor.BUNDLE_KEYS:
+            for i, j in ((0, 2), (0, 3), (2, 3)):
+                assert np.shares_memory(teachers[i][key], teachers[j][key]) == \
+                    (transport == "inproc"), (i, j, key)
+            for i in (0, 2, 3):
+                assert not np.shares_memory(teachers[i][key], teachers[1][key]), (i, key)
+            for teacher in teachers:
+                assert not any(np.shares_memory(teacher[key], arr)
+                               for student in students for arr in student.values()), key
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("strategy,distinct", [("efdls", 2), ("fkd", 1), ("fedavg", 1)])
+    def test_each_dispatched_bundle_is_copied_once_and_never_in_the_last_epoch(
+            self, monkeypatch, strategy, distinct, transport):
+        monkeypatch.setattr(dbwm, "match_partners", lambda distances: [1, 0, 1, 1])
+        epochs = []
+        copies = Counter()
+        real_run_epoch = Federation._run_epoch
+        real_copy = WeightBundle.copy
+
+        def run_epoch(fed, k, on_epoch=None):
+            epochs.append(k)
+            return real_run_epoch(fed, k, on_epoch=on_epoch)
+
+        def copy(bundle):
+            copies[epochs[-1]] += 1
+            return real_copy(bundle)
+
+        monkeypatch.setattr(Federation, "_run_epoch", run_epoch)
+        monkeypatch.setattr(WeightBundle, "copy", copy)
+        datasets = [(f"w{i}", "synthetic") for i in range(4)]
+        run_federation(toy_config(n_tot=4, fles=3, strategy=strategy, datasets=datasets,
+                                  transport=transport))
+        assert epochs == [1, 2, 3]
+        assert dict(copies) == {1: distinct, 2: distinct}
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fkd"])
+    def test_a_mean_beyond_float32_is_refused_naming_the_user_and_epoch(self, monkeypatch,
+                                                                        strategy):
+        real = strategies.fedavg_aggregate
+
+        def aggregate(bundles):
+            mean = real(bundles)
+            mean.arrays["dense.bias"][0] = 1e39
+            return mean
+
+        monkeypatch.setattr(strategies, "fedavg_aggregate", aggregate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^bundle array 'dense.bias' of user 0 at "
+                                                 r"epoch 1 holds non-finite values in float32$"):
+                run_federation(toy_config(strategy=strategy))
 
 
 class TestFloat32Users:

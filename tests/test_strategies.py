@@ -6,7 +6,7 @@ import pytest
 from conftest import random_bundle
 from efdls import dbwm, strategies
 from efdls.extractor import IncompatibleBundleError, WeightBundle
-from efdls.federation import FederationConfig
+from efdls.federation import FederationConfig, encode_weight_message
 from efdls.strategies import ROUNDS, STRATEGY_TAGS, apply_round, fedavg_aggregate
 
 
@@ -198,6 +198,24 @@ class TestApplyRound:
         assert [uid for uid, _ in downloads] == [0, 1, 2]
         assert len(means) == 1
         assert all(bundle is means[0] for _, bundle in downloads)
+
+    @pytest.mark.parametrize("tag", ["fedavg", "fkd"])
+    def test_a_float32_round_hands_everyone_one_float32_mean(self, tag):
+        rng = np.random.default_rng(13)
+        uploads = [(uid, WeightBundle({k: v.astype(np.float32)
+                                       for k, v in random_bundle(rng).arrays.items()}))
+                   for uid in range(3)]
+        mean = fedavg_aggregate(bundle for _, bundle in uploads)
+        downloads = apply_round(tag, uploads)
+        shared = downloads[0][1]
+        assert all(bundle is shared for _, bundle in downloads)
+        for key, arr in shared.arrays.items():
+            assert mean.arrays[key].dtype == np.float64
+            assert arr.dtype == np.float32
+            assert arr.tobytes() == mean.arrays[key].astype(np.float32).tobytes(), key
+        # the frame is the one the float64 mean encodes to
+        assert bytes(encode_weight_message(shared, 2, 1)) == \
+            bytes(encode_weight_message(mean, 2, 1))
 
     @pytest.mark.parametrize("tag,held", [("fedavg", False), ("fkd", False), ("efdls", True),
                                           ("baseline", False)])
