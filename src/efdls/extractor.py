@@ -70,12 +70,14 @@ class WeightBundle:
 @dataclass
 class ForwardTrace:
     """Per-stage outputs of one forward pass: the three conv block outputs,
-    the hidden dense output, and the classifier logits/probabilities."""
+    the hidden dense output, and the classifier logits/probabilities. A
+    backward through the trace's cache takes the hidden outputs, so they are
+    None afterwards."""
 
-    o1: np.ndarray
-    o2: np.ndarray
-    o3: np.ndarray
-    o4: np.ndarray
+    o1: np.ndarray | None
+    o2: np.ndarray | None
+    o3: np.ndarray | None
+    o4: np.ndarray | None
     logits: np.ndarray
     probs: np.ndarray
 
@@ -148,7 +150,11 @@ class FeatureExtractor:
         Without ``want_cache`` no batch-norm cache is built. The cache holds
         the cast input, the trace, the pooled features, the three batch-norm
         caches and the training flag, all by reference, so nothing may write
-        to them before the backward."""
+        to them before the backward, which consumes them.
+
+        Each block's batch norm writes its output over the conv output it
+        normalizes, and its ReLU rectifies that in place, so a block makes
+        one activation-sized array, plus the cached ``xhat`` in training."""
         x = x.astype(self.dtype, copy=False)
         h = x
         block_outs = []
@@ -158,7 +164,7 @@ class FeatureExtractor:
                 z = nncore.conv1d_forward(h, conv)
                 zn = nncore.batchnorm_forward(z, bn, training=training,
                                               update_running=update_running,
-                                              want_cache=want_cache)
+                                              want_cache=want_cache, out=z)
             except NumericError as exc:
                 raise NumericError(f"non-finite activations in conv block {i}: {exc}") from exc
             if want_cache:
@@ -196,6 +202,16 @@ class FeatureExtractor:
         pool gradient's [B, C, L] order at block 3 and the conv input
         gradient's [C, B, L] order below it, the layouts numpy gives the
         fresh sums there.
+
+        It consumes ``cache`` too, which serves one backward: it takes the
+        trace's hidden outputs (the trace's fields are None afterwards, so
+        nothing reads a gradient through them) and each block's batch-norm
+        cache, and drops each array at its last reader. Each activation-sized
+        gradient is written over an array that has just died and is stored
+        in the order numpy gives the fresh result: block i's ReLU gradient
+        over its output o_i below block 3 (o3 and the pool gradient differ
+        in order, so there it goes over the pool gradient), and a
+        standard-form batch-norm input gradient over its cached ``xhat``.
         """
         if cache is None or "trace" not in cache:
             raise nncore.GradientStateError("backward called without a cached forward")
@@ -203,26 +219,37 @@ class FeatureExtractor:
         if unknown:
             raise ValueError(f"unsupported gradient injection points: {sorted(unknown)}")
         *block_fields, dense_field = ForwardTrace.HIDDEN_FIELDS
-        trace = cache["trace"]
+        trace = cache.pop("trace")
         # block i reads its input from outs[i - 1] and its output from outs[i]
-        outs = (cache["x"], trace.o1, trace.o2, trace.o3)
+        outs = [cache.pop("x"), trace.o1, trace.o2, trace.o3]
+        o4 = trace.o4
+        for name in ForwardTrace.HIDDEN_FIELDS:
+            setattr(trace, name, None)
+        bn_caches = cache.pop("bn")
         g_logits = output_grads.get(
             "logits", np.zeros((trace.logits.shape[0], self.num_classes), dtype=self.dtype))
-        g_o4, *classifier = nncore.dense_backward(g_logits, self.classifier, trace.o4)
+        g_o4, *classifier = nncore.dense_backward(g_logits, self.classifier, o4)
+        del o4
         if dense_field in output_grads:
             g_o4 += output_grads.pop(dense_field)
-        g_pooled, *dense = nncore.dense_backward(g_o4, self.hidden, cache["pooled"])
-        g = nncore.global_avg_pool_backward(g_pooled, trace.o3.shape[2])
-        bn_backward = (nncore.batchnorm_backward if cache["training"]
-                       else nncore.batchnorm_inference_backward)
+        g_pooled, *dense = nncore.dense_backward(g_o4, self.hidden, cache.pop("pooled"))
+        g = nncore.global_avg_pool_backward(g_pooled, outs[-1].shape[2])
         blocks = []
         for i in range(len(self.convs), 0, -1):
             if block_fields[i - 1] in output_grads:
                 g += output_grads.pop(block_fields[i - 1])
-            g = nncore.relu_backward(g, outs[i])
-            g, *bn = bn_backward(g, self.bns[i - 1], cache["bn"][i - 1])
+            # o_i's last reader; o3 is [C, B, L]-ordered, and the pool
+            # gradient, like the fresh product, is not
+            out = outs.pop()
+            g = nncore.relu_backward(g, out, into=g if i == len(self.convs) else out)
+            del out
+            if cache["training"]:
+                g, *bn = nncore.batchnorm_backward(g, self.bns[i - 1], bn_caches.pop(),
+                                                   consume=True)
+            else:
+                g, *bn = nncore.batchnorm_inference_backward(g, self.bns[i - 1], bn_caches.pop())
             # the input gradient of block 1 would flow into the data
-            g, *conv = nncore.conv1d_backward(g, self.convs[i - 1], outs[i - 1],
+            g, *conv = nncore.conv1d_backward(g, self.convs[i - 1], outs[-1],
                                               input_grad=i > 1)
             blocks = conv + bn + blocks
         return dict(zip(self.parameters(), blocks + dense + classifier, strict=True))

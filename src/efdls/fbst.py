@@ -32,10 +32,15 @@ array once. The KD loss takes its float64 difference in workspace scratch.
 The output gradients are built with ``consume=True``: the KD gradients are
 written into the teacher trace's own arrays, and the objective, with the rest
 of the teacher's trace, is dropped at once, so the student's backward runs
-without it. The backward owns the output gradients and drops each
-hidden-stage gradient once it is added, and the rest of the batch's arrays
-are dropped once its Adam step is taken, before the next batch's forward.
-Without ``consume``, ``output_grads`` is pure, as the gradcheck needs.
+without it. The student's trace goes too, so the backward holds the only
+reference to the step's activations: it owns the output gradients and the
+cache, drops each hidden-stage gradient once it is added and each activation
+and batch-norm cache at its last reader, and writes gradients over them. The
+rest of the batch's arrays are dropped once its Adam step is taken, before
+the next batch's forward. Without ``consume``, ``output_grads`` is pure, as
+the gradcheck needs. A step's traced peak is the start of the student's
+backward, where the student's block outputs and batch-norm caches, the KD
+gradients and the pool gradient are alive.
 """
 
 from __future__ import annotations
@@ -272,9 +277,10 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
             # the KD gradients take the teacher trace's arrays, and the rest of
             # the trace goes with the objective
             output_grads = objective.output_grads(trace, consume=True)
-            del objective
+            # the backward owns the cache, which holds the trace's activations
+            del objective, trace
             nncore.adam_step(params, pair.student.backward(cache, output_grads), adam)
-            del xb, yb, trace, cache, output_grads  # before the next batch's forward
+            del xb, yb, cache, output_grads  # before the next batch's forward
             kd_sum += report.kd
             sup_sum += report.sup
             total_sum += report.total

@@ -23,10 +23,10 @@ takes part in a round. Every federated epoch:
      upload of the epoch's one connected set;
   4. each download is loaded as soon as it is decoded, by the row's
      ``FBSTPair`` method (teachers for efdls/fkd, students for fedavg). In
-     an epoch whose downloads are loaded, each dispatched bundle is first
-     frozen into one owned copy, which every download of it is encoded
-     from. The last epoch's downloads are carried and recorded but never
-     loaded, and nothing is copied for them.
+     an epoch whose downloads are loaded, a dispatched bundle that shares
+     memory with a student is first frozen into one owned copy, which every
+     download of it is encoded from. The last epoch's downloads are carried
+     and recorded but never loaded, and nothing is copied for them.
 
 Every message the round receives is checked before anything uses it: it
 must decode, its header must carry the epoch and user id it was sent with,
@@ -49,11 +49,12 @@ download borrows. They cost no memory. Nothing writes a student while the
 round holds a view of it: every user has trained before the first upload,
 and the downloads that load students (fedavg's) hold the mean, not a
 student. A teacher keeps the decoded download it is handed, and a partner's
-student trains next epoch, so each dispatched bundle is frozen into one
-copy before its first download; in-process every teacher handed it keeps
-read-only views of that one copy. Over sockets every decoded bundle is
-owned, and a teacher keeps its own. Keep ``bundle.copy()`` to hold any
-other bundle past its epoch.
+student trains next epoch, so a dispatched bundle that is a view of a
+student (an in-process efdls upload) is frozen into one copy before its
+first download; in-process every teacher handed it keeps read-only views of
+that one copy. Nothing else is copied: nothing writes the fedavg/fkd mean,
+and over sockets every decoded bundle is owned, so a teacher keeps its own.
+Keep ``bundle.copy()`` to hold any other bundle past its epoch.
 
 Per connected user per epoch there is exactly one upload and one download,
 which makes the run's ledger total exactly 2 * bundle_bytes * FLEs * N_conn.
@@ -333,18 +334,23 @@ class WeightMessage:
 
 def encode_weight_message(bundle: ext.WeightBundle, epoch: int, user_id: int) -> WeightMessage:
     """Serialize a bundle: magic, version, epoch/user ids, then one block per
-    array (tag byte, dim count, little-endian u32 dims, float32 payload).
-    Arrays need at most MAX_WIRE_NDIM dims, each in [1, 2**32), and values
-    that are finite in float32, never negative in a running variance, since
-    the decoder rejects any other. A contiguous float32 array is the
-    message's payload itself; any other is converted into one."""
+    array (tag byte, dim count, little-endian u32 dims, float32 payload), in
+    tag (``BUNDLE_KEYS``) order whatever the bundle's own order, so a decoded
+    bundle's order, and every sum a server takes over it, never depends on
+    the sender. Arrays need at most MAX_WIRE_NDIM dims, each in [1, 2**32),
+    and values that are finite in float32, never negative in a running
+    variance, since the decoder rejects any other. A contiguous float32
+    array is the message's payload itself; any other is converted into
+    one."""
     for name, value in (("epoch", epoch), ("user_id", user_id)):
         if not isinstance(value, numbers.Integral) or not 0 <= value < 2 ** 32:
             raise ValueError(f"{name} must be an integer in [0, 2**32), got {value!r}")
     parts = []
     header = [MESSAGE_MAGIC, bytes([MESSAGE_VERSION]),
               struct.pack("<II", epoch, user_id), bytes([len(bundle.arrays)])]
-    for key, arr in bundle.arrays.items():
+    # a key with no tag sorts first, and is refused
+    for key in sorted(bundle.arrays, key=lambda key: _KEY_TO_TAG.get(key, -1)):
+        arr = bundle.arrays[key]
         if key not in _KEY_TO_TAG:
             raise ValueError(f"bundle array '{key}' has no wire tag")
         if arr.ndim > MAX_WIRE_NDIM or any(not 0 < d < 2 ** 32 for d in arr.shape):
@@ -367,12 +373,14 @@ def decode_weight_message(data) -> tuple:
     """Parse an encoded message, a ``WeightMessage`` or a byte frame, back
     into (bundle, epoch, user_id).
 
-    Validation is strict: magic and version are checked, block shapes must
-    be ones the encoder writes, every byte must be accounted for, and payload
-    values must be finite and, in a running variance, not negative. Offsets
-    are positions in the frame. A byte frame is a message of one part and
-    decodes into owned copies. A payload that is a whole float32 array part
-    of a ``WeightMessage`` is taken as a read-only view of that array."""
+    Validation is strict: magic and version are checked, blocks must come
+    in the encoder's tag order, each tag greater than the one before it,
+    block shapes must be ones the encoder writes, every byte must be
+    accounted for, and payload values must be finite and, in a running
+    variance, not negative. Offsets are positions in the frame. A byte
+    frame is a message of one part and decodes into owned copies. A payload
+    that is a whole float32 array part of a ``WeightMessage`` is taken as a
+    read-only view of that array."""
     parts = data.parts if isinstance(data, WeightMessage) else (data,)
     starts = [0]  # each part's offset in the frame, then the frame's end
     for part in parts:
@@ -420,6 +428,7 @@ def decode_weight_message(data) -> tuple:
     epoch, user_id = struct.unpack("<II", take(8, "epoch/user header"))
     block_count = take(1, "block count")[0]
     arrays = {}
+    previous = -1  # the tag of the block before
     for b in range(block_count):
         tag_offset = offset
         tag, ndim = take(2, f"block {b} tag/ndim")
@@ -428,6 +437,11 @@ def decode_weight_message(data) -> tuple:
         key = ext.BUNDLE_KEYS[tag]
         if key in arrays:
             raise MalformedMessageError(f"duplicate block tag {tag}", tag_offset)
+        if tag < previous:
+            raise MalformedMessageError(
+                f"block tag {tag} after block tag {previous}: blocks must come in tag order",
+                tag_offset)
+        previous = tag
         if ndim > MAX_WIRE_NDIM:
             raise MalformedMessageError(
                 f"block {b} declares {ndim} dims, more than {MAX_WIRE_NDIM}", tag_offset)
@@ -629,6 +643,15 @@ def build_users(config: FederationConfig) -> list:
     return users
 
 
+def _shares_a_student(bundle: ext.WeightBundle, students: list) -> bool:
+    """Whether an array of ``bundle`` shares memory with the array of its key
+    in one of ``students``, each a model's ``hidden_arrays``. Keys are the
+    outer loop, so a bundle borrowed from a student is found at its first
+    array."""
+    return any(np.shares_memory(arr, student[key])
+               for key, arr in bundle.arrays.items() for student in students)
+
+
 class Federation:
     """One run's users, server state and schedule. ``run()`` executes all
     epochs; the instance keeps the users afterwards so callers can inspect
@@ -723,18 +746,20 @@ class Federation:
         downloads = strategies.apply_round(config.strategy, uploads())
 
         # Downloads may share one bundle, and in-process a decoded one is a
-        # read-only view of it, which a teacher keeps. A dispatched efdls
-        # bundle is a view of its user's student, which trains next epoch, so
-        # each dispatched bundle is frozen into one owned copy at its first
-        # download, and its later downloads are encoded from that same copy.
-        # The last epoch's downloads are carried and recorded but never
-        # loaded: training is over, and nothing is copied.
+        # read-only view of it, which a teacher keeps. A dispatched bundle
+        # that shares memory with a student (in-process, an efdls partner's
+        # upload), which trains next epoch, is frozen into one owned copy at
+        # its first download, and its later downloads are encoded from that
+        # same copy. The last epoch's downloads are carried and recorded but
+        # never loaded: training is over, and nothing is copied.
         load = k < config.fles
-        frozen = {}  # id of a dispatched bundle, alive in downloads -> its copy
+        students = [ext.hidden_arrays(user.pair.student) for user in self.users] if load else []
+        frozen = {}  # id of a dispatched bundle, alive in downloads -> what is sent
         for uid, bundle in downloads:
             if load:
                 if id(bundle) not in frozen:
-                    frozen[id(bundle)] = bundle.copy()
+                    frozen[id(bundle)] = (bundle.copy() if _shares_a_student(bundle, students)
+                                          else bundle)
                 bundle = frozen[id(bundle)]
             bundle = self._round_trip("download", bundle, k, uid)
             if load:

@@ -10,6 +10,16 @@ norm the cache its forward derives under ``want_cache``. The caller holds
 those arrays by reference, so nothing may write to them before the matching
 backward has run.
 
+Three ops can instead write their result over an array that dies as they
+run, which the caller names: ``batchnorm_forward(out=...)`` (its input, dead
+once centered), the standard form of ``batchnorm_backward(consume=True)``
+(the cached ``xhat``) and ``relu_backward(into=...)`` (its upstream gradient
+or the forward's output). The array must have the fresh result's dtype and
+be stored in the memory order numpy gives the fresh result, since later
+reductions sum in memory order and the conv backward's BLAS call follows its
+operand's layout; so written, every bit matches. The fresh forms are the
+defaults, and the tests' bit oracles.
+
 Parameters are stored in the dtype they were given: a federation's users in
 float32, the wire's dtype, and the gradient oracle's networks in float64.
 An op computes in its operands' dtype; a network casts its input to its own
@@ -23,14 +33,16 @@ its per-group terms, in the calling thread's workspace: two flat buffers, each
 grown to the largest request and viewed at the shape and memory order the op
 needs, until ``release_workspace`` gives them back. No scratch view outlives
 the op that took it, and nothing an op returns or caches lives there, so
-results never alias each other. The arithmetic is the one numpy's own
-expressions perform, in the same order and memory layout, so the bits match;
-numpy itself picks the layout of each elementwise temporary, from its result
-on a two-wide corner of the operands. The one exception is standard-form
-training batch norm, which takes its statistics and parameter gradients in
-two per-channel reductions and so differs from its plain expressions in the
-last bits. Each thread has its own workspace, which makes the module safe to
-drive from parallel workers as long as each worker owns its own layers.
+results never alias scratch or each other; the one shared memory is an array
+a caller hands an op to write over, which then holds the result. The
+arithmetic is the one numpy's own expressions perform, in the same order and
+memory layout, so the bits match; numpy itself picks the layout of each
+elementwise temporary, from its result on a two-wide corner of the operands.
+The one exception is standard-form training batch norm, which takes its
+statistics and parameter gradients in two per-channel reductions and so
+differs from its plain expressions in the last bits. Each thread has its own
+workspace, which makes the module safe to drive from parallel workers as long
+as each worker owns its own layers.
 
 ``finite_diff_gradcheck`` is the one finite-difference oracle. It visits each
 probed parameter entry once, compares its central-difference quotient with
@@ -400,7 +412,8 @@ def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
-                      update_running: bool | None = None, want_cache: bool = False):
+                      update_running: bool | None = None, want_cache: bool = False, *,
+                      out: np.ndarray | None = None):
     """Normalize per channel over the batch and length axes of [B, C, L]
     input. Training mode uses batch statistics (and by default folds them
     into the running statistics); inference mode uses the running statistics
@@ -410,6 +423,13 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
     values with themselves (``_channel_dot``) and normalizes them in place,
     so a cached ``xhat`` is the only full-size array it allocates besides
     the output.
+
+    The output is written into ``out`` when given, else into a fresh array.
+    ``out=x`` is allowed, since ``x`` is dead once centered; the network
+    passes it for the conv output it normalizes. ``out`` must have the
+    fresh output's dtype and be stored in the memory order numpy gives it,
+    which is ``x``'s own, or later reductions over it would sum in another
+    order.
     """
     _require_3d(x, "batchnorm input")
     if x.shape[0] < 1 and training:
@@ -436,14 +456,16 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
                 sumsq = np.sum(squares, axis=_BN_REDUCE_AXES)
                 delta = np.sqrt(sumsq)
                 denom = delta + BN_ZETA
-                out = alpha * centered / _per_channel(denom) + beta
+                out = np.multiply(alpha, centered, out=out)
+                out /= _per_channel(denom)
+                out += beta
                 stat = sumsq
                 cache = ("literal", centered, delta, denom)
             else:
                 var = _channel_dot(centered, centered) / (x.shape[0] * x.shape[2])
                 inv = 1.0 / np.sqrt(var + BN_ZETA)
                 xhat = np.multiply(centered, _per_channel(inv), out=centered)
-                out = np.multiply(alpha, xhat)
+                out = np.multiply(alpha, xhat, out=out)
                 out += beta
                 stat = var
                 cache = ("standard", xhat, inv)
@@ -462,7 +484,9 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
         scale = 1.0 / denom
         centered = np.subtract(x, _per_channel(mu), out=None if want_cache
                                else scratch_like("centered", np.result_type(x, mu), x))
-        out = alpha * centered * _per_channel(scale) + beta
+        out = np.multiply(alpha, centered, out=out)
+        out *= _per_channel(scale)
+        out += beta
         cache = ("inference", centered, scale)
 
     if want_cache:
@@ -470,7 +494,8 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
     return out
 
 
-def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache):
+def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache, *,
+                       consume: bool = False):
     """Gradients through training-mode batch normalization.
 
     Returns (g_input, g_alpha, g_beta). Both normalization modes are exact.
@@ -480,13 +505,17 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache):
         dL/dx = alpha * inv * (g - xhat * g_alpha / n - g_beta / n)
 
     in one output array stored in [C, B, L] order, the order conv outputs
-    use, so the conv backward multiplies it without a copy. The literal form
-    uses
+    use, so the conv backward multiplies it without a copy. With ``consume``
+    that array is the cached ``xhat`` itself, overwritten once both
+    reductions have read it, whenever ``xhat`` is stored in [C, B, L] order
+    (as the normalized conv output always is); the cache is then spent and
+    must not be used again. The literal form uses
 
         dL/dx_k = alpha * [ (g_k - mean(g)) / D - c_k * sum(g*c) / (delta * D^2) ]
 
     with c the centered input, delta the root summed-squared deviation and
-    D = delta + BN_ZETA. Every temporary but g_input lives in scratch.
+    D = delta + BN_ZETA, and ignores ``consume``. Every temporary but g_input
+    lives in scratch.
     """
     if cache is None:
         raise GradientStateError("batchnorm_backward called without a cached forward")
@@ -499,7 +528,10 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache):
         b, c, length = gout.shape
         n = b * length
         g_alpha = _channel_dot(gout, xhat)
-        g_input = np.empty((c, b, length), dtype=np.result_type(gout, xhat)).transpose(1, 0, 2)
+        if consume and xhat.transpose(1, 0, 2).flags.c_contiguous:
+            g_input = xhat
+        else:
+            g_input = np.empty((c, b, length), dtype=np.result_type(gout, xhat)).transpose(1, 0, 2)
         np.multiply(xhat, _per_channel(g_alpha / n), out=g_input)
         np.subtract(gout, g_input, out=g_input)
         g_input -= _per_channel(g_beta / n)
@@ -542,9 +574,14 @@ def relu_forward(x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(gout: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Gradient through ReLU, given the forward's output."""
-    return gout * (out > 0.0)
+def relu_backward(gout: np.ndarray, out: np.ndarray, *,
+                  into: np.ndarray | None = None) -> np.ndarray:
+    """Gradient through ReLU, given the forward's output, written into
+    ``into`` when given, else into a fresh array. ``into`` may be ``gout`` or
+    ``out`` itself, whichever is dead afterwards, but only one stored in the
+    memory order numpy gives the fresh product: that one keeps the bits of
+    every later reduction."""
+    return np.multiply(gout, out > 0.0, out=into)
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -557,7 +594,9 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool_backward(gout: np.ndarray, length: int) -> np.ndarray:
-    return np.repeat(gout[:, :, None], length, axis=2) / length
+    """[B, C] -> [B, C, L]: each mean's gradient, divided by ``length`` before
+    it is repeated, so one full-size array is built."""
+    return np.repeat(gout[:, :, None] / length, length, axis=2)
 
 
 def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:

@@ -1,4 +1,5 @@
 import re
+import threading
 import weakref
 
 import numpy as np
@@ -189,9 +190,9 @@ class TestBackwardComposition:
         real = nncore.relu_backward
         alive = []
 
-        def relu_backward(gout, out):
+        def relu_backward(gout, out, **kwargs):
             alive.append([f for f in fields if refs[f]() is not None])
-            return real(gout, out)
+            return real(gout, out, **kwargs)
 
         monkeypatch.setattr(nncore, "relu_backward", relu_backward)
         m.backward(cache, output_grads)
@@ -253,6 +254,139 @@ class TestBackwardComposition:
                 fd = (plus - minus) / 2e-6
                 worst = max(worst, abs(fd - ga[i]) / max(abs(fd), abs(ga[i]), 1e-5))
         assert worst < 1e-4
+
+
+# Which of a student step's activations are alive as each backward op starts:
+# o_i is block i's output and c_i the array its batch-norm cache holds (xhat
+# in the standard form, the centered input in the literal one). A ReLU
+# gradient is written over o_i below block 3 and a standard-form batch-norm
+# input gradient over xhat, so such an array lives on as the gradient until
+# the op after it has run.
+STANDARD_LIVENESS = [
+    ("relu", "o1 o2 o3 c1 c2 c3"), ("bn", "o1 o2 c1 c2 c3"), ("conv", "o1 o2 c1 c2 c3"),
+    ("relu", "o1 o2 c1 c2"), ("bn", "o1 o2 c1 c2"), ("conv", "o1 c1 c2"),
+    ("relu", "o1 c1"), ("bn", "o1 c1"), ("conv", "c1"), ("end", ""),
+]
+# a literal or inference-mode cache is read, not written: it dies with its op
+FRESH_GRADIENT_LIVENESS = [
+    ("relu", "o1 o2 o3 c1 c2 c3"), ("bn", "o1 o2 c1 c2 c3"), ("conv", "o1 o2 c1 c2"),
+    ("relu", "o1 o2 c1 c2"), ("bn", "o1 o2 c1 c2"), ("conv", "o1 c1"),
+    ("relu", "o1 c1"), ("bn", "o1 c1"), ("conv", ""), ("end", ""),
+]
+
+
+class LivenessRecorder:
+    """Wraps the student forward and the backward ops, so that each thread's
+    backward records which of its step's activations are alive as each op
+    starts. ``backwards`` collects one record per backward, from any
+    thread."""
+
+    def __init__(self, monkeypatch):
+        self.backwards = []
+        self.local = threading.local()
+        real_forward, real_backward = FeatureExtractor.forward, FeatureExtractor.backward
+        recorder = self
+
+        def forward(model, x, *args, **kwargs):
+            result = real_forward(model, x, *args, **kwargs)
+            if kwargs.get("want_cache"):
+                trace, cache = result
+                refs = {f"o{i}": weakref.ref(getattr(trace, f"o{i}")) for i in (1, 2, 3)}
+                refs.update({f"c{i}": weakref.ref(bn_cache[1])
+                             for i, bn_cache in enumerate(cache["bn"], start=1)})
+                recorder.local.refs = refs
+            return result
+
+        def backward(model, cache, output_grads):
+            self.local.seen = []
+            grads = real_backward(model, cache, output_grads)
+            self.record("end")
+            self.backwards.append(self.local.seen)
+            return grads
+
+        monkeypatch.setattr(FeatureExtractor, "forward", forward)
+        monkeypatch.setattr(FeatureExtractor, "backward", backward)
+        for op, name in (("relu", "relu_backward"), ("bn", "batchnorm_backward"),
+                         ("bn", "batchnorm_inference_backward"), ("conv", "conv1d_backward")):
+            monkeypatch.setattr(nncore, name, self.recording(op, getattr(nncore, name)))
+
+    def record(self, op):
+        alive = [name for name, ref in self.local.refs.items() if ref() is not None]
+        self.local.seen.append((op, " ".join(alive)))
+
+    def recording(self, op, real):
+        def wrapped(*args, **kwargs):
+            self.record(op)
+            return real(*args, **kwargs)
+        return wrapped
+
+
+class TestConsumedCache:
+    """The backward consumes what its forward cached: each activation dies
+    at its last reader, and nothing is read through the trace afterwards."""
+
+    @pytest.mark.parametrize("training,literal,expected", [
+        (True, False, STANDARD_LIVENESS),
+        (True, True, FRESH_GRADIENT_LIVENESS),
+        (False, False, FRESH_GRADIENT_LIVENESS),
+    ], ids=["standard", "literal", "inference"])
+    def test_each_activation_dies_at_its_last_reader(self, monkeypatch, training, literal,
+                                                     expected):
+        recorder = LivenessRecorder(monkeypatch)
+        m = mini_model(num_classes=3, seed=60, bn_paper_literal=literal)
+        rng = np.random.default_rng(61)
+        trace, cache = m.forward(rng.standard_normal((4, 1, 10)), training=training,
+                                 update_running=False, want_cache=True)
+        labels = rng.integers(0, 3, size=4)
+        m.backward(cache, fbst.SupervisedLoss(labels).output_grads(trace))
+        assert recorder.backwards == [expected]
+        assert all(getattr(trace, f) is None for f in extractor.ForwardTrace.HIDDEN_FIELDS)
+        assert trace.probs is not None and trace.logits is not None
+
+    @pytest.mark.parametrize("training,want_cache", [(True, True), (True, False),
+                                                     (False, False)],
+                             ids=["student", "teacher", "inference"])
+    def test_each_block_output_is_written_over_its_conv_output(self, monkeypatch, training,
+                                                                want_cache):
+        # batch norm writes over the conv output it normalizes, and the
+        # ReLU rectifies that in place
+        conv_outs = []
+        real = nncore.conv1d_forward
+
+        def conv1d_forward(*args, **kwargs):
+            conv_outs.append(real(*args, **kwargs))
+            return conv_outs[-1]
+
+        monkeypatch.setattr(nncore, "conv1d_forward", conv1d_forward)
+        result = mini_model(num_classes=3, seed=64).forward(
+            np.random.default_rng(65).standard_normal((4, 1, 10)), training=training,
+            update_running=False, want_cache=want_cache)
+        trace = result[0] if want_cache else result
+        assert len(conv_outs) == 3
+        assert all(out is z for out, z in zip((trace.o1, trace.o2, trace.o3), conv_outs))
+
+    def test_a_cache_serves_one_backward(self):
+        m = mini_model(num_classes=3, seed=62)
+        trace, cache = m.forward(np.ones((2, 1, 8)), training=True, want_cache=True)
+        grads = {"logits": np.zeros_like(trace.logits)}
+        m.backward(cache, dict(grads))
+        with pytest.raises(nncore.GradientStateError):
+            m.backward(cache, dict(grads))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_every_training_step_of_a_run_drops_each_activation_at_its_last_reader(
+            self, monkeypatch, workers):
+        from efdls.federation import Federation, FederationConfig
+
+        recorder = LivenessRecorder(monkeypatch)
+        config = FederationConfig(
+            n_tot=3, datasets=[(f"w{i}", "synthetic") for i in range(3)], fles=2, seed=63,
+            strategy="efdls", batch_size=8, lr=1e-3, blocks=MINI_BLOCKS,
+            hidden_dim=MINI_HIDDEN, workers=workers)
+        Federation(config).run()
+        # 3 users x 2 epochs x 3 batches of their 20 rows
+        assert len(recorder.backwards) == 18
+        assert all(steps == STANDARD_LIVENESS for steps in recorder.backwards)
 
 
 class TestPredict:

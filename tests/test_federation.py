@@ -238,6 +238,39 @@ class TestWeightMessageCodec:
                                              r"epoch 3 holds negative running-variance values"):
             encode_weight_message(bundle, epoch=3, user_id=4)
 
+    def test_blocks_travel_in_tag_order_whatever_the_bundle_order(self):
+        # a sender's order would otherwise set the order of every sum the
+        # server takes over the decoded bundle
+        bundle = random_bundle(np.random.default_rng(16))
+        reversed_bundle = WeightBundle(arrays=dict(reversed(bundle.arrays.items())))
+        data = bytes(encode_weight_message(reversed_bundle, epoch=2, user_id=3))
+        assert data == bytes(encode_weight_message(bundle, epoch=2, user_id=3))
+        assert [block[0] for block in frame_blocks(data)[1]] == list(range(len(bundle.arrays)))
+        decoded, _, _ = decode_weight_message(data)
+        assert list(decoded.arrays) == list(extractor.BUNDLE_KEYS)
+
+    @pytest.mark.parametrize("first,second", [(1, 0), (5, 2), (19, 0)])
+    def test_a_block_before_a_greater_tag_is_refused_at_its_tag(self, first, second):
+        data = bytes(encode_weight_message(random_bundle(np.random.default_rng(17)), 0, 0))
+        header, blocks = frame_blocks(data)
+        kept = [b for i, b in enumerate(blocks) if i not in (first, second)]
+        frame = with_blocks(header, [blocks[first], blocks[second]] + kept)
+        with pytest.raises(MalformedMessageError) as err:
+            decode_weight_message(frame)
+        assert err.value.reason == (f"block tag {second} after block tag {first}: "
+                                    f"blocks must come in tag order")
+        assert err.value.offset == len(header) + len(blocks[first])
+
+    @pytest.mark.parametrize("tag", [0, 7, 19])
+    def test_a_repeated_block_keeps_the_duplicate_message(self, tag):
+        data = bytes(encode_weight_message(random_bundle(np.random.default_rng(18)), 0, 0))
+        header, blocks = frame_blocks(data)
+        frame = with_blocks(header, blocks[:tag + 1] + blocks[tag:])
+        with pytest.raises(MalformedMessageError) as err:
+            decode_weight_message(frame)
+        assert err.value.reason == f"duplicate block tag {tag}"
+        assert err.value.offset == len(header) + sum(map(len, blocks[:tag + 1]))
+
     @pytest.mark.parametrize("value", [-1e-3, -0.0])
     def test_running_variance_below_zero_rejected_at_its_payload(self, value):
         bundle = random_bundle(np.random.default_rng(16))
@@ -1036,7 +1069,8 @@ def drop_block(arrays):
 
 
 def reshape_block(arrays):
-    arrays["conv2.kernel"] = arrays["conv2.kernel"].reshape(4, 9)
+    kernel = arrays["conv2.kernel"]
+    arrays["conv2.kernel"] = kernel.reshape(kernel.shape[0], -1)
 
 
 def block_payload_offset(data, block):
@@ -1049,6 +1083,36 @@ def block_payload_offset(data, block):
         if b == block:
             return offset
         offset += 4 * int(np.prod(dims))
+
+
+def frame_blocks(data):
+    """An encoded message's header, up to its block count, and the bytes of
+    each of its blocks, in frame order."""
+    offset, blocks = 14, []
+    while offset < len(data):
+        ndim = data[offset + 1]
+        dims = struct.unpack_from(f"<{ndim}I", data, offset + 2)
+        end = offset + 2 + 4 * ndim + 4 * int(np.prod(dims))
+        blocks.append(data[offset:end])
+        offset = end
+    return data[:14], blocks
+
+
+def with_blocks(header, blocks):
+    """A frame of ``header`` (the block count set to match) and ``blocks``."""
+    return header[:13] + bytes([len(blocks)]) + b"".join(blocks)
+
+
+def swap_first_blocks(data):
+    """A rewrite that sends block 1 before block 0."""
+    header, blocks = frame_blocks(data)
+    return with_blocks(header, [blocks[1], blocks[0]] + blocks[2:])
+
+
+def repeat_second_block(data):
+    """A rewrite that sends block 1 twice."""
+    header, blocks = frame_blocks(data)
+    return with_blocks(header, blocks[:2] + blocks[1:])
 
 
 def negative_running_var(data):
@@ -1107,6 +1171,57 @@ class TestRoundChecks:
         with pytest.raises(extractor.IncompatibleBundleError,
                            match=rf"^user 1 {direction} at federated epoch {epoch}: {message}$"):
             fed.run()
+
+    @staticmethod
+    def block_case(case, fed):
+        """(rewrite, error type, whole message after the round's prefix) of
+        a block case aimed at user 1 of ``fed``."""
+        header, blocks = frame_blocks(bytes(encode_weight_message(
+            extractor.extract_hidden_weights(fed.users[1].pair.student), 1, 1)))
+        kernel = extractor.hidden_arrays(fed.users[1].pair.student)["conv2.kernel"]
+        flat = (kernel.shape[0], kernel.size // kernel.shape[0])
+        return {
+            "dropped": (bundle_edited(drop_block), extractor.IncompatibleBundleError,
+                        "bundle keys do not match: missing ['conv2.bias'], unexpected []"),
+            "reshaped": (bundle_edited(reshape_block), extractor.IncompatibleBundleError,
+                         f"bundle array 'conv2.kernel' has shape {flat}, "
+                         f"expected {kernel.shape}"),
+            "reordered": (swap_first_blocks, MalformedMessageError,
+                          f"block tag 0 after block tag 1: blocks must come in tag order "
+                          f"(at byte offset {len(header) + len(blocks[1])})"),
+            "duplicated": (repeat_second_block, MalformedMessageError,
+                           f"duplicate block tag 1 (at byte offset "
+                           f"{len(header) + len(blocks[0]) + len(blocks[1])})"),
+        }[case]
+
+    @pytest.mark.parametrize("case", ["reordered", "duplicated"])
+    @pytest.mark.parametrize("epoch", [1, 2])
+    @pytest.mark.parametrize("direction", ["upload", "download"])
+    @pytest.mark.parametrize("strategy", ["efdls", "fedavg"])
+    def test_blocks_out_of_tag_order_name_user_direction_and_epoch(
+            self, strategy, direction, epoch, case):
+        transport = RewritingTransport(direction, epoch, None)
+        fed = self.federation(strategy, transport)
+        transport.rewrite, error, message = self.block_case(case, fed)
+        with pytest.raises(error) as info:
+            fed.run()
+        assert str(info.value) == f"user 1 {direction} at federated epoch {epoch}: {message}"
+
+    @pytest.mark.parametrize("case", ["dropped", "reshaped", "reordered", "duplicated"])
+    @pytest.mark.parametrize("epoch", [1, 2])
+    @pytest.mark.parametrize("direction", ["upload", "download"])
+    @pytest.mark.parametrize("strategy", ["efdls", "fedavg"])
+    def test_paper_width_block_cases_name_user_direction_and_epoch(
+            self, strategy, direction, epoch, case):
+        transport = RewritingTransport(direction, epoch, None)
+        fed = Federation(toy_config(n_tot=2, fles=2, strategy=strategy,
+                                    blocks=extractor.DEFAULT_BLOCKS,
+                                    hidden_dim=extractor.DEFAULT_HIDDEN_DIM, batch_size=20),
+                         transport=transport)
+        transport.rewrite, error, message = self.block_case(case, fed)
+        with pytest.raises(error) as info:
+            fed.run()
+        assert str(info.value) == f"user 1 {direction} at federated epoch {epoch}: {message}"
 
     @pytest.mark.parametrize("direction", ["upload", "download"])
     @pytest.mark.parametrize("strategy", ["efdls", "fedavg"])
@@ -1183,10 +1298,12 @@ class TestRoundTable:
         models = {uid: extractor.hidden_arrays(getattr(fed.users[uid].pair, model))
                   for uid in (0, 2)}
         for key, arr in source.arrays.items():
-            # students are private; the two teachers keep one frozen copy
+            # students are private; the two teachers keep one frozen copy of
+            # an efdls partner's upload, and the fkd mean itself, which
+            # nothing writes
             assert np.shares_memory(models[0][key], models[2][key]) == (model == "teacher")
             for uid in (0, 2):
-                assert not np.shares_memory(models[uid][key], arr)
+                assert np.shares_memory(models[uid][key], arr) == (strategy == "fkd")
                 if model == "teacher":  # teachers keep what they loaded
                     loaded = copies[0].arrays[key].astype(np.float32)
                     assert np.array_equal(models[uid][key], loaded)
@@ -1570,6 +1687,8 @@ class TestSharedTeachers:
     @pytest.mark.parametrize("strategy,distinct", [("efdls", 2), ("fkd", 1), ("fedavg", 1)])
     def test_each_dispatched_bundle_is_copied_once_and_never_in_the_last_epoch(
             self, monkeypatch, strategy, distinct, transport):
+        # only an in-process efdls download is a view of a live student: the
+        # mean is written by nobody, and a socket download is decoded owned
         monkeypatch.setattr(dbwm, "match_partners", lambda distances: [1, 0, 1, 1])
         epochs = []
         copies = Counter()
@@ -1590,7 +1709,8 @@ class TestSharedTeachers:
         run_federation(toy_config(n_tot=4, fles=3, strategy=strategy, datasets=datasets,
                                   transport=transport))
         assert epochs == [1, 2, 3]
-        assert dict(copies) == {1: distinct, 2: distinct}
+        aliases = strategy == "efdls" and transport == "inproc"
+        assert dict(copies) == ({1: distinct, 2: distinct} if aliases else {})
 
     @pytest.mark.parametrize("strategy", ["fedavg", "fkd"])
     def test_a_mean_beyond_float32_is_refused_naming_the_user_and_epoch(self, monkeypatch,

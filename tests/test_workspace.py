@@ -539,3 +539,79 @@ def test_evaluation_gives_the_workspace_back():
     assert nncore.workspace_nbytes() == 0
     assert metrics.summary_dict(second) == metrics.summary_dict(first)
     assert second.table.values.tobytes() == first.table.values.tobytes()
+
+
+def paper_activation(rng, channels, dtype, layout, scale=1.0, shift=0.0):
+    """A paper-width [16, C, 256] activation, C-ordered or [C, B, L]-ordered."""
+    a = (scale * rng.standard_normal((16, channels, 256)) + shift).astype(dtype)
+    return obl_ordered(a) if layout == "obl" else a
+
+
+class TestInPlaceForms:
+    """Each form that writes over a dead array equals the fresh form bit for
+    bit, layout included, at paper shapes in both memory orders. The fresh
+    forms are the default arguments."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["c", "obl"])
+    @pytest.mark.parametrize("channels", [128, 256])
+    @pytest.mark.parametrize("literal", [False, True])
+    @pytest.mark.parametrize("mode", ["train-cache", "train", "inference"])
+    def test_batchnorm_forward_over_its_input(self, mode, literal, channels, layout, dtype):
+        rng = np.random.default_rng(channels)
+        x = paper_activation(rng, channels, dtype, layout, scale=3.0, shift=1.0)
+        layer = bn_layer(channels, literal, dtype=dtype)
+        layer.running_var = rng.uniform(0.5, 2.0, channels).astype(dtype)
+        kwargs = dict(training=mode != "inference", update_running=False,
+                      want_cache=mode == "train-cache")
+        fresh = nncore.batchnorm_forward(x, layer, **kwargs)
+        dead = x.copy(order="K")
+        written = nncore.batchnorm_forward(dead, layer, out=dead, **kwargs)
+        if kwargs["want_cache"]:
+            (fresh, fresh_cache), (written, cache) = fresh, written
+            for got, want in zip(cache[1:], fresh_cache[1:]):
+                assert_bitwise(np.asarray(got), np.asarray(want))
+        assert written is dead
+        assert_bitwise(written, fresh)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("g_layout", ["c", "obl"])
+    @pytest.mark.parametrize("x_layout", ["c", "obl"])
+    @pytest.mark.parametrize("channels", [128, 256])
+    def test_standard_batchnorm_backward_over_xhat(self, channels, x_layout, g_layout, dtype):
+        rng = np.random.default_rng(channels + 1)
+        x = paper_activation(rng, channels, dtype, x_layout, scale=3.0, shift=1.0)
+        gout = paper_activation(rng, channels, dtype, g_layout)
+        layer = bn_layer(channels, False, dtype=dtype)
+        _, cache = nncore.batchnorm_forward(x, layer, training=True, update_running=False,
+                                            want_cache=True)
+        fresh = nncore.batchnorm_backward(gout, layer, cache)
+        xhat = cache[1]
+        consumed = nncore.batchnorm_backward(gout, layer, cache, consume=True)
+        # xhat is overwritten only where it is stored as the fresh gradient is
+        assert (consumed[0] is xhat) == (x_layout == "obl")
+        for got, want in zip(consumed, fresh):
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("g_layout,o_layout,into", [
+        ("obl", "obl", "out"),  # blocks 1 and 2: conv input gradient, block output
+        ("c", "obl", "gout"),  # block 3: pool gradient, block output (not the fresh order)
+        ("c", "c", "out"), ("c", "c", "gout"), ("obl", "obl", "gout")])
+    def test_relu_backward_over_a_dead_array(self, g_layout, o_layout, into, dtype):
+        rng = np.random.default_rng(3)
+        gout = paper_activation(rng, 128, dtype, g_layout)
+        out = nncore.relu_forward(paper_activation(rng, 128, dtype, o_layout))
+        fresh = nncore.relu_backward(gout, out)
+        target = {"gout": gout, "out": out}[into]
+        assert target.strides == fresh.strides
+        written = nncore.relu_backward(gout, out, into=target)
+        assert written is target
+        assert_bitwise(written, fresh)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [1, 24, 256, 1024])
+    def test_pool_backward_divides_before_it_repeats(self, length, dtype):
+        g = np.random.default_rng(length).standard_normal((16, 128)).astype(dtype)
+        assert_bitwise(nncore.global_avg_pool_backward(g, length),
+                       np.repeat(g[:, :, None], length, axis=2) / length)
