@@ -50,12 +50,14 @@ class InsufficientUsersError(ValueError):
 
 def bundle_distance(a: WeightBundle, b: WeightBundle) -> float:
     """Squared L2 distance over learnable parameters only; running statistics
-    are carried in bundles but never measured. Accumulates in float64."""
+    are carried in bundles but never measured. Accumulates in float64: each
+    array's difference is taken in float64 in one pass, then squared in
+    place."""
     check_bundle(b, a.arrays)
     total = 0.0
     for key, av in a.learnable_items():
-        diff = av.astype(np.float64, copy=False) - b.arrays[key].astype(np.float64, copy=False)
-        total += float(np.sum(diff * diff))
+        diff = np.subtract(av, b.arrays[key], dtype=np.float64)
+        total += float(np.sum(np.multiply(diff, diff, out=diff)))
     return total
 
 

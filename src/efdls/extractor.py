@@ -195,23 +195,20 @@ class FeatureExtractor:
         feature-matching loss needs. The gradients are keyed and ordered as
         ``parameters()``.
 
-        The backward owns ``output_grads``: it pops each hidden-stage
-        gradient once that gradient is added, so o3's and o2's are dead
-        before the lower blocks' backward runs. Each is added in place into
-        the gradient flowing down, which keeps that gradient's layout: the
-        pool gradient's [B, C, L] order at block 3 and the conv input
-        gradient's [C, B, L] order below it, the layouts numpy gives the
-        fresh sums there.
+        The backward owns ``output_grads`` and its arrays: it pops each
+        hidden-stage gradient once that gradient is added, so o3's and o2's
+        are dead before the lower blocks' backward runs. The pool gradient is
+        added into o3's, when there is one, and each lower one into the conv
+        input gradient flowing down, which the conv backward builds by col2im.
 
         It consumes ``cache`` too, which serves one backward: it takes the
         trace's hidden outputs (the trace's fields are None afterwards, so
         nothing reads a gradient through them) and each block's batch-norm
         cache, and drops each array at its last reader. Each activation-sized
-        gradient is written over an array that has just died and is stored
-        in the order numpy gives the fresh result: block i's ReLU gradient
-        over its output o_i below block 3 (o3 and the pool gradient differ
-        in order, so there it goes over the pool gradient), and a
-        standard-form batch-norm input gradient over its cached ``xhat``.
+        gradient is written over an array that has just died: each ReLU
+        gradient over its incoming gradient, and a standard-form batch-norm
+        input gradient over its cached ``xhat``. Like every activation, each
+        is stored in [C, B, L] order.
         """
         if cache is None or "trace" not in cache:
             raise nncore.GradientStateError("backward called without a cached forward")
@@ -233,16 +230,14 @@ class FeatureExtractor:
         if dense_field in output_grads:
             g_o4 += output_grads.pop(dense_field)
         g_pooled, *dense = nncore.dense_backward(g_o4, self.hidden, cache.pop("pooled"))
-        g = nncore.global_avg_pool_backward(g_pooled, outs[-1].shape[2])
+        g = nncore.global_avg_pool_backward(g_pooled, outs[-1].shape[2],
+                                            add_to=output_grads.pop(block_fields[-1], None))
         blocks = []
         for i in range(len(self.convs), 0, -1):
             if block_fields[i - 1] in output_grads:
                 g += output_grads.pop(block_fields[i - 1])
-            # o_i's last reader; o3 is [C, B, L]-ordered, and the pool
-            # gradient, like the fresh product, is not
-            out = outs.pop()
-            g = nncore.relu_backward(g, out, into=g if i == len(self.convs) else out)
-            del out
+            # o_i's last reader
+            g = nncore.relu_backward(g, outs.pop(), into=g)
             if cache["training"]:
                 g, *bn = nncore.batchnorm_backward(g, self.bns[i - 1], bn_caches.pop(),
                                                    consume=True)

@@ -28,19 +28,22 @@ mean of the batch reports; the federation snapshots the student's hidden
 weights itself, and only for the users that upload.
 
 A training step holds one batch's arrays at a time, and each activation-sized
-array once. The KD loss takes its float64 difference in workspace scratch.
-The output gradients are built with ``consume=True``: the KD gradients are
-written into the teacher trace's own arrays, and the objective, with the rest
-of the teacher's trace, is dropped at once, so the student's backward runs
-without it. The student's trace goes too, so the backward holds the only
-reference to the step's activations: it owns the output gradients and the
-cache, drops each hidden-stage gradient once it is added and each activation
-and batch-norm cache at its last reader, and writes gradients over them. The
-rest of the batch's arrays are dropped once its Adam step is taken, before
-the next batch's forward. Without ``consume``, ``output_grads`` is pure, as
-the gradcheck needs. A step's traced peak is the start of the student's
-backward, where the student's block outputs and batch-norm caches, the KD
-gradients and the pool gradient are alive.
+array once, every one stored in the network's one [C, B, L] order. The KD
+loss takes its float64 difference in workspace scratch. The output
+gradients are built with ``consume=True``: the KD gradients are written into
+the teacher trace's own arrays, and the objective, with the rest of the
+teacher's trace, is dropped at once, so the student's backward runs without
+it. The student's trace goes too, so the backward holds the only reference
+to the step's activations: it owns the output gradients and the cache, adds
+the pool gradient into o3's KD gradient, drops each hidden-stage gradient
+once it is added and each activation and batch-norm cache at its last
+reader, and writes gradients over them; each conv input gradient is
+col2im's, with no padded copy. The rest of the batch's arrays are
+dropped once its Adam step is taken, before the next batch's forward.
+Without ``consume``, ``output_grads`` is pure, as the gradcheck needs. A
+step's traced peak is the start of the student's backward, where the
+student's block outputs and batch-norm caches and the KD gradients are
+alive; the pool gradient adds no array to them.
 """
 
 from __future__ import annotations

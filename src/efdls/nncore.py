@@ -1,8 +1,14 @@
 """Numerical core: 1-D conv / batch-norm / dense layers with exact reverse-mode
 gradients, the Adam optimizer, and a finite-difference gradient oracle.
 
-Tensors are plain ``numpy.ndarray`` objects, with series data laid out as
-``[batch, channel, length]``. Layers own their parameter arrays, forward
+Tensors are plain ``numpy.ndarray`` objects. Series data has the shape
+``[batch, channel, length]``, and every series-shaped array an op allocates
+is stored in ``[C, B, L]`` memory order, the order the conv product writes:
+a ``[B, C, L]`` view of per-channel rows. Per-channel reductions sum each
+channel's contiguous ``[B*L]`` row, and the conv products multiply those
+rows (im2col's windows in the forward and the kernel gradient, col2im's in
+the input gradient), so an op handed an array stored in another order reads
+a row-ordered copy and gives the same bits. Layers own their parameter arrays, forward
 functions return fresh outputs, and backward functions turn an upstream
 gradient into fresh parameter/input gradients. A backward takes what its
 forward saw: the input for conv and dense, the output for ReLU, and for batch
@@ -10,15 +16,15 @@ norm the cache its forward derives under ``want_cache``. The caller holds
 those arrays by reference, so nothing may write to them before the matching
 backward has run.
 
-Three ops can instead write their result over an array that dies as they
+Four ops can instead write their result over an array that dies as they
 run, which the caller names: ``batchnorm_forward(out=...)`` (its input, dead
 once centered), the standard form of ``batchnorm_backward(consume=True)``
-(the cached ``xhat``) and ``relu_backward(into=...)`` (its upstream gradient
-or the forward's output). The array must have the fresh result's dtype and
-be stored in the memory order numpy gives the fresh result, since later
-reductions sum in memory order and the conv backward's BLAS call follows its
-operand's layout; so written, every bit matches. The fresh forms are the
-defaults, and the tests' bit oracles.
+(the cached ``xhat``), ``relu_backward(into=...)`` (its upstream gradient
+or the forward's output) and ``global_avg_pool_backward(add_to=...)`` (an
+upstream gradient of the pooled input, which it adds into). The array must
+have the fresh result's dtype; elementwise results do not depend on where
+they are stored, so every bit matches the fresh forms, which are the
+defaults and the tests' bit oracles.
 
 Parameters are stored in the dtype they were given: a federation's users in
 float32, the wire's dtype, and the gradient oracle's networks in float64.
@@ -26,23 +32,24 @@ An op computes in its operands' dtype; a network casts its input to its own
 dtype, so every operand of its ops shares that one dtype.
 
 The one shared state is per-thread scratch. The conv and batch-norm ops build
-their internal temporaries (im2col matrices, a flipped kernel, a transposed
-copy of an upstream gradient not stored in [C, B, L] order, centered values,
-and the literal batch-norm form's squares and backward products), and Adam
-its per-group terms, in the calling thread's workspace: two flat buffers, each
-grown to the largest request and viewed at the shape and memory order the op
-needs, until ``release_workspace`` gives them back. No scratch view outlives
-the op that took it, and nothing an op returns or caches lives there, so
-results never alias scratch or each other; the one shared memory is an array
-a caller hands an op to write over, which then holds the result. The
-arithmetic is the one numpy's own expressions perform, in the same order and
-memory layout, so the bits match; numpy itself picks the layout of each
-elementwise temporary, from its result on a two-wide corner of the operands.
-The one exception is standard-form training batch norm, which takes its
-statistics and parameter gradients in two per-channel reductions and so
-differs from its plain expressions in the last bits. Each thread has its own
-workspace, which makes the module safe to drive from parallel workers as long
-as each worker owns its own layers.
+their internal temporaries (im2col matrices, the conv input gradient's
+column matrix, centered values and the literal batch-norm form's backward
+product), and Adam its per-group terms, in the calling thread's workspace:
+two flat buffers, each grown to the largest request and viewed at the shape
+and memory order the op needs, until ``release_workspace`` gives them back.
+No scratch view outlives the op that took it, and nothing an op returns or
+caches lives there, so results never alias scratch or each other; the one
+shared memory is an array a caller hands an op to write over, which then
+holds the result. Each thread has its own workspace, which makes the module
+safe to drive from parallel workers as long as each worker owns its own
+layers.
+
+The conv products are BLAS GEMMs and the batch-norm statistics and parameter
+gradients row reductions, so they differ from plain numpy expressions
+(einsum, sums over the batch and length axes) in the last bits, and from
+one BLAS kernel to another; ``tests/test_workspace.py`` holds them to float64
+textbook oracles at stated relative bounds. ReLU, the pool gradient and Adam
+perform exactly the operations of their plain expressions.
 
 ``finite_diff_gradcheck`` is the one finite-difference oracle. It visits each
 probed parameter entry once, compares its central-difference quotient with
@@ -51,9 +58,9 @@ with ``np.maximum``, so a NaN from the loss or the gradient fails the check.
 Its default step, refinement and denominator settings are the ``FD_*``
 constants. A model's backward owns the ``output_grads`` it is given
 (``FeatureExtractor.backward`` pops each hidden-stage gradient once it has
-added it). The oracle evaluates the loss again after the backward, so
-``loss.output_grads`` must be pure: it may not write into anything the loss
-reads.
+added it, and writes over them). The oracle evaluates the loss again after
+the backward, so ``loss.output_grads`` must be pure: it may not write into
+anything the loss reads, nor return an array the loss reads.
 
 Settings no caller varies are constants: ``BN_ZETA`` and ``BN_MOMENTUM``,
 which every user's network must share since a bundle carries neither, and
@@ -205,7 +212,7 @@ _WORKSPACE = _Workspace()
 # and no scratch array outlives its op.
 _BUFFER_OF = {
     "cols": 0, "centered": 0, "kd_diff": 0, "adam_grad": 0,
-    "gout_t": 1, "kernel_t": 1, "squares": 1, "prod": 1, "adam_term": 1,
+    "prod": 1, "adam_term": 1,
 }
 
 
@@ -240,58 +247,65 @@ def _scratch(role: str, shape, dtype, order=None) -> np.ndarray:
 
 def scratch_like(role: str, dtype, *arrays) -> np.ndarray:
     """Scratch for an elementwise result over ``arrays`` (all of one shape),
-    laid out as numpy lays out a fresh one. Numpy itself decides, on a
-    two-wide corner of the one or two operands, which keeps every stride its
-    axis sort reads; copysign raises no floating-point warning, whatever the
-    values. Reductions sum in memory order, so this keeps their bits. The
-    KD loss takes its difference here too; as in an op, the view must be
-    dropped before the next op runs."""
+    laid out as numpy lays out a fresh one, so a reduction over it sums in
+    the fresh result's order. Numpy itself decides, on a two-wide corner of
+    the one or two operands, which keeps every stride its axis sort reads;
+    copysign raises no floating-point warning, whatever the values. The KD
+    loss takes its difference here; as in an op, the view must be dropped
+    before the next op runs."""
     corner = (slice(2),) * arrays[0].ndim
     probe = np.copysign(arrays[0][corner], arrays[-1][corner])
     order = sorted(range(probe.ndim), key=lambda ax: -probe.strides[ax])
     return _scratch(role, arrays[0].shape, dtype, order)
 
 
-def _scratch_copy(role: str, a: np.ndarray) -> np.ndarray:
-    """A C-order copy of ``a`` in scratch."""
-    out = _scratch(role, a.shape, a.dtype)
-    np.copyto(out, a)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward ops
 # ---------------------------------------------------------------------------
 
-def _im2col(a: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """The [C*K, B*T] matrix of the width-k windows of [B, C, L] input
-    zero-extended by ``pad`` at both ends of its length axis, with
-    T = L + 2*pad - k + 1, ordered [C, K, B, T]: the copy einsum makes of
-    the padded input's windows. It is written from ``a`` directly, window
-    offset by window offset, so no padded copy is made: offset j of output
-    position t reads a[..., t + j - pad], or zero outside the input."""
+def _activation(shape, dtype, role: str | None = None) -> np.ndarray:
+    """An uninitialized [B, C, L] array stored in [C, B, L] order: fresh, or
+    the calling thread's scratch for ``role``."""
+    b, c, n = shape
+    if role is None:
+        return np.empty((c, b, n), dtype=dtype).transpose(1, 0, 2)
+    return _scratch(role, shape, dtype, order=(1, 0, 2))
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A [B, C, L] array as the [C, B*L] matrix of its channels' rows: a view
+    of an array stored in [C, B, L] order, a copy of any other."""
     b, c, n = a.shape
-    t = n + 2 * pad - k + 1
-    cols = _scratch("cols", (c, k, b, t), a.dtype)
+    return a.transpose(1, 0, 2).reshape(c, b * n)
+
+
+def _span(shift: int, n: int):
+    """(lo, hi): the positions t of [0, n) whose t + shift also lies in
+    [0, n). The span is empty (lo == hi) when |shift| >= n."""
+    lo = min(max(-shift, 0), n)
+    return lo, max(min(n - shift, n), lo)
+
+
+def _im2col(a: np.ndarray, k: int) -> np.ndarray:
+    """The [C*K, B*L] matrix of the width-k windows of [B, C, L] input
+    zero-extended by (k - 1) // 2 at both ends of its length axis, ordered
+    [C, K, B, L]: offset j of output position t reads a[..., t + j - pad],
+    or zero outside the input. It is written from ``a``'s [C, B*L] rows
+    directly, so no padded copy is made: each offset's rows are copied
+    shifted along whole rows, then its positions whose window leaves their
+    series are zeroed."""
+    b, c, n = a.shape
+    pad = (k - 1) // 2
+    rows = _rows(a)
+    cols = _scratch("cols", (c, k, b * n), a.dtype)
+    per_series = cols.reshape(c, k, b, n)
     for j in range(k):
-        lo = min(max(pad - j, 0), t)
-        hi = max(min(n + pad - j, t), lo)
-        cols[:, j, :, :lo] = 0
-        cols[:, j, :, hi:] = 0
-        cols[:, j, :, lo:hi] = a[:, :, lo + j - pad:hi + j - pad].transpose(1, 0, 2)
-    return cols.reshape(c * k, b * t)
-
-
-def _gout_matrix(gout: np.ndarray) -> np.ndarray:
-    """Upstream gradient [B, O, L] as the [B*L, O] matrix einsum multiplies:
-    a view when gout's memory is [O, B, L]-ordered, else a C-order copy. The
-    two layouts take different BLAS transpose flags, which can change bits,
-    so the choice is einsum's."""
-    t = gout.transpose(0, 2, 1)
-    b, n, o = t.shape
-    if b == 1 or n == 1 or t.strides[0] == t.strides[1] * n:
-        return t.reshape(b * n, o)
-    return _scratch_copy("gout_t", t).reshape(b * n, o)
+        lo, hi = _span(j - pad, b * n)
+        cols[:, j, lo:hi] = rows[:, lo + j - pad:hi + j - pad]
+        lo, hi = _span(j - pad, n)
+        per_series[:, j, :, :lo] = 0
+        per_series[:, j, :, hi:] = 0
+    return cols.reshape(c * k, b * n)
 
 
 def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
@@ -299,11 +313,10 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
 
     out[b, o, t] = sum_{c,k} kernel[o, c, k] * padded(x)[b, c, t + k] + bias[o]
 
-    This is the product ``np.einsum("bclk,ock->bol", windows, kernel,
-    optimize=True)`` runs: [C_out, C_in*K] @ [C_in*K, B*L], returned as a
-    [B, C_out, L] view of the [C_out, B, L] result. The output is the only
-    fresh allocation. The backward takes ``x`` itself, whose windows it copies
-    again, so nothing may write to ``x`` before that backward.
+    computed as the product [C_out, C_in*K] @ im2col(x) [C_in*K, B*L], whose
+    [C_out, B, L] result is returned as a [B, C_out, L] view. The output is
+    the only fresh allocation. The backward takes ``x`` itself, whose windows
+    it copies again, so nothing may write to ``x`` before that backward.
     ``want_cache`` returns ``(out, x)``. The library never passes it; it
     stays because the benchmark harness's operation-count test
     (``perfbench/tests``) calls the op that way.
@@ -319,7 +332,7 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
     o, _, k = layer.kernel.shape
     # overflow here is converted into NumericError by the callers' finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.matmul(layer.kernel.reshape(o, c * k), _im2col(x, k, (k - 1) // 2))
+        out = np.matmul(layer.kernel.reshape(o, c * k), _im2col(x, k))
         out = out.reshape(o, b, length).transpose(1, 0, 2)
         out += layer.bias[None, :, None]
     if want_cache:
@@ -332,66 +345,39 @@ def conv1d_backward(gout: np.ndarray, layer: ConvLayer, x: np.ndarray, input_gra
     ``x``.
 
     Returns (g_input, g_kernel, g_bias); g_input is None when ``input_grad``
-    is False. g_input is the correlation of the zero-extended upstream
-    gradient with the length-reversed kernel. Both products are the ones
-    einsum runs: g_kernel is [C_in*K, B*L] @ [B*L, C_out] viewed as
-    [C_out, C_in, K], and g_input is [C_in, C_out*K] @ [C_out*K, B*(L+K-1)],
-    viewed as [B, C_in, L+K-1] and sliced.
-
-    The input-gradient im2col is [C_out*K, B*(L+K-1)]. Where C_out > C_in it
-    is wider than the forward's, so where ``_halve_input_grad`` allows it is
-    built, and its product run, over the two halves of the batch in turn,
-    each writing its column block of the one [C_in, B*(L+K-1)] result.
+    is False. With G the [C_out, B*L] rows of the upstream gradient, g_kernel
+    is G @ im2col(x).T, a contiguous [C_out, C_in, K] array, and g_bias sums
+    G's rows. The input gradient is im2col's adjoint, col2im (Chellapilla,
+    Puri & Simard, 2006): the [C_in*K, B*L] product kernel.T @ G is computed
+    into the im2col scratch, and each window offset's [C_in, B*L] rows are
+    added back, shifted by the offset, into one [C, B, L]-ordered array
+    that starts as the centre offset's rows. As in im2col, the shift runs
+    along whole rows: an offset's values at the positions whose window
+    leaves their series are zeroed first. An offset whose shift spans the
+    whole series reads nothing and is skipped.
     """
     o, c, k = layer.kernel.shape
     b, _, length = gout.shape
     pad = (k - 1) // 2
+    g_rows = _rows(gout)
     with np.errstate(over="ignore", invalid="ignore"):
-        g_kernel = np.matmul(_im2col(x, k, pad), _gout_matrix(gout))
-        g_kernel = g_kernel.reshape(c, k, o).transpose(2, 0, 1)
-        g_bias = gout.sum(axis=(0, 2))
+        g_kernel = np.matmul(g_rows, _im2col(x, k).T).reshape(o, c, k)
+        g_bias = g_rows.sum(axis=1)
         if not input_grad:
             return None, g_kernel, g_bias
-        span = length + k - 1
-        kflip = _scratch_copy("kernel_t", layer.kernel[:, :, ::-1].transpose(1, 0, 2))
-        kflip = kflip.reshape(c, o * k)
-        g_padded = np.empty((c, b * span), dtype=np.result_type(layer.kernel, gout))
-        bounds = (0, b // 2, b) if _halve_input_grad(o, c, k, b, span) else (0, b)
-        for lo, hi in zip(bounds, bounds[1:]):
-            np.matmul(kflip, _im2col(gout[lo:hi], k, k - 1),
-                      out=g_padded[:, lo * span:hi * span])
-    g_padded = g_padded.reshape(c, b, span).transpose(1, 0, 2)
-    g_input = g_padded[:, :, pad:pad + length]
-    return g_input, g_kernel, g_bias
-
-
-def _halve_input_grad(c_out: int, c_in: int, k: int, batch: int, span: int) -> bool:
-    """Whether a conv's input-gradient product runs over the two halves of
-    the batch: where C_out > C_in, so its im2col is wider than the forward's,
-    the batch is even, each half is a multiple of 8 columns
-    (``batch / 2 * span``) wide, and each half im2col holds at least 2**20
-    values (4 MiB in float32, 8 MiB in float64).
-
-    A GEMM may sum an output element in an order that depends on where its
-    column falls in the product and on the product's size, so a split is
-    free only where it keeps the bits. On the OpenBLAS build this was
-    measured on (scipy-openblas 0.3.31 on x86-64: DGEMM on its SkylakeX,
-    Haswell, Sandybridge and generic kernels, and SGEMM on SkylakeX for the
-    paper blocks at lengths 24, 64, 256 and 1024 and batches 7, 16 and 32,
-    each at 1 and 2 threads), two equal halves each a multiple of 8 columns
-    wide gave every bit of the whole product, while unequal or unaligned
-    parts often changed the last bits. Halves under about 10**6 multiply-adds
-    can also change them, since OpenBLAS then runs its small-matrix kernels;
-    the 2**20 floor keeps every half above that size, whatever C_in, and
-    leaves short series unsplit, where the saving is small. Another BLAS, CPU
-    or thread count may tile differently: ``TestEinsumOracle`` and
-    ``test_input_gradient_batch_halves_keep_the_bits`` then fail."""
-    half_cols = batch // 2 * span
-    return (c_out > c_in and batch % 2 == 0 and half_cols % 8 == 0
-            and c_out * k * half_cols >= 2**20)
-
-
-_BN_REDUCE_AXES = (0, 2)
+        cols = _scratch("cols", (c, k, b * length), np.result_type(layer.kernel, gout))
+        np.matmul(layer.kernel.reshape(o, c * k).T, g_rows, out=cols.reshape(c * k, -1))
+        per_series = cols.reshape(c, k, b, length)
+        g_input = cols[:, pad].copy()
+        for j in range(k):
+            lo, hi = _span(j - pad, length)
+            if j == pad or lo == hi:
+                continue
+            per_series[:, j, :, :lo] = 0
+            per_series[:, j, :, hi:] = 0
+            lo, hi = _span(j - pad, b * length)
+            g_input[:, lo + j - pad:hi + j - pad] += cols[:, j, lo:hi]
+    return g_input.reshape(c, b, length).transpose(1, 0, 2), g_kernel, g_bias
 
 
 def _per_channel(v: np.ndarray) -> np.ndarray:
@@ -404,11 +390,27 @@ def _require_3d(x: np.ndarray, what: str) -> None:
         raise ShapeError(f"{what} must be [batch, channel, length], got shape {x.shape}")
 
 
+# Bytes of the row products _channel_dot forms at a time: a block that
+# stays in cache between its product and its sum.
+_DOT_BLOCK_BYTES = 1 << 18
+
+
 def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-channel sum of ``a * b`` over the batch and length axes of
-    [B, C, L] arrays, with no full-size product: einsum sums each length-L
-    row, and the [B, C] partial sums are then summed over the batch."""
-    return np.einsum("bcl,bcl->bc", a, b).sum(axis=0)
+    """Per-channel sum of ``a * b`` over [B, C, L] arrays: each channel's
+    row product, summed pairwise along its contiguous row, so the rounding
+    error grows with log(B*L). The products are formed in scratch a
+    cache-sized block of rows at a time; a row's sum does not depend on
+    the block it is in."""
+    ra, rb = _rows(a), _rows(b)
+    c, n = ra.shape
+    dtype = np.result_type(ra, rb)
+    step = max(1, _DOT_BLOCK_BYTES // max(1, n * dtype.itemsize))
+    sums = np.empty(c, dtype)
+    for lo in range(0, c, step):
+        hi = min(lo + step, c)
+        prod = np.multiply(ra[lo:hi], rb[lo:hi], out=_scratch("prod", (hi - lo, n), dtype))
+        prod.sum(axis=1, out=sums[lo:hi])
+    return sums
 
 
 def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
@@ -419,17 +421,16 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
     into the running statistics); inference mode uses the running statistics
     only. Temporaries that no cache keeps live in scratch.
 
-    The standard form takes the variance from one reduction of the centered
-    values with themselves (``_channel_dot``) and normalizes them in place,
-    so a cached ``xhat`` is the only full-size array it allocates besides
-    the output.
+    Training mode centers the input by its row means and takes the second
+    statistic from one row reduction of the centered values with themselves
+    (``_channel_dot``): the variance in the standard form, which then
+    normalizes the centered values in place into ``xhat``, and the summed
+    squared deviation in the literal one. A cached ``xhat`` or centered
+    input is the only full-size array allocated besides the output.
 
     The output is written into ``out`` when given, else into a fresh array.
     ``out=x`` is allowed, since ``x`` is dead once centered; the network
-    passes it for the conv output it normalizes. ``out`` must have the
-    fresh output's dtype and be stored in the memory order numpy gives it,
-    which is ``x``'s own, or later reductions over it would sum in another
-    order.
+    passes it for the conv output it normalizes.
     """
     _require_3d(x, "batchnorm input")
     if x.shape[0] < 1 and training:
@@ -443,17 +444,15 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
     if training:
         # overflow here is converted into NumericError by the finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
-            mu = x.mean(axis=_BN_REDUCE_AXES)
+            mu = _rows(x).mean(axis=1)
             if not np.isfinite(mu).all():
                 raise NumericError("non-finite batch statistics in batchnorm")
             # a cached form keeps the centered values: as they are (literal),
             # or normalized in place into xhat (standard)
-            centered = np.subtract(x, _per_channel(mu), out=None if want_cache
-                                   else scratch_like("centered", np.result_type(x, mu), x))
+            centered = np.subtract(x, _per_channel(mu), out=_activation(
+                x.shape, np.result_type(x, mu), None if want_cache else "centered"))
             if layer.literal_form:
-                squares = np.multiply(centered, centered,
-                                      out=scratch_like("squares", centered.dtype, centered))
-                sumsq = np.sum(squares, axis=_BN_REDUCE_AXES)
+                sumsq = _channel_dot(centered, centered)
                 delta = np.sqrt(sumsq)
                 denom = delta + BN_ZETA
                 out = np.multiply(alpha, centered, out=out)
@@ -482,8 +481,8 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
         else:
             denom = np.sqrt(layer.running_var + BN_ZETA)
         scale = 1.0 / denom
-        centered = np.subtract(x, _per_channel(mu), out=None if want_cache
-                               else scratch_like("centered", np.result_type(x, mu), x))
+        centered = np.subtract(x, _per_channel(mu), out=_activation(
+            x.shape, np.result_type(x, mu), None if want_cache else "centered"))
         out = np.multiply(alpha, centered, out=out)
         out *= _per_channel(scale)
         out += beta
@@ -498,18 +497,16 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache, *,
                        consume: bool = False):
     """Gradients through training-mode batch normalization.
 
-    Returns (g_input, g_alpha, g_beta). Both normalization modes are exact.
-    The standard form takes two per-channel reductions, g_beta = sum(g) and
-    g_alpha = sum(g * xhat), and builds
+    Returns (g_input, g_alpha, g_beta), with g_beta = sum(g) a row
+    reduction. Both normalization modes are exact. The standard form takes
+    g_alpha = sum(g * xhat) and builds
 
         dL/dx = alpha * inv * (g - xhat * g_alpha / n - g_beta / n)
 
-    in one output array stored in [C, B, L] order, the order conv outputs
-    use, so the conv backward multiplies it without a copy. With ``consume``
-    that array is the cached ``xhat`` itself, overwritten once both
-    reductions have read it, whenever ``xhat`` is stored in [C, B, L] order
-    (as the normalized conv output always is); the cache is then spent and
-    must not be used again. The literal form uses
+    in one output array. With ``consume`` that array is the cached ``xhat``
+    itself, overwritten once both reductions have read it, when its dtype
+    is the result's; the cache is then spent and must not be used again.
+    The literal form uses
 
         dL/dx_k = alpha * [ (g_k - mean(g)) / D - c_k * sum(g*c) / (delta * D^2) ]
 
@@ -521,32 +518,29 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache, *,
         raise GradientStateError("batchnorm_backward called without a cached forward")
     _require_3d(gout, "batchnorm upstream gradient")
     kind = cache[0]
-    alpha = _per_channel(layer.alpha)
-    g_beta = gout.sum(axis=_BN_REDUCE_AXES)
+    n = gout.shape[0] * gout.shape[2]
+    g_beta = _rows(gout).sum(axis=1)
     if kind == "standard":
         _, xhat, inv = cache
-        b, c, length = gout.shape
-        n = b * length
         g_alpha = _channel_dot(gout, xhat)
-        if consume and xhat.transpose(1, 0, 2).flags.c_contiguous:
-            g_input = xhat
-        else:
-            g_input = np.empty((c, b, length), dtype=np.result_type(gout, xhat)).transpose(1, 0, 2)
+        dtype = np.result_type(gout, xhat)
+        g_input = xhat if consume and xhat.dtype == dtype else _activation(gout.shape, dtype)
         np.multiply(xhat, _per_channel(g_alpha / n), out=g_input)
         np.subtract(gout, g_input, out=g_input)
         g_input -= _per_channel(g_beta / n)
         g_input *= _per_channel(layer.alpha * inv)
     elif kind == "literal":
         _, centered, delta, denom = cache
-        prod = scratch_like("prod", np.result_type(gout, centered), gout, centered)
-        s_gc = np.sum(np.multiply(gout, centered, out=prod), axis=_BN_REDUCE_AXES)
+        s_gc = _channel_dot(gout, centered)
         g_alpha = s_gc / denom
-        mean_g = gout.mean(axis=_BN_REDUCE_AXES)
         delta_safe = np.maximum(delta, np.finfo(gout.dtype).tiny)
         coef = s_gc / (delta_safe * denom * denom)
-        prod = scratch_like("prod", np.result_type(centered, coef), centered)
-        g_input = alpha * ((gout - _per_channel(mean_g)) / _per_channel(denom)
-                           - np.multiply(centered, _per_channel(coef), out=prod))
+        dtype = np.result_type(gout, centered, coef)
+        g_input = np.subtract(gout, _per_channel(g_beta / n), out=_activation(gout.shape, dtype))
+        g_input /= _per_channel(denom)
+        g_input -= np.multiply(centered, _per_channel(coef),
+                               out=_activation(gout.shape, dtype, "prod"))
+        g_input *= _per_channel(layer.alpha)
     else:
         raise GradientStateError("batchnorm_backward needs a training-mode cache")
     return g_input, g_alpha, g_beta
@@ -561,10 +555,9 @@ def batchnorm_inference_backward(gout: np.ndarray, layer: BatchNormLayer, cache)
     if kind != "inference":
         raise GradientStateError("inference backward needs an inference-mode cache")
     _require_3d(gout, "batchnorm upstream gradient")
-    g_input = gout * _per_channel(layer.alpha * scale)
-    g_alpha = np.sum(gout * centered * _per_channel(scale), axis=_BN_REDUCE_AXES)
-    g_beta = gout.sum(axis=_BN_REDUCE_AXES)
-    return g_input, g_alpha, g_beta
+    g_input = np.multiply(gout, _per_channel(layer.alpha * scale),
+                          out=_activation(gout.shape, np.result_type(gout, layer.alpha, scale)))
+    return g_input, _channel_dot(gout, centered) * scale, _rows(gout).sum(axis=1)
 
 
 def relu_forward(x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -578,9 +571,7 @@ def relu_backward(gout: np.ndarray, out: np.ndarray, *,
                   into: np.ndarray | None = None) -> np.ndarray:
     """Gradient through ReLU, given the forward's output, written into
     ``into`` when given, else into a fresh array. ``into`` may be ``gout`` or
-    ``out`` itself, whichever is dead afterwards, but only one stored in the
-    memory order numpy gives the fresh product: that one keeps the bits of
-    every later reduction."""
+    ``out`` itself, whichever is dead afterwards."""
     return np.multiply(gout, out > 0.0, out=into)
 
 
@@ -593,10 +584,19 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=2)
 
 
-def global_avg_pool_backward(gout: np.ndarray, length: int) -> np.ndarray:
-    """[B, C] -> [B, C, L]: each mean's gradient, divided by ``length`` before
-    it is repeated, so one full-size array is built."""
-    return np.repeat(gout[:, :, None] / length, length, axis=2)
+def global_avg_pool_backward(gout: np.ndarray, length: int, *,
+                             add_to: np.ndarray | None = None) -> np.ndarray:
+    """[B, C] -> [B, C, L]: each mean's gradient, divided by ``length`` and
+    broadcast along the length axis. It is added into ``add_to`` when given,
+    another [B, C, L] gradient of the pooled input, which it returns;
+    otherwise it is written into a fresh [C, B, L]-ordered array."""
+    share = (gout / length)[:, :, None]
+    if add_to is None:
+        add_to = _activation((*gout.shape, length), share.dtype)
+        add_to[...] = share
+    else:
+        add_to += share
+    return add_to
 
 
 def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:

@@ -7,7 +7,7 @@ from efdls.dbwm import (
     InsufficientUsersError, bundle_distance,
     dispatch_matched, match_partners, pairwise_distances,
 )
-from efdls.extractor import WeightBundle
+from efdls.extractor import FeatureExtractor, WeightBundle, borrow_hidden_weights
 from efdls.nncore import ShapeError
 
 
@@ -108,6 +108,31 @@ class TestBundleDistance:
             other = base.copy()
             assert abs(bundle_distance(shifted, other) - bundle_distance(base, other)
                        - expected) <= 1e-6 * scale
+
+
+def widened_expression_distance(a: WeightBundle, b: WeightBundle) -> float:
+    """``bundle_distance`` as its plain expressions: each array widened to
+    float64, then a fresh difference and a fresh product."""
+    total = 0.0
+    for key, av in a.learnable_items():
+        diff = av.astype(np.float64, copy=False) - b.arrays[key].astype(np.float64, copy=False)
+        total += float(np.sum(diff * diff))
+    return total
+
+
+@pytest.mark.parametrize("paper_width", [False, True], ids=["mini", "paper"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_pass_difference_equals_the_widened_expression_bit_for_bit(dtype, paper_width):
+    # the difference is taken in float64 in one pass and squared in place:
+    # each value is the widened expression's, summed in the same order
+    if paper_width:
+        a, b = (borrow_hidden_weights(FeatureExtractor(3, seed=s, dtype=dtype)) for s in (1, 2))
+    else:
+        rng = np.random.default_rng(7)
+        a, b = (WeightBundle(arrays={k: v.astype(dtype) for k, v in random_bundle(rng).arrays.items()})
+                for _ in range(2))
+    for first, second in ((a, b), (b, a), (a, a)):
+        assert bundle_distance(first, second) == widened_expression_distance(first, second)
 
 
 class TestPairwiseDistances:

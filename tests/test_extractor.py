@@ -178,8 +178,9 @@ class TestBackwardComposition:
             m.backward(cache, {"nonsense": np.zeros(1)})
 
     def test_each_hidden_gradient_is_dead_once_its_block_backward_starts(self, monkeypatch):
-        # the backward owns its output_grads: each hidden-stage gradient is
-        # popped and dropped once added, before that block's ReLU backward
+        # the backward owns its output_grads: o1's and o2's gradients are
+        # popped and dropped once added, before that block's ReLU backward;
+        # o3's takes the pool gradient and is block 3's incoming gradient
         m = mini_model(num_classes=3, seed=30)
         rng = np.random.default_rng(31)
         trace, cache = m.forward(rng.standard_normal((4, 1, 10)), training=True, want_cache=True)
@@ -191,7 +192,7 @@ class TestBackwardComposition:
         alive = []
 
         def relu_backward(gout, out, **kwargs):
-            alive.append([f for f in fields if refs[f]() is not None])
+            alive.append([f for f in fields if refs[f]() is not None and refs[f]() is not gout])
             return real(gout, out, **kwargs)
 
         monkeypatch.setattr(nncore, "relu_backward", relu_backward)
@@ -259,19 +260,19 @@ class TestBackwardComposition:
 # Which of a student step's activations are alive as each backward op starts:
 # o_i is block i's output and c_i the array its batch-norm cache holds (xhat
 # in the standard form, the centered input in the literal one). A ReLU
-# gradient is written over o_i below block 3 and a standard-form batch-norm
-# input gradient over xhat, so such an array lives on as the gradient until
-# the op after it has run.
+# gradient is written over its incoming gradient, so o_i dies with its ReLU
+# backward, and a standard-form batch-norm input gradient over xhat, so xhat
+# lives on as the gradient until the conv backward after it has run.
 STANDARD_LIVENESS = [
     ("relu", "o1 o2 o3 c1 c2 c3"), ("bn", "o1 o2 c1 c2 c3"), ("conv", "o1 o2 c1 c2 c3"),
-    ("relu", "o1 o2 c1 c2"), ("bn", "o1 o2 c1 c2"), ("conv", "o1 c1 c2"),
-    ("relu", "o1 c1"), ("bn", "o1 c1"), ("conv", "c1"), ("end", ""),
+    ("relu", "o1 o2 c1 c2"), ("bn", "o1 c1 c2"), ("conv", "o1 c1 c2"),
+    ("relu", "o1 c1"), ("bn", "c1"), ("conv", "c1"), ("end", ""),
 ]
 # a literal or inference-mode cache is read, not written: it dies with its op
 FRESH_GRADIENT_LIVENESS = [
     ("relu", "o1 o2 o3 c1 c2 c3"), ("bn", "o1 o2 c1 c2 c3"), ("conv", "o1 o2 c1 c2"),
-    ("relu", "o1 o2 c1 c2"), ("bn", "o1 o2 c1 c2"), ("conv", "o1 c1"),
-    ("relu", "o1 c1"), ("bn", "o1 c1"), ("conv", ""), ("end", ""),
+    ("relu", "o1 o2 c1 c2"), ("bn", "o1 c1 c2"), ("conv", "o1 c1"),
+    ("relu", "o1 c1"), ("bn", "c1"), ("conv", ""), ("end", ""),
 ]
 
 

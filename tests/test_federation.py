@@ -1055,6 +1055,21 @@ class RewritingTransport(federation.InProcTransport):
         return self._carry("download", user_id, data)
 
 
+class RewritingSocketTransport(federation.SocketTransport):
+    """RewritingTransport's edit, made to the frame before a loopback socket
+    carries it, as a peer that sends it would."""
+
+    def __init__(self, direction, epoch, rewrite):
+        super().__init__(port=0)
+        self.edit = RewritingTransport(direction, epoch, rewrite)
+
+    def upload(self, user_id, data):
+        return super().upload(user_id, self.edit.upload(user_id, data))
+
+    def download(self, user_id, data):
+        return super().download(user_id, self.edit.download(user_id, data))
+
+
 def relabelled(epoch=None, user_id=None):
     """A rewrite that puts ``epoch`` and/or ``user_id`` into the header."""
     def rewrite(data):
@@ -1222,6 +1237,25 @@ class TestRoundChecks:
         with pytest.raises(error) as info:
             fed.run()
         assert str(info.value) == f"user 1 {direction} at federated epoch {epoch}: {message}"
+
+    # user 1's message at epoch 2, carrying the other user's id, or the
+    # previous epoch's, as a replayed message would
+    @pytest.mark.parametrize("epoch,user_id", [(None, 0), (1, None)], ids=["user", "epoch"])
+    @pytest.mark.parametrize("direction", ["upload", "download"])
+    @pytest.mark.parametrize("transport", [RewritingTransport, RewritingSocketTransport],
+                             ids=["inproc", "socket"])
+    def test_paper_width_header_ids_must_be_the_ones_sent(self, transport, direction, epoch,
+                                                          user_id):
+        fed = Federation(toy_config(n_tot=2, fles=2, blocks=extractor.DEFAULT_BLOCKS,
+                                    hidden_dim=extractor.DEFAULT_HIDDEN_DIM, batch_size=20),
+                         transport=transport(direction, 2, relabelled(epoch, user_id)))
+        carried = (2 if epoch is None else epoch, 1 if user_id is None else user_id)
+        with pytest.raises(MalformedMessageError) as info:
+            fed.run()
+        assert str(info.value) == (f"user 1 {direction} at federated epoch 2: header carries "
+                                   f"epoch {carried[0]} and user {carried[1]} "
+                                   f"(at byte offset 5)")
+        assert info.value.offset == 5
 
     @pytest.mark.parametrize("direction", ["upload", "download"])
     @pytest.mark.parametrize("strategy", ["efdls", "fedavg"])
