@@ -23,27 +23,29 @@ very first federated epoch (and while a user has no teacher), otherwise
 ``parts(trace)`` gives the batch's loss report, ``value(trace)`` the total
 that ``nncore.finite_diff_gradcheck`` differentiates, and
 ``output_grads(trace)`` the gradients injected into the student's backward
-pass. Local training takes all three from that one object and returns the
-mean of the batch reports; the federation snapshots the student's hidden
-weights itself, and only for the users that upload.
+pass; all three are pure. A training step takes the report and the
+gradients together from ``consume(trace)``, with the same bits. Local
+training takes all of them from that one object and returns the mean of the
+batch reports; the federation snapshots the student's hidden weights
+itself, and only for the users that upload.
 
 A training step holds one batch's arrays at a time, and each activation-sized
 array once, every one stored in the network's one [C, B, L] order. The KD
-loss takes its float64 difference in workspace scratch. The output
-gradients are built with ``consume=True``: the KD gradients are written into
-the teacher trace's own arrays, and the objective, with the rest of the
-teacher's trace, is dropped at once, so the student's backward runs without
-it. The student's trace goes too, so the backward holds the only reference
-to the step's activations: it owns the output gradients and the cache, adds
-the pool gradient into o3's KD gradient, drops each hidden-stage gradient
-once it is added and each activation and batch-norm cache at its last
-reader, and writes gradients over them; each conv input gradient is
-col2im's, with no padded copy. The rest of the batch's arrays are
-dropped once its Adam step is taken, before the next batch's forward.
-Without ``consume``, ``output_grads`` is pure, as the gradcheck needs. A
-step's traced peak is the start of the student's backward, where the
-student's block outputs and batch-norm caches and the KD gradients are
-alive; the pool gradient adds no array to them.
+difference of each stage is taken once, in the traces' dtype, into the
+teacher trace's own array: the reported KD loss sums its squares in float64,
+a bounded block of channels at a time in workspace scratch, and it is then
+scaled in place into that stage's KD gradient. The objective, with the rest
+of the teacher's trace, is dropped at once, so the student's backward runs
+without it. The student's trace goes too, so the backward holds the only
+reference to the step's activations: it owns the output gradients and the
+cache, adds the pool gradient into o3's KD gradient, drops each hidden-stage
+gradient once it is added and each activation and batch-norm cache at its
+last reader, and writes gradients over them; each conv input gradient is
+col2im's, with no padded copy. The rest of the batch's arrays are dropped
+once its Adam step is taken, before the next batch's forward. A step's
+traced peak is the start of the student's backward, where the student's
+block outputs and batch-norm caches and the KD gradients are alive; the pool
+gradient adds no array to them.
 """
 
 from __future__ import annotations
@@ -119,44 +121,49 @@ class FBSTPair:
         ext.load_hidden_weights(self.student, bundle)
 
 
+def _stage_pair(student_trace: ext.ForwardTrace, teacher_trace: ext.ForwardTrace, name: str):
+    s, t = getattr(student_trace, name), getattr(teacher_trace, name)
+    if s.shape != t.shape:
+        raise nncore.ShapeError(f"trace field '{name}' shapes differ: {s.shape} vs {t.shape}")
+    return s, t
+
+
 def kd_loss(student_trace: ext.ForwardTrace, teacher_trace: ext.ForwardTrace) -> float:
     """Feature-matching loss between two traces of the same batch.
 
     Per stage m: mean over the batch of the per-instance sum of squared
     differences; the four stage values are summed. Symmetric in its arguments
     and zero exactly when the traces agree. Each stage's difference is
-    taken and summed in float64, whatever the traces' dtype, in workspace
-    scratch laid out as numpy lays out a fresh difference.
+    taken in the traces' dtype and its squares summed in float64
+    (``nncore.sum_squares``, a bounded block at a time), so the loss has
+    the bits ``kd_loss_grads`` reports from its stored differences.
     """
     total = 0.0
     for name in ext.ForwardTrace.HIDDEN_FIELDS:
-        s = getattr(student_trace, name)
-        t = getattr(teacher_trace, name)
-        if s.shape != t.shape:
-            raise nncore.ShapeError(
-                f"trace field '{name}' shapes differ: {s.shape} vs {t.shape}"
-            )
-        diff = np.subtract(s, t, dtype=np.float64,
-                           out=nncore.scratch_like("kd_diff", np.float64, s, t))
-        total += float(np.sum(np.multiply(diff, diff, out=diff)) / s.shape[0])
+        s, t = _stage_pair(student_trace, teacher_trace, name)
+        total += nncore.sum_squares(s, t) / s.shape[0]
     return total
 
 
 def kd_loss_grads(student_trace: ext.ForwardTrace, teacher_trace: ext.ForwardTrace,
-                  scale: float = 1.0, out: ext.ForwardTrace | None = None) -> dict:
-    """Gradients of kd_loss with respect to the student's hidden outputs
-    (the teacher side is a constant): ``scale * 2 * (s - t) / batch`` per
-    stage. Each is written into the array of that stage of ``out``, which may
-    be ``teacher_trace`` itself, or into a fresh array without it."""
+                  scale: float = 1.0, out: ext.ForwardTrace | None = None) -> tuple:
+    """``(kd_loss, grads)`` from one difference per stage: the loss, with
+    ``kd_loss``'s bits, and its gradients with respect to the student's
+    hidden outputs (the teacher side is a constant), ``scale * 2 * (s - t) /
+    batch`` per stage. Each difference ``s - t`` is taken in the traces'
+    dtype into the array of that stage of ``out``, which may be
+    ``teacher_trace`` itself, or into a fresh array without it; its squares
+    are summed before it is scaled, in place, into the gradient."""
+    total = 0.0
     grads = {}
     for name in ext.ForwardTrace.HIDDEN_FIELDS:
-        s = getattr(student_trace, name)
-        g = np.subtract(s, getattr(teacher_trace, name),
-                        out=None if out is None else getattr(out, name))
+        s, t = _stage_pair(student_trace, teacher_trace, name)
+        g = np.subtract(s, t, out=None if out is None else getattr(out, name))
+        total += nncore.sum_squares(g) / s.shape[0]
         g *= scale * 2.0
         g /= s.shape[0]
         grads[name] = g
-    return grads
+    return total, grads
 
 
 def sup_loss(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -204,9 +211,15 @@ class SupervisedLoss:
     def value(self, trace: ext.ForwardTrace) -> float:
         return self.parts(trace).total
 
-    def output_grads(self, trace: ext.ForwardTrace, *, consume: bool = False) -> dict:
-        """The gradient at the logits; there is no trace to ``consume``."""
+    def output_grads(self, trace: ext.ForwardTrace) -> dict:
+        """The gradients injected into the student's backward: here only at
+        the logits. Pure: it writes into nothing the loss reads."""
         return {"logits": sup_loss_logit_grad(trace.probs, self.labels)}
+
+    def consume(self, trace: ext.ForwardTrace) -> tuple:
+        """``(parts(trace), output_grads(trace))``, as a training step takes
+        them; there is no teacher trace to give up."""
+        return self.parts(trace), self.output_grads(trace)
 
 
 class DistillationLoss(SupervisedLoss):
@@ -225,17 +238,25 @@ class DistillationLoss(SupervisedLoss):
         kd = kd_loss(trace, self.teacher_trace)
         return LossReport(kd=kd, sup=sup, total=total_loss(sup, kd, self.epsilon))
 
-    def output_grads(self, trace: ext.ForwardTrace, *, consume: bool = False) -> dict:
-        """The gradients at the logits and the four hidden outputs. With
-        ``consume`` the hidden ones are written into the teacher trace's
-        arrays, and the loss gives the trace up: it holds no teacher trace
-        afterwards, so it must not be evaluated again."""
-        out = self.teacher_trace if consume else None
-        grads = kd_loss_grads(trace, self.teacher_trace, scale=1.0 - self.epsilon, out=out)
+    def output_grads(self, trace: ext.ForwardTrace) -> dict:
+        """The gradients at the logits and the four hidden outputs, in fresh
+        arrays; the teacher trace is left as it was."""
+        _, grads = kd_loss_grads(trace, self.teacher_trace, scale=1.0 - self.epsilon)
         grads["logits"] = sup_loss_logit_grad(trace.probs, self.labels, scale=self.epsilon)
-        if consume:
-            self.teacher_trace = None
         return grads
+
+    def consume(self, trace: ext.ForwardTrace) -> tuple:
+        """``(report, output_grads)`` of one training step, with the bits of
+        ``parts(trace)`` and ``output_grads(trace)``, from one difference per
+        stage: it is taken into the teacher trace's arrays, which become the
+        hidden gradients. The loss gives the trace up: it holds no teacher
+        trace afterwards, so it must not be evaluated again."""
+        kd, grads = kd_loss_grads(trace, self.teacher_trace, scale=1.0 - self.epsilon,
+                                  out=self.teacher_trace)
+        self.teacher_trace = None
+        sup = sup_loss(trace.probs, self.labels)
+        grads["logits"] = sup_loss_logit_grad(trace.probs, self.labels, scale=self.epsilon)
+        return LossReport(kd=kd, sup=sup, total=total_loss(sup, kd, self.epsilon)), grads
 
 
 def iter_batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -274,12 +295,11 @@ def local_train_epoch(pair: FBSTPair, x: np.ndarray, y: np.ndarray,
                     yb, config.epsilon)
             else:
                 objective = SupervisedLoss(yb)
-            report = objective.parts(trace)
+            # the KD differences, then gradients, take the teacher trace's
+            # arrays, and the rest of the trace goes with the objective
+            report, output_grads = objective.consume(trace)
             if not np.isfinite(report.total):
                 raise nncore.NumericError(f"non-finite training loss at federated epoch {k}")
-            # the KD gradients take the teacher trace's arrays, and the rest of
-            # the trace goes with the objective
-            output_grads = objective.output_grads(trace, consume=True)
             # the backward owns the cache, which holds the trace's activations
             del objective, trace
             nncore.adam_step(params, pair.student.backward(cache, output_grads), adam)

@@ -526,10 +526,15 @@ class SocketTransport:
 
     def __init__(self, port: int = 0):
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.settimeout(SOCKET_TIMEOUT_S)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", port))
-        self._listener.listen()
+        try:
+            self._listener.settimeout(SOCKET_TIMEOUT_S)
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind(("127.0.0.1", port))
+            self._listener.listen()
+        except OSError:
+            # a taken port: the caller gets the error, and no open socket
+            self._listener.close()
+            raise
         self.port = self._listener.getsockname()[1]
         self._user_side = {}
         self._server_side = {}

@@ -18,13 +18,14 @@ backward has run.
 
 Four ops can instead write their result over an array that dies as they
 run, which the caller names: ``batchnorm_forward(out=...)`` (its input, dead
-once centered), the standard form of ``batchnorm_backward(consume=True)``
-(the cached ``xhat``), ``relu_backward(into=...)`` (its upstream gradient
-or the forward's output) and ``global_avg_pool_backward(add_to=...)`` (an
-upstream gradient of the pooled input, which it adds into). The array must
-have the fresh result's dtype; elementwise results do not depend on where
-they are stored, so every bit matches the fresh forms, which are the
-defaults and the tests' bit oracles.
+once centered), ``batchnorm_backward(consume=True)`` (the cached ``xhat`` of
+the standard form, which becomes the input gradient, or the literal form's
+cached centered input, which takes a product), ``relu_backward(into=...)``
+(its upstream gradient or the forward's output) and
+``global_avg_pool_backward(add_to=...)`` (an upstream gradient of the pooled
+input, which it adds into). The array must have the fresh result's dtype;
+elementwise results do not depend on where they are stored, so every bit
+matches the fresh forms, which are the defaults and the tests' bit oracles.
 
 Parameters are stored in the dtype they were given: a federation's users in
 float32, the wire's dtype, and the gradient oracle's networks in float64.
@@ -32,12 +33,17 @@ An op computes in its operands' dtype; a network casts its input to its own
 dtype, so every operand of its ops shares that one dtype.
 
 The one shared state is per-thread scratch. The conv and batch-norm ops build
-their internal temporaries (im2col matrices, the conv input gradient's
-column matrix, centered values and the literal batch-norm form's backward
-product), and Adam its per-group terms, in the calling thread's workspace:
-two flat buffers, each grown to the largest request and viewed at the shape
-and memory order the op needs, until ``release_workspace`` gives them back.
-No scratch view outlives the op that took it, and nothing an op returns or
+their internal temporaries (the conv products' column matrices and the
+kernel gradient's partial products, and the blocks of row products of the
+batch-norm reductions), ``sum_squares`` its blocks of float64 squares, and
+Adam its per-group terms, in the calling thread's workspace: two flat
+buffers, each grown to the largest request and viewed at the shape the op
+needs, until ``release_workspace`` gives them back.
+Every request is bounded by a constant or by a parameter group's size, not
+by the batch or the series length: a column matrix holds a block of whole
+series within ``_COL_BLOCK_BYTES`` (one series, if a single one is larger),
+and a block of row products ``_DOT_BLOCK_BYTES`` (one row, likewise). No
+scratch view outlives the op that took it, and nothing an op returns or
 caches lives there, so results never alias scratch or each other; the one
 shared memory is an array a caller hands an op to write over, which then
 holds the result. Each thread has its own workspace, which makes the module
@@ -211,9 +217,15 @@ _WORKSPACE = _Workspace()
 # never live at once: an op holds at most one array from each buffer at a time,
 # and no scratch array outlives its op.
 _BUFFER_OF = {
-    "cols": 0, "centered": 0, "kd_diff": 0, "adam_grad": 0,
-    "prod": 1, "adam_term": 1,
+    "cols": 0, "adam_grad": 0,
+    "prod": 1, "kernel_part": 1, "taps": 1, "adam_term": 1,
 }
+
+# Bytes of the column matrix a conv product takes at a time: im2col and
+# col2im run over blocks of whole series whose [C_in*K, b*L] matrix fits
+# here, so the workspace does not grow with the batch or the series length.
+# A block holds at least one series, however long.
+_COL_BLOCK_BYTES = 1 << 22
 
 
 def workspace_nbytes() -> int:
@@ -226,11 +238,10 @@ def release_workspace() -> None:
     _WORKSPACE.buffers = [None, None]
 
 
-def _scratch(role: str, shape, dtype, order=None) -> np.ndarray:
-    """The calling thread's buffer for ``role``, viewed as ``shape`` and
-    ``dtype`` with its axes stored outermost-first in ``order`` (C order by
-    default). The buffer grows to the largest request and keeps its stale
-    contents."""
+def _scratch(role: str, shape, dtype) -> np.ndarray:
+    """The calling thread's buffer for ``role``, viewed as a C-ordered
+    ``shape`` of ``dtype``. The buffer grows to the largest request and
+    keeps its stale contents."""
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
     buffers = _WORKSPACE.buffers
@@ -238,45 +249,28 @@ def _scratch(role: str, shape, dtype, order=None) -> np.ndarray:
     if buffers[i] is None or buffers[i].nbytes < nbytes:
         buffers[i] = None  # release the old buffer before allocating its successor
         buffers[i] = np.empty(nbytes, dtype=np.uint8)
-    flat = buffers[i][:nbytes].view(dtype)
-    if order is None:
-        return flat.reshape(shape)
-    stored = flat.reshape([shape[a] for a in order])
-    return stored.transpose(sorted(range(len(order)), key=order.__getitem__))
-
-
-def scratch_like(role: str, dtype, *arrays) -> np.ndarray:
-    """Scratch for an elementwise result over ``arrays`` (all of one shape),
-    laid out as numpy lays out a fresh one, so a reduction over it sums in
-    the fresh result's order. Numpy itself decides, on a two-wide corner of
-    the one or two operands, which keeps every stride its axis sort reads;
-    copysign raises no floating-point warning, whatever the values. The KD
-    loss takes its difference here; as in an op, the view must be dropped
-    before the next op runs."""
-    corner = (slice(2),) * arrays[0].ndim
-    probe = np.copysign(arrays[0][corner], arrays[-1][corner])
-    order = sorted(range(probe.ndim), key=lambda ax: -probe.strides[ax])
-    return _scratch(role, arrays[0].shape, dtype, order)
+    return buffers[i][:nbytes].view(dtype).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # Forward / backward ops
 # ---------------------------------------------------------------------------
 
-def _activation(shape, dtype, role: str | None = None) -> np.ndarray:
-    """An uninitialized [B, C, L] array stored in [C, B, L] order: fresh, or
-    the calling thread's scratch for ``role``."""
+def _activation(shape, dtype) -> np.ndarray:
+    """A fresh, uninitialized [B, C, L] array stored in [C, B, L] order."""
     b, c, n = shape
-    if role is None:
-        return np.empty((c, b, n), dtype=dtype).transpose(1, 0, 2)
-    return _scratch(role, shape, dtype, order=(1, 0, 2))
+    return np.empty((c, b, n), dtype=dtype).transpose(1, 0, 2)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
-    """A [B, C, L] array as the [C, B*L] matrix of its channels' rows: a view
-    of an array stored in [C, B, L] order, a copy of any other."""
+    """A [B, C, L] array as the [C, B*L] matrix of its channels' rows, each
+    row contiguous: a view of an array stored in [C, B, L] order (or of a
+    span of its series), a copy of any other."""
     b, c, n = a.shape
-    return a.transpose(1, 0, 2).reshape(c, b * n)
+    rows = a.transpose(1, 0, 2).reshape(c, b * n)
+    if b * n > 1 and rows.strides[1] != rows.itemsize:
+        return np.ascontiguousarray(rows)
+    return rows
 
 
 def _span(shift: int, n: int):
@@ -308,18 +302,32 @@ def _im2col(a: np.ndarray, k: int) -> np.ndarray:
     return cols.reshape(c * k, b * n)
 
 
+def _blocks(count: int, item_bytes: int) -> list:
+    """(lo, hi) spans covering [0, count) in order, each as many items as fit
+    in _COL_BLOCK_BYTES at ``item_bytes`` apiece, and at least one; an empty
+    count is one empty span."""
+    step = max(1, _COL_BLOCK_BYTES // max(1, item_bytes))
+    return [(lo, min(lo + step, count)) for lo in range(0, max(count, 1), step)]
+
+
 def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
     """Same-padding direct convolution of [B, C_in, L] -> [B, C_out, L].
 
     out[b, o, t] = sum_{c,k} kernel[o, c, k] * padded(x)[b, c, t + k] + bias[o]
 
     computed as the product [C_out, C_in*K] @ im2col(x) [C_in*K, B*L], whose
-    [C_out, B, L] result is returned as a [B, C_out, L] view. The output is
-    the only fresh allocation. The backward takes ``x`` itself, whose windows
-    it copies again, so nothing may write to ``x`` before that backward.
-    ``want_cache`` returns ``(out, x)``. The library never passes it; it
-    stays because the benchmark harness's operation-count test
-    (``perfbench/tests``) calls the op that way.
+    [C_out, B, L] result is returned as a [B, C_out, L] view. The product
+    runs over blocks of whole series (``_blocks``), each block's columns
+    written into its span of the output, so the im2col scratch is bounded
+    by _COL_BLOCK_BYTES. An output column is the same dot products
+    whatever block it is in, so the blocks move no bits unless the BLAS
+    kernel's products change with their width (OpenBLAS's Haswell SGEMM
+    does, by a few epsilons). The output is the only fresh allocation. The
+    backward takes ``x`` itself, whose windows it copies again, so nothing
+    may write to ``x`` before that backward. ``want_cache`` returns
+    ``(out, x)``. The library never passes it; it stays because the
+    benchmark harness's operation-count test (``perfbench/tests``) calls the
+    op that way.
     """
     _require_3d(x, "conv input")
     if x.shape[1] != layer.kernel.shape[1]:
@@ -330,9 +338,12 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
         raise ShapeError(f"conv input length axis must be >= 1, got {x.shape[2]}")
     b, c, length = x.shape
     o, _, k = layer.kernel.shape
+    weights = layer.kernel.reshape(o, c * k)
+    out = np.empty((o, b * length), dtype=np.result_type(weights, x))
     # overflow here is converted into NumericError by the callers' finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.matmul(layer.kernel.reshape(o, c * k), _im2col(x, k))
+        for lo, hi in _blocks(b, c * k * length * x.dtype.itemsize):
+            np.matmul(weights, _im2col(x[lo:hi], k), out=out[:, lo * length:hi * length])
         out = out.reshape(o, b, length).transpose(1, 0, 2)
         out += layer.bias[None, :, None]
     if want_cache:
@@ -348,35 +359,64 @@ def conv1d_backward(gout: np.ndarray, layer: ConvLayer, x: np.ndarray, input_gra
     is False. With G the [C_out, B*L] rows of the upstream gradient, g_kernel
     is G @ im2col(x).T, a contiguous [C_out, C_in, K] array, and g_bias sums
     G's rows. The input gradient is im2col's adjoint, col2im (Chellapilla,
-    Puri & Simard, 2006): the [C_in*K, B*L] product kernel.T @ G is computed
-    into the im2col scratch, and each window offset's [C_in, B*L] rows are
-    added back, shifted by the offset, into one [C, B, L]-ordered array
-    that starts as the centre offset's rows. As in im2col, the shift runs
-    along whole rows: an offset's values at the positions whose window
-    leaves their series are zeroed first. An offset whose shift spans the
-    whole series reads nothing and is skipped.
+    Puri & Simard, 2006): the product kernel.T @ G, its rows ordered by
+    window offset and then channel, is computed into the im2col scratch, so
+    each offset's [C_in, B*L] rows are one contiguous run, and each
+    offset's run is added back, shifted by the offset, into the centre
+    offset's run, which is then copied into a [C, B, L]-ordered array. As
+    in im2col, the shift runs along the whole run: an offset's values at the
+    positions whose window leaves their series (or their channel's row) are
+    zeroed first. An offset whose shift spans the whole series reads
+    nothing and is skipped.
+
+    Both products run over the forward's blocks of whole series, so the
+    column matrices stay within _COL_BLOCK_BYTES, and the reordered kernel
+    is a scratch copy. g_bias does not depend on the blocks, nor, as in the
+    forward, do the input gradient's columns but through the BLAS kernel.
+    g_kernel is the sum of the blocks' products, taken in order, each after
+    the first computed in scratch, so it has the one product's bits only
+    when a single block holds the batch.
     """
     o, c, k = layer.kernel.shape
     b, _, length = gout.shape
     pad = (k - 1) // 2
     g_rows = _rows(gout)
+    dtype = np.result_type(layer.kernel, gout)
+    blocks = _blocks(b, c * k * length * np.result_type(dtype, x).itemsize)
+    g_kernel = None
     with np.errstate(over="ignore", invalid="ignore"):
-        g_kernel = np.matmul(g_rows, _im2col(x, k).T).reshape(o, c, k)
+        for lo, hi in blocks:
+            g_block = g_rows[:, lo * length:hi * length]
+            cols = _im2col(x[lo:hi], k)
+            if g_kernel is None:
+                g_kernel = np.matmul(g_block, cols.T)
+            else:
+                g_kernel += np.matmul(g_block, cols.T, out=_scratch(
+                    "kernel_part", g_kernel.shape, g_kernel.dtype))
+        g_kernel = g_kernel.reshape(o, c, k)
         g_bias = g_rows.sum(axis=1)
         if not input_grad:
             return None, g_kernel, g_bias
-        cols = _scratch("cols", (c, k, b * length), np.result_type(layer.kernel, gout))
-        np.matmul(layer.kernel.reshape(o, c * k).T, g_rows, out=cols.reshape(c * k, -1))
-        per_series = cols.reshape(c, k, b, length)
-        g_input = cols[:, pad].copy()
-        for j in range(k):
-            lo, hi = _span(j - pad, length)
-            if j == pad or lo == hi:
-                continue
-            per_series[:, j, :, :lo] = 0
-            per_series[:, j, :, hi:] = 0
-            lo, hi = _span(j - pad, b * length)
-            g_input[:, lo + j - pad:hi + j - pad] += cols[:, j, lo:hi]
+        # kernel.T with its rows ordered [K, C_in]: a [C_out, K, C_in] copy
+        # viewed transposed, which BLAS reads as it reads kernel.T
+        taps = _scratch("taps", (o, k, c), layer.kernel.dtype)
+        np.copyto(taps, layer.kernel.transpose(0, 2, 1))
+        taps = taps.reshape(o, k * c).T
+        g_input = np.empty((c, b * length), dtype=dtype)
+        for lo, hi in blocks:
+            n = (hi - lo) * length
+            cols = _scratch("cols", (k, c * n), dtype)
+            np.matmul(taps, g_rows[:, lo * length:hi * length], out=cols.reshape(k * c, n))
+            for j in range(k):
+                jlo, jhi = _span(j - pad, length)
+                if j == pad or jlo == jhi:
+                    continue
+                per_series = cols[j].reshape(c, hi - lo, length)
+                per_series[:, :, :jlo] = 0
+                per_series[:, :, jhi:] = 0
+                jlo, jhi = _span(j - pad, c * n)
+                cols[pad, jlo + j - pad:jhi + j - pad] += cols[j, jlo:jhi]
+            g_input[:, lo * length:hi * length] = cols[pad].reshape(c, n)
     return g_input.reshape(c, b, length).transpose(1, 0, 2), g_kernel, g_bias
 
 
@@ -413,6 +453,31 @@ def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sums
 
 
+def sum_squares(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """The float64 sum of the squares of ``a - b``, or of ``a`` alone, over
+    arrays of one shape with at least two axes. A difference is taken in
+    the operands' dtype, and each value widened to float64 before it is
+    squared, so ``sum_squares(a - b)`` gives the bits of ``sum_squares(a,
+    b)``. The squares are formed in scratch a cache-sized block of axis-1
+    entries (a [B, C, L] array's channels) at a time, each block summed
+    pairwise and the block sums added in order."""
+    ra = np.moveaxis(a, 1, 0)
+    rb = None if b is None else np.moveaxis(b, 1, 0)
+    row = math.prod(ra.shape[1:])
+    step = max(1, _DOT_BLOCK_BYTES // max(1, row * 8))
+    total = 0.0
+    for lo in range(0, ra.shape[0], step):
+        hi = min(lo + step, ra.shape[0])
+        block = _scratch("prod", (hi - lo, *ra.shape[1:]), np.float64)
+        if rb is None:
+            np.multiply(ra[lo:hi], ra[lo:hi], out=block, dtype=np.float64)
+        else:
+            np.subtract(ra[lo:hi], rb[lo:hi], out=block)
+            np.multiply(block, block, out=block)
+        total += float(block.sum())
+    return total
+
+
 def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
                       update_running: bool | None = None, want_cache: bool = False, *,
                       out: np.ndarray | None = None):
@@ -426,7 +491,11 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
     (``_channel_dot``): the variance in the standard form, which then
     normalizes the centered values in place into ``xhat``, and the summed
     squared deviation in the literal one. A cached ``xhat`` or centered
-    input is the only full-size array allocated besides the output.
+    input is the only full-size array allocated besides the output. Without
+    a cache the input is centered into the output itself, which is then
+    normalized, scaled and shifted in place, so no other full-size array is
+    made (unless the output's dtype is not the centered values', which then
+    take a fresh array).
 
     The output is written into ``out`` when given, else into a fresh array.
     ``out=x`` is allowed, since ``x`` is dead once centered; the network
@@ -441,6 +510,14 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
     alpha = _per_channel(layer.alpha)
     beta = _per_channel(layer.beta)
 
+    def center(mu):
+        nonlocal out
+        dtype = np.result_type(x, mu)
+        if not want_cache and out is None:
+            out = _activation(x.shape, np.result_type(alpha, dtype))
+        held = out if not want_cache and out.dtype == dtype else _activation(x.shape, dtype)
+        return np.subtract(x, _per_channel(mu), out=held)
+
     if training:
         # overflow here is converted into NumericError by the finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
@@ -449,8 +526,7 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
                 raise NumericError("non-finite batch statistics in batchnorm")
             # a cached form keeps the centered values: as they are (literal),
             # or normalized in place into xhat (standard)
-            centered = np.subtract(x, _per_channel(mu), out=_activation(
-                x.shape, np.result_type(x, mu), None if want_cache else "centered"))
+            centered = center(mu)
             if layer.literal_form:
                 sumsq = _channel_dot(centered, centered)
                 delta = np.sqrt(sumsq)
@@ -481,8 +557,7 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
         else:
             denom = np.sqrt(layer.running_var + BN_ZETA)
         scale = 1.0 / denom
-        centered = np.subtract(x, _per_channel(mu), out=_activation(
-            x.shape, np.result_type(x, mu), None if want_cache else "centered"))
+        centered = center(mu)
         out = np.multiply(alpha, centered, out=out)
         out *= _per_channel(scale)
         out += beta
@@ -511,8 +586,10 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache, *,
         dL/dx_k = alpha * [ (g_k - mean(g)) / D - c_k * sum(g*c) / (delta * D^2) ]
 
     with c the centered input, delta the root summed-squared deviation and
-    D = delta + BN_ZETA, and ignores ``consume``. Every temporary but g_input
-    lives in scratch.
+    D = delta + BN_ZETA. It builds g_input in a fresh array, and the
+    product c_k * coef, with ``consume``, over the cached ``c`` when its
+    dtype is the result's, else in a fresh one. Every other temporary lives
+    in scratch.
     """
     if cache is None:
         raise GradientStateError("batchnorm_backward called without a cached forward")
@@ -538,8 +615,8 @@ def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache, *,
         dtype = np.result_type(gout, centered, coef)
         g_input = np.subtract(gout, _per_channel(g_beta / n), out=_activation(gout.shape, dtype))
         g_input /= _per_channel(denom)
-        g_input -= np.multiply(centered, _per_channel(coef),
-                               out=_activation(gout.shape, dtype, "prod"))
+        g_input -= np.multiply(centered, _per_channel(coef), out=(
+            centered if consume and centered.dtype == dtype else _activation(gout.shape, dtype)))
         g_input *= _per_channel(layer.alpha)
     else:
         raise GradientStateError("batchnorm_backward needs a training-mode cache")

@@ -9,16 +9,19 @@ exactly, each accuracy within one test row, and the losses and norms within
 for a wrong KD scale, a lost download or a misrouted bundle.
 
 The configs are the four strategies, with and without ``conn_resample``, at
-the tests' skinny widths on the built-in synthetic sets, plus one efdls run
-at the default (paper) widths on generated length-24 TSV sets. The conv
-biases, which batch norm cancels, and the running means that follow them are
-not pinned (``INERT_KEYS``). Regenerate the files, from the repository root,
-with
+the tests' skinny widths on the built-in synthetic sets, plus two efdls runs
+at the default (paper) widths on generated TSV sets: one at length 24, and
+one at length 256 and batch 16, where the conv products of blocks 2 and 3
+run over several blocks of series. The conv biases, which batch norm
+cancels, and the running means that follow them are not pinned
+(``INERT_KEYS``), nor are the length-256 run's batch-norm shifts
+(``UNPINNED_KEYS``). Regenerate the files, from the repository root, with
 
-    PYTHONPATH=src python tests/golden_runs.py
+    PYTHONPATH=src python tests/golden_runs.py [name ...]
 
-which prints the largest relative move of any loss or norm against the files
-it replaces.
+which rewrites the named configs' files (every file without a name) and
+prints the largest relative move of any loss or norm against the files it
+replaces.
 """
 
 from __future__ import annotations
@@ -40,9 +43,14 @@ MINI = dict(n_tot=4, conn_ratio=0.75, fles=3, seed=13, batch_size=8, lr=3e-3,
             blocks=[[3, 3], [3, 4], [3, 3]], hidden_dim=3,
             datasets=[{"name": f"waves{i}", "path": "synthetic"} for i in range(4)])
 
-# generated TSV sets of the paper-width run: (name, classes)
+# generated TSV sets of the paper-width runs: (name, classes), and their
+# series length and train and test row counts
 TSV_SETS = (("GoldenShort", 2), ("GoldenTriple", 3))
 TSV_LENGTH, TSV_TRAIN, TSV_TEST = 24, 20, 12
+# at length 256 and batch 16, blocks 2 and 3 run their conv products over
+# several blocks of series
+LONG_TSV_SETS = (("GoldenLongPair", 2), ("GoldenLongTriple", 3))
+LONG_TSV_LENGTH, LONG_TSV_TRAIN, LONG_TSV_TEST = 256, 32, 16
 
 CONFIGS = {
     **{f"{strategy}{'-resample' if resample else ''}": dict(
@@ -52,23 +60,30 @@ CONFIGS = {
     "efdls-paper-width-l24": dict(
         n_tot=3, fles=3, seed=5, batch_size=16, lr=1e-3, strategy="efdls",
         datasets=[{"name": name, "path": "tsv"} for name, _ in TSV_SETS]),
+    "efdls-paper-width-l256": dict(
+        n_tot=2, fles=2, seed=6, batch_size=16, lr=1e-3, strategy="efdls",
+        datasets=[{"name": name, "path": "tsv"} for name, _ in LONG_TSV_SETS]),
 }
 
 
 def write_tsv_sets(root: str) -> None:
-    """Seeded UCR-style sets of TSV_LENGTH-long series, one per TSV_SETS
-    entry: class c is a sine of frequency c + 1 under noise."""
+    """Seeded UCR-style sets, one per TSV_SETS entry at TSV_LENGTH and then
+    one per LONG_TSV_SETS entry at LONG_TSV_LENGTH: class c is a sine of
+    frequency c + 1 under noise."""
     rng = np.random.default_rng(2024)
-    t = np.linspace(0.0, 2.0 * np.pi, TSV_LENGTH)
-    for name, classes in TSV_SETS:
-        os.makedirs(os.path.join(root, name), exist_ok=True)
-        for split, rows in (("TRAIN", TSV_TRAIN), ("TEST", TSV_TEST)):
-            with open(os.path.join(root, name, f"{name}_{split}.tsv"), "w") as fh:
-                for i in range(rows):
-                    label = i % classes
-                    row = np.sin((label + 1) * t + rng.uniform(0, np.pi)) \
-                        + 0.3 * rng.standard_normal(TSV_LENGTH)
-                    fh.write("\t".join([str(label + 1)] + [f"{v:.6f}" for v in row]) + "\n")
+    for sets, length, train, test in ((TSV_SETS, TSV_LENGTH, TSV_TRAIN, TSV_TEST),
+                                      (LONG_TSV_SETS, LONG_TSV_LENGTH, LONG_TSV_TRAIN,
+                                       LONG_TSV_TEST)):
+        t = np.linspace(0.0, 2.0 * np.pi, length)
+        for name, classes in sets:
+            os.makedirs(os.path.join(root, name), exist_ok=True)
+            for split, rows in (("TRAIN", train), ("TEST", test)):
+                with open(os.path.join(root, name, f"{name}_{split}.tsv"), "w") as fh:
+                    for i in range(rows):
+                        label = i % classes
+                        row = np.sin((label + 1) * t + rng.uniform(0, np.pi)) \
+                            + 0.3 * rng.standard_normal(length)
+                        fh.write("\t".join([str(label + 1)] + [f"{v:.6f}" for v in row]) + "\n")
 
 
 def federation_config(name: str, tsv_root: str) -> FederationConfig:
@@ -89,14 +104,22 @@ def federation_config(name: str, tsv_root: str) -> FederationConfig:
 INERT_KEYS = tuple(f"{group}{i}.{leaf}" for i in (1, 2, 3)
                    for group, leaf in (("conv", "bias"), ("bn", "running_mean")))
 
+# A batch-norm shift starts at zero and takes Adam steps of about the
+# learning rate whose signs follow gradients that sum thousands of terms to
+# near zero. In the length-256 run, under OpenBLAS's Haswell and Sandybridge
+# kernels, the shifts' norms moved by up to 3.3e-4 relative, and every other
+# pinned value by at most 1.1e-5, the losses by 6.4e-6. Its shifts are not
+# pinned; the losses they feed are.
+UNPINNED_KEYS = {"efdls-paper-width-l256": tuple(f"bn{i}.beta" for i in (1, 2, 3))}
 
-def _norms(model: extractor.FeatureExtractor, hidden_only: bool) -> dict:
+
+def _norms(model: extractor.FeatureExtractor, hidden_only: bool, unpinned=()) -> dict:
     arrays = dict(extractor.hidden_arrays(model))
     if not hidden_only:
         arrays["classifier.weight"] = model.classifier.weight
         arrays["classifier.bias"] = model.classifier.bias
     return {key: float(np.linalg.norm(arr.astype(np.float64))) for key, arr in arrays.items()
-            if key not in INERT_KEYS}
+            if key not in INERT_KEYS and key not in unpinned}
 
 
 def measure(name: str, tsv_root: str) -> dict:
@@ -104,6 +127,7 @@ def measure(name: str, tsv_root: str) -> dict:
     the sets ``write_tsv_sets`` writes."""
     fed = Federation(federation_config(name, tsv_root))
     report, ledger = fed.run()
+    unpinned = UNPINNED_KEYS.get(name, ())
     users = []
     for user, acc in zip(fed.users, report.table.values[:, 0]):
         pair = user.pair
@@ -111,8 +135,9 @@ def measure(name: str, tsv_root: str) -> dict:
             "accuracy": float(acc),
             "test_rows": int(user.dataset.y_test.shape[0]),
             "loss": {part: getattr(user.last_report, part) for part in ("kd", "sup", "total")},
-            "student_norms": _norms(pair.student, hidden_only=False),
-            "teacher_norms": None if pair.teacher is None else _norms(pair.teacher, True),
+            "student_norms": _norms(pair.student, False, unpinned),
+            "teacher_norms": None if pair.teacher is None else _norms(pair.teacher, True,
+                                                                      unpinned),
         })
     return {
         "config": CONFIGS[name],
@@ -146,11 +171,15 @@ def relative_move(old: float, new: float) -> float:
     return abs(new - old) / max(abs(old), abs(new), 1e-300) if old != new else 0.0
 
 
-def main() -> int:
+def main(names) -> int:
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        print(f"unknown golden configs: {unknown}; known: {list(CONFIGS)}", file=sys.stderr)
+        return 2
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as root:
         write_tsv_sets(root)
-        for name in CONFIGS:
+        for name in names or CONFIGS:
             record = measure(name, root)
             if os.path.exists(golden_path(name)):
                 old, new = pinned_values(load_golden(name)), pinned_values(record)
@@ -163,4 +192,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -74,7 +74,7 @@ class TestKDLoss:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["c", "obl"])
     @pytest.mark.parametrize("shape", [(16, 128, 256), (16, 256, 256), (16, 256, 24)])
-    def test_equals_the_widened_expression_bit_for_bit(self, shape, layout, dtype):
+    def test_sums_the_difference_in_the_traces_dtype_in_float64(self, shape, layout, dtype):
         # conv block outputs are stored [C, B, L]-ordered ("obl")
         rng = np.random.default_rng(6)
 
@@ -91,12 +91,24 @@ class TestKDLoss:
                                           probs=nncore.softmax(logits))
 
         a, b = trace(), trace()
-        expected = 0.0
+        expected = widened = 0.0
         for name in extractor.ForwardTrace.HIDDEN_FIELDS:
             s, t = getattr(a, name), getattr(b, name)
-            diff = s.astype(np.float64) - t.astype(np.float64)
+            diff = (s - t).astype(np.float64)
             expected += float(np.sum(diff * diff) / s.shape[0])
-        assert kd_loss(a, b) == expected
+            wide = s.astype(np.float64) - t.astype(np.float64)
+            widened += float(np.sum(wide * wide) / s.shape[0])
+        got = kd_loss(a, b)
+        # the blocked float64 sum differs from numpy's whole-array one in the
+        # order of its additions only
+        assert got == pytest.approx(expected, rel=1e-13)
+        # rounding each difference to float32 first moves the loss far less
+        # than float32's epsilon
+        assert got == pytest.approx(widened, rel=1e-9 if dtype == np.float32 else 1e-13)
+        # the loss reported beside the gradients, from their stored
+        # differences, has the same bits, fresh or written over the teacher's
+        assert fbst.kd_loss_grads(a, b)[0] == got
+        assert fbst.kd_loss_grads(a, b, out=b)[0] == got
 
 
 class TestSupLoss:
@@ -419,7 +431,7 @@ class TestLocalTrainEpoch:
         assert len(checked) == 3
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_consumed_kd_gradients_equal_the_pure_ones(self, dtype):
+    def test_consumed_step_equals_the_pure_report_and_gradients(self, dtype):
         rng = np.random.default_rng(43)
 
         def trace():
@@ -433,8 +445,10 @@ class TestLocalTrainEpoch:
         pure = fbst.DistillationLoss(clone_trace(teacher), labels, epsilon=0.7)
         consumed = fbst.DistillationLoss(teacher, labels, epsilon=0.7)
         expected = pure.output_grads(student)
-        grads = consumed.output_grads(student, consume=True)
+        report, grads = consumed.consume(student)
         assert consumed.teacher_trace is None
+        assert report == pure.parts(student)
+        assert report.total == pure.value(student)
         for name in extractor.ForwardTrace.HIDDEN_FIELDS:
             assert grads[name] is getattr(teacher, name)
         for name, g in expected.items():

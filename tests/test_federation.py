@@ -1,3 +1,5 @@
+import gc
+import math
 import struct
 import sys
 import threading
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_BLOCKS, MINI_HIDDEN, model_arrays, random_bundle
+from conftest import MINI_BLOCKS, MINI_HIDDEN, mini_model, model_arrays, random_bundle
 from efdls import cli, dbwm, extractor, fbst, federation, nncore, strategies
 from efdls.extractor import WeightBundle
 from efdls.fbst import ConfigError
@@ -901,6 +903,28 @@ class TestStreamedRound:
         sockets = [listener, *transport._user_side.values(), *transport._server_side.values()]
         assert all(s.fileno() == -1 for s in sockets)
 
+    def test_taken_port_raises_and_leaves_no_socket_open(self, monkeypatch):
+        # binding a port another socket listens on fails; the transport's own
+        # socket is closed before the error propagates, so the collector
+        # finds no unclosed socket to warn about
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with federation.socket.socket(federation.socket.AF_INET,
+                                      federation.socket.SOCK_STREAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            raised = False
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                try:
+                    SocketTransport(port=holder.getsockname()[1])
+                except OSError:
+                    # not kept: its traceback would hold the socket alive
+                    raised = True
+                gc.collect()
+        assert raised
+        assert [hook.exc_value for hook in unraisable] == []
+
     def test_resampled_socket_run_connects_exactly_the_users_that_ever_connect(self):
         datasets = [(f"w{i}", "synthetic") for i in range(6)]
         fed = Federation(toy_config(n_tot=6, conn_ratio=0.34, fles=3, datasets=datasets,
@@ -1250,8 +1274,11 @@ class TestRoundChecks:
                                     hidden_dim=extractor.DEFAULT_HIDDEN_DIM, batch_size=20),
                          transport=transport(direction, 2, relabelled(epoch, user_id)))
         carried = (2 if epoch is None else epoch, 1 if user_id is None else user_id)
-        with pytest.raises(MalformedMessageError) as info:
-            fed.run()
+        try:
+            with pytest.raises(MalformedMessageError) as info:
+                fed.run()
+        finally:
+            fed.transport.close()  # a run closes only a transport it made
         assert str(info.value) == (f"user 1 {direction} at federated epoch 2: header carries "
                                    f"epoch {carried[0]} and user {carried[1]} "
                                    f"(at byte offset 5)")
@@ -1291,6 +1318,110 @@ class TestRoundChecks:
                                    f"running-variance values in block {block} "
                                    f"(at byte offset {offset})")
         assert info.value.offset == offset
+
+
+class RewriteEveryMessage(federation.InProcTransport):
+    """Carries every message through ``rewrite``, a function of its frame."""
+
+    rewrite = None
+
+    def upload(self, user_id, data):
+        return self.rewrite(bytes(data))
+
+    def download(self, user_id, data):
+        return self.rewrite(bytes(data))
+
+
+# the hidden arrays' shapes at toy_config's widths
+MINI_SHAPES = {key: arr.shape for key, arr in extractor.hidden_arrays(mini_model()).items()}
+U32 = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def round_cases(draw):
+    """(user, direction, epoch, rewrite, error type, reason): a message for
+    a drawn user, direction and epoch, rewritten by one drawn fault, and the
+    error, and its reason after the round's prefix, that the fault must
+    raise."""
+    user = draw(st.integers(0, 2))
+    direction = draw(st.sampled_from(["upload", "download"]))
+    epoch = draw(U32)
+    keys, blocks = list(MINI_SHAPES), len(MINI_SHAPES)
+    fault = draw(st.sampled_from(["dropped", "reshaped", "reordered", "duplicated", "header"]))
+    if fault == "dropped":
+        gone = draw(st.sets(st.integers(0, blocks - 1), min_size=1))
+
+        def rewrite(data):
+            header, frames = frame_blocks(data)
+            return with_blocks(header, [b for i, b in enumerate(frames) if i not in gone])
+
+        missing = sorted(keys[i] for i in gone)
+        return (user, direction, epoch, rewrite, extractor.IncompatibleBundleError,
+                f"bundle keys do not match: missing {missing}, unexpected []")
+    if fault == "reshaped":
+        key = draw(st.sampled_from(keys))
+        size = math.prod(MINI_SHAPES[key])
+        shape = draw(st.sampled_from([s for s in ((size,), (1, size), (size, 1), (1, 1, size))
+                                      if s != MINI_SHAPES[key]]))
+
+        def rewrite(data):
+            bundle, k, uid = decode_weight_message(data)
+            bundle.arrays[key] = bundle.arrays[key].reshape(shape)
+            return bytes(encode_weight_message(bundle, k, uid))
+
+        return (user, direction, epoch, rewrite, extractor.IncompatibleBundleError,
+                f"bundle array '{key}' has shape {shape}, expected {MINI_SHAPES[key]}")
+    if fault == "reordered":
+        order = draw(st.permutations(range(blocks)).filter(lambda o: o != sorted(o)))
+        at = next(i for i in range(1, blocks) if order[i] < order[i - 1])
+
+        def rewrite(data):
+            header, frames = frame_blocks(data)
+            return with_blocks(header, [frames[i] for i in order])
+
+        return (user, direction, epoch, rewrite, MalformedMessageError,
+                f"block tag {order[at]} after block tag {order[at - 1]}: "
+                f"blocks must come in tag order")
+    if fault == "duplicated":
+        tag = draw(st.integers(0, blocks - 1))
+        at = draw(st.integers(tag + 1, blocks))
+
+        def rewrite(data):
+            header, frames = frame_blocks(data)
+            return with_blocks(header, frames[:at] + [frames[tag]] + frames[at:])
+
+        return (user, direction, epoch, rewrite, MalformedMessageError,
+                f"duplicate block tag {tag}")
+    ids = draw(st.tuples(U32, U32).filter(lambda ids: ids != (epoch, user)))
+    return (user, direction, epoch, relabelled(*ids), MalformedMessageError,
+            f"header carries epoch {ids[0]} and user {ids[1]}")
+
+
+class TestDrawnRoundCases:
+    """Drawn malformed messages through ``Federation._round_trip``, in
+    process at skinny widths: dropped, reshaped, reordered and duplicated
+    blocks, and rewritten header ids, for a drawn user, direction and
+    epoch. Each raises its own typed error naming all three, and never any
+    other exception."""
+
+    @pytest.fixture(scope="class")
+    def fed(self):
+        """Three skinny users whose messages all cross a RewriteEveryMessage."""
+        return Federation(toy_config(n_tot=3, fles=2, datasets=[(f"w{i}", "synthetic")
+                                                                for i in range(3)]),
+                          transport=RewriteEveryMessage())
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=round_cases())
+    def test_each_fault_raises_its_error_naming_user_direction_and_epoch(self, fed, case):
+        user, direction, epoch, rewrite, error, reason = case
+        fed.transport.rewrite = rewrite
+        bundle = extractor.borrow_hidden_weights(fed.users[user].pair.student)
+        with pytest.raises(Exception) as info:
+            fed._round_trip(direction, bundle, epoch, user)
+        assert type(info.value) is error
+        assert str(info.value).startswith(
+            f"user {user} {direction} at federated epoch {epoch}: {reason}"), str(info.value)
 
 
 class TestRoundTable:

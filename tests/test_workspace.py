@@ -142,6 +142,80 @@ class TestTextbookConv:
         assert nncore.conv1d_forward(x, layer).dtype == np.float64
 
 
+def gemm_keeps_its_bits_across_widths(a, b, step) -> bool:
+    """Whether this BLAS kernel gives each column of ``a @ b`` the same bits
+    when the product runs over ``step``-wide spans of ``b``'s columns. It
+    does on OpenBLAS's SkylakeX and Sandybridge kernels at the paper
+    blocks' shapes, and not on its Haswell SGEMM, whose products at these
+    shapes move within a few machine epsilons."""
+    whole = a @ b
+    spans = np.empty_like(whole)
+    for lo in range(0, b.shape[1], step):
+        np.matmul(a, b[:, lo:lo + step], out=spans[:, lo:lo + step])
+    return whole.tobytes() == spans.tobytes()
+
+
+class TestColumnBlocks:
+    """The conv products run over blocks of whole series. The bias gradient
+    keeps the bits of one block over the whole batch. So do the output and
+    the input gradient, which take each column's dot products whole, on a
+    BLAS kernel whose products keep their bits across widths (probed with
+    the same shapes and layouts), and within CONV_EPS_BOUND machine
+    epsilons of them, relative to their largest magnitude, on any kernel.
+    The kernel gradient, a sum of the blocks' products, stays within that
+    bound."""
+
+    def compare(self, monkeypatch, layer, x, gout, budget):
+        def products():
+            return (nncore.conv1d_forward(x, layer), *nncore.conv1d_backward(gout, layer, x))
+
+        monkeypatch.setattr(nncore, "_COL_BLOCK_BYTES", budget)
+        split = products()
+        monkeypatch.setattr(nncore, "_COL_BLOCK_BYTES", 1 << 40)
+        whole = products()
+        bound = CONV_EPS_BOUND * np.finfo(split[0].dtype).eps
+        assert_bitwise(split[3], whole[3])
+        for got, want in zip(split[:3], whole[:3]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert relative_error(got, want.astype(np.float64)) < bound
+        return split, whole
+
+    # at the module's budget, blocks 2 and 3 split a batch of 16 at length 256
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k,c_in,c_out", PAPER_BLOCKS)
+    def test_paper_blocks_at_length_256(self, monkeypatch, k, c_in, c_out, dtype):
+        batch, length = 16, 256
+        layer, x, gout = conv_case(k, c_in, c_out, batch, length, kernel_dtype=dtype,
+                                   dtype=dtype)
+        blocks = nncore._blocks(batch, c_in * k * length * np.dtype(dtype).itemsize)
+        assert (len(blocks) > 1) == (c_in > 1)
+        split, whole = self.compare(monkeypatch, layer, obl_ordered(x), obl_ordered(gout),
+                                    nncore._COL_BLOCK_BYTES)
+        rng = np.random.default_rng(1)
+        step = (blocks[0][1] - blocks[0][0]) * length
+        weights = rng.standard_normal((c_out, c_in * k)).astype(dtype)
+        columns = rng.standard_normal((c_in * k, batch * length)).astype(dtype)
+        taps = rng.standard_normal((k * c_in, c_out)).astype(dtype)
+        g_rows = rng.standard_normal((c_out, batch * length)).astype(dtype)
+        if gemm_keeps_its_bits_across_widths(weights, columns, step):
+            assert_bitwise(split[0], whole[0])
+        if gemm_keeps_its_bits_across_widths(taps, g_rows, step):
+            assert_bitwise(split[1], whole[1])
+
+    # a budget below one series' columns gives blocks of one series, which
+    # the shortest series and the widest kernels reach past at both ends; at
+    # these narrow blocks BLAS may take other kernels, so the bits can move,
+    # and every result is held to the textbook conv
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("length", [1, 2, 5, 24])
+    @pytest.mark.parametrize("k", [9, 5, 3])
+    def test_blocks_of_one_series(self, monkeypatch, k, length, dtype):
+        monkeypatch.setattr(nncore, "_COL_BLOCK_BYTES", 1)
+        assert nncore._blocks(7, 6 * k * length) == [(i, i + 1) for i in range(7)]
+        TestTextbookConv().check(*conv_case(k, 6, 10, 7, length, kernel_dtype=dtype,
+                                            seed=length, dtype=dtype))
+
+
 def expression_batchnorm_forward(x, layer):
     """Training-mode batch norm as plain numpy expressions: (out, cache)."""
     axes = (0, 2)
@@ -304,32 +378,6 @@ class TestBatchNormOracle:
                 assert_bitwise(a, b)
             for a in (out, got[1], cache[1]):
                 assert_cbl(a)
-
-
-def random_layout(rng, shape):
-    """Random values of ``shape`` stored in a random axis order, with some
-    axes reversed."""
-    order = rng.permutation(len(shape))
-    a = rng.standard_normal([shape[ax] for ax in order]).transpose(np.argsort(order))
-    for ax in range(len(shape)):
-        if rng.random() < 0.3:
-            a = np.flip(a, ax)
-    return a
-
-
-def test_scratch_layout_is_numpys_fresh_layout():
-    """Scratch for an elementwise result has the strides numpy gives a fresh
-    result over the full operands, on every axis longer than 1 (a size-1
-    axis's stride never moves an element)."""
-    rng = np.random.default_rng(12)
-    for _ in range(2000):
-        shape = tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(1, 5)))
-        operands = [random_layout(rng, shape) for _ in range(rng.integers(1, 3))]
-        fresh = operands[0] * operands[-1] if len(operands) == 2 else -operands[0]
-        scratch = nncore.scratch_like("prod", np.float64, *operands)
-        assert scratch.shape == shape
-        assert [s for n, s in zip(shape, scratch.strides) if n > 1] == \
-            [s for n, s in zip(shape, fresh.strides) if n > 1]
 
 
 def arrays_in(obj):
@@ -511,8 +559,8 @@ def test_concurrent_threads_match_sequential_runs():
 # plus a teacher forward per batch) once the workspace has grown: about
 # 49.2 MiB in float64 and 24.7 MiB in float32. A step holds each
 # activation-sized array once: batch norm takes two reductions and writes
-# one output array each way, the KD difference lives in scratch, the KD
-# gradients take the teacher trace's arrays, the pool gradient is added
+# one output array each way, the KD differences and then gradients take the
+# teacher trace's arrays, the pool gradient is added
 # into o3's, and the backward drops each hidden-stage gradient once it is
 # added. Building the pool gradient as an array of its own peaked at about
 # 52.3 MiB (float64) and 26.2 MiB (float32); building batch norm's squares and
@@ -575,18 +623,39 @@ def test_paper_width_predict_stays_within_a_training_step():
 
 
 def test_paper_width_step_scratch_is_two_named_arrays():
-    # The first buffer is block 3's forward im2col, [256*3, 16*256], the
-    # largest request: the block-2 input gradient's column matrix,
-    # [128*5, 16*256], is smaller. The second holds only Adam's per-group
-    # terms, the largest conv2's kernel, [256, 128, 5]: batch norm's
-    # gradients need no scratch there, and the conv backward none but its
-    # column matrix.
+    # The first buffer is block 2's column matrix, [128*5, 3*256] for the
+    # three series of its float64 blocks, the largest request: block 3's,
+    # [256*3, 2*256] for two series, is smaller. The second holds Adam's
+    # per-group terms, the largest conv2's kernel, [256, 128, 5], which also
+    # bounds the kernel gradient's partial products; batch norm's row
+    # products and the KD loss's squares take blocks of _DOT_BLOCK_BYTES.
     pair, x, y, adam, rng = paper_width_pair()
     itemsize = np.dtype(np.float64).itemsize
     nncore.release_workspace()
     fbst.local_train_epoch(pair, x[:16], y[:16], fbst.FBSTConfig(batch_size=16), 2, adam, rng)
     assert [buf.nbytes for buf in nncore._WORKSPACE.buffers] == [
-        256 * 3 * 16 * 256 * itemsize, 256 * 128 * 5 * itemsize]
+        128 * 5 * 3 * 256 * itemsize, 256 * 128 * 5 * itemsize]
+    nncore.release_workspace()
+
+
+@pytest.mark.parametrize("length", [256, 1024])
+def test_paper_width_workspace_does_not_grow_with_the_series_length(length):
+    # A float32 step with a teacher, then a predict: each buffer stays within
+    # one column block at either length, where at length 1,024 a single
+    # series' block-3 im2col, [256*3, 1024], takes 3 MiB and the whole
+    # batch's would take 48 MiB.
+    rng = np.random.default_rng(0)
+    student = FeatureExtractor(3, seed=1, dtype=np.float32)
+    pair = fbst.FBSTPair(student)
+    pair.load_teacher(extractor.extract_hidden_weights(student))
+    x = rng.standard_normal((16, 1, length))
+    adam = nncore.AdamState.for_params(student.parameters(), lr=1e-3)
+    nncore.release_workspace()
+    fbst.local_train_epoch(pair, x, rng.integers(0, 3, 16), fbst.FBSTConfig(batch_size=16), 2,
+                           adam, rng)
+    student.predict(x)
+    sizes = [buf.nbytes for buf in nncore._WORKSPACE.buffers]
+    assert max(sizes) <= nncore._COL_BLOCK_BYTES, sizes
     nncore.release_workspace()
 
 
@@ -686,3 +755,24 @@ class TestInPlaceForms:
         folded = nncore.global_avg_pool_backward(g, length, add_to=other)
         assert folded is other
         assert_bitwise(folded, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["c", "obl"])
+@pytest.mark.parametrize("channels", [128, 256])
+def test_literal_batchnorm_backward_over_its_centered_input(channels, layout, dtype):
+    # the literal form's product of the centered input and its coefficient
+    # is written over the consumed cache, and the gradients keep their bits
+    rng = np.random.default_rng(channels + 2)
+    x = paper_activation(rng, channels, dtype, layout, scale=3.0, shift=1.0)
+    gout = paper_activation(rng, channels, dtype, layout)
+    layer = bn_layer(channels, True, dtype=dtype)
+    _, cache = nncore.batchnorm_forward(x, layer, training=True, update_running=False,
+                                        want_cache=True)
+    fresh = nncore.batchnorm_backward(gout, layer, cache)
+    centered = cache[1].copy()
+    consumed = nncore.batchnorm_backward(gout, layer, cache, consume=True)
+    for got, want in zip(consumed, fresh):
+        assert_bitwise(got, want)
+    assert not np.array_equal(cache[1], centered)
+    assert_cbl(consumed[0])
