@@ -133,22 +133,18 @@ def kd_loss(student_trace: ext.ForwardTrace, teacher_trace: ext.ForwardTrace) ->
 
     Per stage m: mean over the batch of the per-instance sum of squared
     differences; the four stage values are summed. Symmetric in its arguments
-    and zero exactly when the traces agree. Each stage's difference is
-    taken in the traces' dtype and its squares summed in float64
-    (``nncore.sum_squares``, a bounded block at a time), so the loss has
-    the bits ``kd_loss_grads`` reports from its stored differences.
+    and zero exactly when the traces agree. It is ``kd_loss_grads``'s loss,
+    computed into fresh differences, so both traces are left as they were:
+    each stage's difference is taken in the traces' dtype and its squares
+    summed in float64 (``nncore.sum_squares``).
     """
-    total = 0.0
-    for name in ext.ForwardTrace.HIDDEN_FIELDS:
-        s, t = _stage_pair(student_trace, teacher_trace, name)
-        total += nncore.sum_squares(s, t) / s.shape[0]
-    return total
+    return kd_loss_grads(student_trace, teacher_trace)[0]
 
 
 def kd_loss_grads(student_trace: ext.ForwardTrace, teacher_trace: ext.ForwardTrace,
                   scale: float = 1.0, out: ext.ForwardTrace | None = None) -> tuple:
-    """``(kd_loss, grads)`` from one difference per stage: the loss, with
-    ``kd_loss``'s bits, and its gradients with respect to the student's
+    """``(kd_loss, grads)`` from one difference per stage: the loss and its
+    gradients with respect to the student's
     hidden outputs (the teacher side is a constant), ``scale * 2 * (s - t) /
     batch`` per stage. Each difference ``s - t`` is taken in the traces'
     dtype into the array of that stage of ``out``, which may be

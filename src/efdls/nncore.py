@@ -39,10 +39,14 @@ batch-norm reductions), ``sum_squares`` its blocks of float64 squares, and
 Adam its per-group terms, in the calling thread's workspace: two flat
 buffers, each grown to the largest request and viewed at the shape the op
 needs, until ``release_workspace`` gives them back.
-Every request is bounded by a constant or by a parameter group's size, not
-by the batch or the series length: a column matrix holds a block of whole
-series within ``_COL_BLOCK_BYTES`` (one series, if a single one is larger),
-and a block of row products ``_DOT_BLOCK_BYTES`` (one row, likewise). No
+A request is bounded by a constant until the smallest unit it blocks over
+is larger. A column matrix holds a block of whole series within
+``_COL_BLOCK_BYTES``, or one series if a single one is larger, so it is
+bounded by ``max(_COL_BLOCK_BYTES, C_in*K*L*itemsize)`` and grows with
+the series length only past that point (block 3's im2col, [768, L],
+passes 4 MiB at L = 1,366 in float32 and 683 in float64). A
+block of row products is bounded likewise by ``max(_DOT_BLOCK_BYTES, one
+channel's [B*L] row)``, and Adam's terms by a parameter group's size. No
 scratch view outlives the op that took it, and nothing an op returns or
 caches lives there, so results never alias scratch or each other; the one
 shared memory is an array a caller hands an op to write over, which then
@@ -453,27 +457,20 @@ def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sums
 
 
-def sum_squares(a: np.ndarray, b: np.ndarray | None = None) -> float:
-    """The float64 sum of the squares of ``a - b``, or of ``a`` alone, over
-    arrays of one shape with at least two axes. A difference is taken in
-    the operands' dtype, and each value widened to float64 before it is
-    squared, so ``sum_squares(a - b)`` gives the bits of ``sum_squares(a,
-    b)``. The squares are formed in scratch a cache-sized block of axis-1
-    entries (a [B, C, L] array's channels) at a time, each block summed
-    pairwise and the block sums added in order."""
-    ra = np.moveaxis(a, 1, 0)
-    rb = None if b is None else np.moveaxis(b, 1, 0)
-    row = math.prod(ra.shape[1:])
+def sum_squares(a: np.ndarray) -> float:
+    """The float64 sum of the squares of ``a``, an array with at least two
+    axes, each value widened to float64 before it is squared. The squares
+    are formed in scratch a cache-sized block of axis-1 entries (a [B, C, L]
+    array's channels) at a time, each block summed pairwise and the block
+    sums added in order."""
+    rows = np.moveaxis(a, 1, 0)
+    row = math.prod(rows.shape[1:])
     step = max(1, _DOT_BLOCK_BYTES // max(1, row * 8))
     total = 0.0
-    for lo in range(0, ra.shape[0], step):
-        hi = min(lo + step, ra.shape[0])
-        block = _scratch("prod", (hi - lo, *ra.shape[1:]), np.float64)
-        if rb is None:
-            np.multiply(ra[lo:hi], ra[lo:hi], out=block, dtype=np.float64)
-        else:
-            np.subtract(ra[lo:hi], rb[lo:hi], out=block)
-            np.multiply(block, block, out=block)
+    for lo in range(0, rows.shape[0], step):
+        hi = min(lo + step, rows.shape[0])
+        block = _scratch("prod", (hi - lo, *rows.shape[1:]), np.float64)
+        np.multiply(rows[lo:hi], rows[lo:hi], out=block, dtype=np.float64)
         total += float(block.sum())
     return total
 

@@ -142,16 +142,19 @@ class TestTextbookConv:
         assert nncore.conv1d_forward(x, layer).dtype == np.float64
 
 
-def gemm_keeps_its_bits_across_widths(a, b, step) -> bool:
+def gemm_keeps_its_bits_across_widths(a, b, step, fresh_spans=False) -> bool:
     """Whether this BLAS kernel gives each column of ``a @ b`` the same bits
-    when the product runs over ``step``-wide spans of ``b``'s columns. It
-    does on OpenBLAS's SkylakeX and Sandybridge kernels at the paper
-    blocks' shapes, and not on its Haswell SGEMM, whose products at these
-    shapes move within a few machine epsilons."""
+    when the product runs over ``step``-wide spans of ``b``'s columns: views
+    of ``b``, as the input gradient reads its upstream rows, or, with
+    ``fresh_spans``, contiguous copies, as the forward builds each block's
+    im2col. It does on OpenBLAS's SkylakeX and Sandybridge kernels at the
+    paper blocks' shapes, and not on its Haswell SGEMM, whose products at
+    these shapes move within a few machine epsilons."""
     whole = a @ b
     spans = np.empty_like(whole)
     for lo in range(0, b.shape[1], step):
-        np.matmul(a, b[:, lo:lo + step], out=spans[:, lo:lo + step])
+        span = b[:, lo:lo + step]
+        np.matmul(a, span.copy() if fresh_spans else span, out=spans[:, lo:lo + step])
     return whole.tobytes() == spans.tobytes()
 
 
@@ -195,9 +198,10 @@ class TestColumnBlocks:
         step = (blocks[0][1] - blocks[0][0]) * length
         weights = rng.standard_normal((c_out, c_in * k)).astype(dtype)
         columns = rng.standard_normal((c_in * k, batch * length)).astype(dtype)
-        taps = rng.standard_normal((k * c_in, c_out)).astype(dtype)
+        # kernel.T as conv1d_backward reads it: a transposed C-ordered copy
+        taps = rng.standard_normal((c_out, k * c_in)).astype(dtype).T
         g_rows = rng.standard_normal((c_out, batch * length)).astype(dtype)
-        if gemm_keeps_its_bits_across_widths(weights, columns, step):
+        if gemm_keeps_its_bits_across_widths(weights, columns, step, fresh_spans=True):
             assert_bitwise(split[0], whole[0])
         if gemm_keeps_its_bits_across_widths(taps, g_rows, step):
             assert_bitwise(split[1], whole[1])
@@ -638,12 +642,13 @@ def test_paper_width_step_scratch_is_two_named_arrays():
     nncore.release_workspace()
 
 
-@pytest.mark.parametrize("length", [256, 1024])
-def test_paper_width_workspace_does_not_grow_with_the_series_length(length):
+@pytest.mark.parametrize("length", [256, 1024, 1500])
+def test_paper_width_workspace_is_bounded_by_one_column_block(length):
     # A float32 step with a teacher, then a predict: each buffer stays within
-    # one column block at either length, where at length 1,024 a single
-    # series' block-3 im2col, [256*3, 1024], takes 3 MiB and the whole
-    # batch's would take 48 MiB.
+    # one column block, or one series' block-3 im2col, [256*3, L], where that
+    # is larger. At length 1,024 the series takes 3 MiB, within the block,
+    # and the whole batch's would take 48 MiB; at 1,500 the series alone
+    # takes 4.4 MiB.
     rng = np.random.default_rng(0)
     student = FeatureExtractor(3, seed=1, dtype=np.float32)
     pair = fbst.FBSTPair(student)
@@ -655,7 +660,7 @@ def test_paper_width_workspace_does_not_grow_with_the_series_length(length):
                            adam, rng)
     student.predict(x)
     sizes = [buf.nbytes for buf in nncore._WORKSPACE.buffers]
-    assert max(sizes) <= nncore._COL_BLOCK_BYTES, sizes
+    assert max(sizes) <= max(nncore._COL_BLOCK_BYTES, 256 * 3 * length * 4), sizes
     nncore.release_workspace()
 
 
