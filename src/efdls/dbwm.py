@@ -42,6 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .extractor import WeightBundle, check_bundle
+from .nncore import _blocks
 
 
 class InsufficientUsersError(ValueError):
@@ -73,8 +74,8 @@ def _gram_matrix(bundles: list) -> np.ndarray:
     gram = np.zeros((n, n))
     for key, arr in bundles[0].learnable_items():
         flats = [b.arrays[key].reshape(-1) for b in bundles]
-        for start in range(0, arr.size, GRAM_CHUNK):
-            block = np.stack([f[start:start + GRAM_CHUNK] for f in flats], dtype=np.float64)
+        for lo, hi in _blocks(arr.size, 1, GRAM_CHUNK):
+            block = np.stack([f[lo:hi] for f in flats], dtype=np.float64)
             gram += block @ block.T
     return np.triu(gram) + np.triu(gram, 1).T
 

@@ -21,7 +21,9 @@ from .nncore import NumericError, ShapeError
 
 DEFAULT_BLOCKS = ((9, 128), (5, 256), (3, 128))
 DEFAULT_HIDDEN_DIM = 128
-PREDICT_POSITIONS = 4096  # rows x length per forward in predict: 16 rows at length 256
+# rows x length per forward in predict, 16 rows at length 256, so its
+# activations follow the series positions a forward takes, not the row count
+PREDICT_POSITIONS = 4096
 
 # Canonical serialization/order for everything a bundle carries. Keys ending
 # in running_mean/running_var are carried for the teacher's inference-mode
@@ -253,44 +255,42 @@ class FeatureExtractor:
         """Top-1 class index per row, ties broken toward the lowest index.
 
         Each forward takes ``PREDICT_POSITIONS // length`` rows, at least
-        one, so its scratch follows the series positions it takes, not the
-        number of rows: at length 256 it takes a training batch's 16 rows."""
-        rows = max(1, PREDICT_POSITIONS // max(x.shape[-1], 1))
+        one, so its activations follow the series positions it takes, not
+        the number of rows: at length 256 it takes a training batch's 16
+        rows. (The conv scratch is bounded by ``nncore._COL_BLOCK_BYTES``
+        whatever the rows.)"""
         preds = []
-        for start in range(0, x.shape[0], rows):
-            trace = self.forward(x[start:start + rows], training=False)
+        for lo, hi in nncore._blocks(x.shape[0], x.shape[-1], PREDICT_POSITIONS):
+            # each trace lives until the next forward returns: freeing it
+            # sooner changes how glibc trims the heap, and raised peak RSS
+            # (see CHANGES.md)
+            trace = self.forward(x[lo:hi], training=False)
             preds.append(np.argmax(trace.probs, axis=1))
-        return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
-
-
-def _hidden_slots(model: FeatureExtractor) -> list:
-    """(key, layer, leaf) for every hidden-layer array, keyed and ordered as
-    BUNDLE_KEYS: the array is ``getattr(layer, leaf)``. This is the one place
-    that names them; it is rebuilt on every call because a training-mode
-    batch-norm forward rebinds the running-statistic arrays."""
-    layers = {"dense": model.hidden}
-    for i, (conv, bn) in enumerate(zip(model.convs, model.bns), start=1):
-        layers[f"conv{i}"] = conv
-        layers[f"bn{i}"] = bn
-    slots = []
-    for key in BUNDLE_KEYS:
-        layer, leaf = key.split(".")
-        slots.append((key, layers[layer], leaf))
-    return slots
+        return np.concatenate(preds)
 
 
 def hidden_arrays(model: FeatureExtractor) -> dict:
     """Live views of the model's hidden-layer arrays (conv blocks, batch-norm
     running statistics included, and the hidden dense layer), keyed and
-    ordered as BUNDLE_KEYS."""
-    return {key: getattr(layer, leaf) for key, layer, leaf in _hidden_slots(model)}
+    ordered as BUNDLE_KEYS. This is the one place that names them; it is
+    rebuilt on every call because a training-mode batch-norm forward
+    rebinds the running-statistic arrays."""
+    layers = {"dense": model.hidden}
+    for i, (conv, bn) in enumerate(zip(model.convs, model.bns), start=1):
+        layers[f"conv{i}"] = conv
+        layers[f"bn{i}"] = bn
+    arrays = {}
+    for key in BUNDLE_KEYS:
+        layer, leaf = key.split(".")
+        arrays[key] = getattr(layers[layer], leaf)
+    return arrays
 
 
 def extract_hidden_weights(model: FeatureExtractor) -> WeightBundle:
-    """Deep-copied snapshot of the hidden layers (conv blocks + hidden dense,
-    with BN running stats riding along). The classifier never leaves the user."""
-    arrays = {k: v.copy() for k, v in hidden_arrays(model).items()}
-    return WeightBundle(arrays=arrays)
+    """Owned snapshot of the hidden layers (conv blocks + hidden dense, with
+    BN running stats riding along): ``borrow_hidden_weights(model).copy()``.
+    The classifier never leaves the user."""
+    return borrow_hidden_weights(model).copy()
 
 
 def borrow_hidden_weights(model: FeatureExtractor) -> WeightBundle:

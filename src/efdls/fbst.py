@@ -19,7 +19,8 @@ Loss pieces:
 
 The objective is written once, as a loss object: ``SupervisedLoss`` on the
 very first federated epoch (and while a user has no teacher), otherwise
-``DistillationLoss`` against the teacher's trace of the same batch. Its
+``DistillationLoss`` against the teacher's trace of the same batch. Each
+objective writes its report and gradients in one body; from it,
 ``parts(trace)`` gives the batch's loss report, ``value(trace)`` the total
 that ``nncore.finite_diff_gradcheck`` differentiates, and
 ``output_grads(trace)`` the gradients injected into the student's backward
@@ -195,27 +196,43 @@ def total_loss(sup: float, kd: float, epsilon: float) -> float:
 
 
 class SupervisedLoss:
-    """Cross-entropy alone: the objective until a teacher is loaded."""
+    """Cross-entropy alone: the objective until a teacher is loaded.
+
+    ``parts``, ``value``, ``output_grads`` and ``consume`` are written here
+    once, over ``_evaluate``, each objective's one body, which gives the
+    batch's ``(LossReport, output_grads)``. Only ``consume`` hands it the
+    teacher trace to write the KD gradients into; a supervised loss has
+    none."""
+
+    teacher_trace = None
 
     def __init__(self, labels: np.ndarray):
         self.labels = np.asarray(labels)
 
-    def parts(self, trace: ext.ForwardTrace) -> LossReport:
+    def _evaluate(self, trace: ext.ForwardTrace, out: ext.ForwardTrace | None) -> tuple:
         sup = sup_loss(trace.probs, self.labels)
-        return LossReport(kd=0.0, sup=sup, total=sup)
+        return (LossReport(kd=0.0, sup=sup, total=sup),
+                {"logits": sup_loss_logit_grad(trace.probs, self.labels)})
+
+    def parts(self, trace: ext.ForwardTrace) -> LossReport:
+        return self._evaluate(trace, out=None)[0]
 
     def value(self, trace: ext.ForwardTrace) -> float:
         return self.parts(trace).total
 
     def output_grads(self, trace: ext.ForwardTrace) -> dict:
-        """The gradients injected into the student's backward: here only at
-        the logits. Pure: it writes into nothing the loss reads."""
-        return {"logits": sup_loss_logit_grad(trace.probs, self.labels)}
+        """The gradients injected into the student's backward, in fresh
+        arrays. Pure: it writes into nothing the loss reads."""
+        return self._evaluate(trace, out=None)[1]
 
     def consume(self, trace: ext.ForwardTrace) -> tuple:
-        """``(parts(trace), output_grads(trace))``, as a training step takes
-        them; there is no teacher trace to give up."""
-        return self.parts(trace), self.output_grads(trace)
+        """``(parts(trace), output_grads(trace))``, with their bits, as a
+        training step takes them. The loss gives its teacher trace up: the
+        hidden gradients are written into its arrays, and the loss holds no
+        teacher trace afterwards, so it must not be evaluated again."""
+        result = self._evaluate(trace, out=self.teacher_trace)
+        self.teacher_trace = None
+        return result
 
 
 class DistillationLoss(SupervisedLoss):
@@ -229,28 +246,9 @@ class DistillationLoss(SupervisedLoss):
         self.teacher_trace = teacher_trace
         self.epsilon = epsilon
 
-    def parts(self, trace: ext.ForwardTrace) -> LossReport:
+    def _evaluate(self, trace: ext.ForwardTrace, out: ext.ForwardTrace | None) -> tuple:
         sup = sup_loss(trace.probs, self.labels)
-        kd = kd_loss(trace, self.teacher_trace)
-        return LossReport(kd=kd, sup=sup, total=total_loss(sup, kd, self.epsilon))
-
-    def output_grads(self, trace: ext.ForwardTrace) -> dict:
-        """The gradients at the logits and the four hidden outputs, in fresh
-        arrays; the teacher trace is left as it was."""
-        _, grads = kd_loss_grads(trace, self.teacher_trace, scale=1.0 - self.epsilon)
-        grads["logits"] = sup_loss_logit_grad(trace.probs, self.labels, scale=self.epsilon)
-        return grads
-
-    def consume(self, trace: ext.ForwardTrace) -> tuple:
-        """``(report, output_grads)`` of one training step, with the bits of
-        ``parts(trace)`` and ``output_grads(trace)``, from one difference per
-        stage: it is taken into the teacher trace's arrays, which become the
-        hidden gradients. The loss gives the trace up: it holds no teacher
-        trace afterwards, so it must not be evaluated again."""
-        kd, grads = kd_loss_grads(trace, self.teacher_trace, scale=1.0 - self.epsilon,
-                                  out=self.teacher_trace)
-        self.teacher_trace = None
-        sup = sup_loss(trace.probs, self.labels)
+        kd, grads = kd_loss_grads(trace, self.teacher_trace, scale=1.0 - self.epsilon, out=out)
         grads["logits"] = sup_loss_logit_grad(trace.probs, self.labels, scale=self.epsilon)
         return LossReport(kd=kd, sup=sup, total=total_loss(sup, kd, self.epsilon)), grads
 

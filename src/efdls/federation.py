@@ -23,10 +23,11 @@ takes part in a round. Every federated epoch:
      upload of the epoch's one connected set;
   4. each download is loaded as soon as it is decoded, by the row's
      ``FBSTPair`` method (teachers for efdls/fkd, students for fedavg). In
-     an epoch whose downloads are loaded, a dispatched bundle that shares
-     memory with a student is first frozen into one owned copy, which every
-     download of it is encoded from. The last epoch's downloads are carried
-     and recorded but never loaded, and nothing is copied for them.
+     an epoch whose downloads are loaded, a dispatched bundle with an array
+     that does not own its memory is first frozen into one owned copy,
+     which every download of it is encoded from. The last epoch's downloads
+     are carried and recorded but never loaded, and nothing is copied for
+     them.
 
 Every message the round receives is checked before anything uses it: it
 must decode, its header must carry the epoch and user id it was sent with,
@@ -49,11 +50,13 @@ download borrows. They cost no memory. Nothing writes a student while the
 round holds a view of it: every user has trained before the first upload,
 and the downloads that load students (fedavg's) hold the mean, not a
 student. A teacher keeps the decoded download it is handed, and a partner's
-student trains next epoch, so a dispatched bundle that is a view of a
-student (an in-process efdls upload) is frozen into one copy before its
-first download; in-process every teacher handed it keeps read-only views of
-that one copy. Nothing else is copied: nothing writes the fedavg/fkd mean,
-and over sockets every decoded bundle is owned, so a teacher keeps its own.
+student trains next epoch, so a dispatched bundle with an array that does
+not own its memory (an in-process efdls upload, a view of a student) is
+frozen into one copy before its first download; in-process every teacher
+handed it keeps read-only views of that one copy.
+Nothing else is copied: the fedavg/fkd mean owns its arrays and nothing
+writes it, and over sockets every decoded bundle is owned, so a teacher
+keeps its own.
 Keep ``bundle.copy()`` to hold any other bundle past its epoch.
 
 Per connected user per epoch there is exactly one upload and one download,
@@ -648,15 +651,6 @@ def build_users(config: FederationConfig) -> list:
     return users
 
 
-def _shares_a_student(bundle: ext.WeightBundle, students: list) -> bool:
-    """Whether an array of ``bundle`` shares memory with the array of its key
-    in one of ``students``, each a model's ``hidden_arrays``. Keys are the
-    outer loop, so a bundle borrowed from a student is found at its first
-    array."""
-    return any(np.shares_memory(arr, student[key])
-               for key, arr in bundle.arrays.items() for student in students)
-
-
 class Federation:
     """One run's users, server state and schedule. ``run()`` executes all
     epochs; the instance keeps the users afterwards so callers can inspect
@@ -752,19 +746,19 @@ class Federation:
 
         # Downloads may share one bundle, and in-process a decoded one is a
         # read-only view of it, which a teacher keeps. A dispatched bundle
-        # that shares memory with a student (in-process, an efdls partner's
-        # upload), which trains next epoch, is frozen into one owned copy at
-        # its first download, and its later downloads are encoded from that
-        # same copy. The last epoch's downloads are carried and recorded but
-        # never loaded: training is over, and nothing is copied.
+        # with an array that does not own its memory is a view of something
+        # that may change (in-process, an efdls partner's upload borrows a
+        # student, which trains next epoch), so it is frozen into one owned
+        # copy at its first download, and its later downloads are encoded
+        # from that same copy. The last epoch's downloads are carried and
+        # recorded but never loaded: training is over, and nothing is copied.
         load = k < config.fles
-        students = [ext.hidden_arrays(user.pair.student) for user in self.users] if load else []
         frozen = {}  # id of a dispatched bundle, alive in downloads -> what is sent
         for uid, bundle in downloads:
             if load:
                 if id(bundle) not in frozen:
-                    frozen[id(bundle)] = (bundle.copy() if _shares_a_student(bundle, students)
-                                          else bundle)
+                    borrowed = any(not arr.flags.owndata for arr in bundle.arrays.values())
+                    frozen[id(bundle)] = bundle.copy() if borrowed else bundle
                 bundle = frozen[id(bundle)]
             bundle = self._round_trip("download", bundle, k, uid)
             if load:
@@ -781,8 +775,9 @@ class Federation:
         return self.evaluate(), self.ledger
 
     def evaluate(self) -> metrics.MetricReport:
-        """Test accuracy per user. The calling thread's workspace, grown to
-        evaluation size, is given back afterwards."""
+        """Test accuracy per user. The calling thread's workspace is given
+        back afterwards, so a process that runs several federations holds
+        none between them."""
         rows = []
         accs = []
         try:

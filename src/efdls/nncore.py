@@ -174,10 +174,10 @@ def _uniform(rng: np.random.Generator, bound: float, size, dtype) -> np.ndarray:
     out = np.empty(size, dtype=dtype)
     flat = out.reshape(-1)
     chunk = np.empty(min(flat.size, UNIFORM_CHUNK))
-    for start in range(0, flat.size, UNIFORM_CHUNK):
-        draws = rng.random(out=chunk[:min(UNIFORM_CHUNK, flat.size - start)])
+    for lo, hi in _blocks(flat.size, 1, UNIFORM_CHUNK):
+        draws = rng.random(out=chunk[:hi - lo])
         draws *= high - low
-        np.add(draws, low, out=flat[start:start + draws.size])
+        np.add(draws, low, out=flat[lo:hi])
     return out
 
 
@@ -306,11 +306,12 @@ def _im2col(a: np.ndarray, k: int) -> np.ndarray:
     return cols.reshape(c * k, b * n)
 
 
-def _blocks(count: int, item_bytes: int) -> list:
+def _blocks(count: int, item_size: int, budget: int) -> list:
     """(lo, hi) spans covering [0, count) in order, each as many items as fit
-    in _COL_BLOCK_BYTES at ``item_bytes`` apiece, and at least one; an empty
-    count is one empty span."""
-    step = max(1, _COL_BLOCK_BYTES // max(1, item_bytes))
+    in ``budget`` at ``item_size`` apiece, and at least one; an empty count
+    is one empty span. Every op that bounds its scratch or its activations
+    by a constant walks its items through these spans."""
+    step = max(1, budget // max(1, item_size))
     return [(lo, min(lo + step, count)) for lo in range(0, max(count, 1), step)]
 
 
@@ -346,7 +347,7 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayer, want_cache: bool = False):
     out = np.empty((o, b * length), dtype=np.result_type(weights, x))
     # overflow here is converted into NumericError by the callers' finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in _blocks(b, c * k * length * x.dtype.itemsize):
+        for lo, hi in _blocks(b, c * k * length * x.dtype.itemsize, _COL_BLOCK_BYTES):
             np.matmul(weights, _im2col(x[lo:hi], k), out=out[:, lo * length:hi * length])
         out = out.reshape(o, b, length).transpose(1, 0, 2)
         out += layer.bias[None, :, None]
@@ -386,7 +387,7 @@ def conv1d_backward(gout: np.ndarray, layer: ConvLayer, x: np.ndarray, input_gra
     pad = (k - 1) // 2
     g_rows = _rows(gout)
     dtype = np.result_type(layer.kernel, gout)
-    blocks = _blocks(b, c * k * length * np.result_type(dtype, x).itemsize)
+    blocks = _blocks(b, c * k * length * np.result_type(dtype, x).itemsize, _COL_BLOCK_BYTES)
     g_kernel = None
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in blocks:
@@ -448,10 +449,8 @@ def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ra, rb = _rows(a), _rows(b)
     c, n = ra.shape
     dtype = np.result_type(ra, rb)
-    step = max(1, _DOT_BLOCK_BYTES // max(1, n * dtype.itemsize))
     sums = np.empty(c, dtype)
-    for lo in range(0, c, step):
-        hi = min(lo + step, c)
+    for lo, hi in _blocks(c, n * dtype.itemsize, _DOT_BLOCK_BYTES):
         prod = np.multiply(ra[lo:hi], rb[lo:hi], out=_scratch("prod", (hi - lo, n), dtype))
         prod.sum(axis=1, out=sums[lo:hi])
     return sums
@@ -464,11 +463,8 @@ def sum_squares(a: np.ndarray) -> float:
     array's channels) at a time, each block summed pairwise and the block
     sums added in order."""
     rows = np.moveaxis(a, 1, 0)
-    row = math.prod(rows.shape[1:])
-    step = max(1, _DOT_BLOCK_BYTES // max(1, row * 8))
     total = 0.0
-    for lo in range(0, rows.shape[0], step):
-        hi = min(lo + step, rows.shape[0])
+    for lo, hi in _blocks(rows.shape[0], math.prod(rows.shape[1:]) * 8, _DOT_BLOCK_BYTES):
         block = _scratch("prod", (hi - lo, *rows.shape[1:]), np.float64)
         np.multiply(rows[lo:hi], rows[lo:hi], out=block, dtype=np.float64)
         total += float(block.sum())

@@ -412,6 +412,19 @@ class TestPredict:
         expected = [int(max(range(4), key=lambda c: probs[b, c])) for b in range(5)]
         assert np.array_equal(m.predict(x), expected)
 
+    def test_rows_beyond_one_forward_match_the_argmax_oracle(self, monkeypatch):
+        # two rows of length 12 per forward: spans of 2, 2 and 1 rows
+        monkeypatch.setattr(extractor, "PREDICT_POSITIONS", 24)
+        m = mini_model(num_classes=4, seed=30)
+        x = np.random.default_rng(31).standard_normal((5, 1, 12))
+        assert np.array_equal(m.predict(x), np.argmax(m.forward(x).probs, axis=1))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_zero_rows_give_an_empty_integer_array(self, dtype):
+        preds = mini_model(seed=32).predict(np.zeros((0, 1, 12), dtype=dtype))
+        assert preds.shape == (0,)
+        assert np.issubdtype(preds.dtype, np.integer)
+
 
 class TestHiddenArrays:
     def test_keys_are_bundle_keys_in_order(self):

@@ -1877,6 +1877,50 @@ class TestSharedTeachers:
         aliases = strategy == "efdls" and transport == "inproc"
         assert dict(copies) == ({1: distinct, 2: distinct} if aliases else {})
 
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("borrowed", [False, True])
+    def test_a_dispatched_bundle_is_frozen_when_it_borrows_its_arrays(self, monkeypatch,
+                                                                      borrowed, transport):
+        # a round outside the library's strategies hands every user one
+        # bundle of user 0's student: an owned snapshot goes out as it is, a
+        # bundle of views of the student is copied once in each loaded epoch
+        epochs, dispatched = [], []
+        copies = Counter()
+        real_run_epoch = Federation._run_epoch
+        real_copy = WeightBundle.copy
+
+        def run_epoch(fed, k, on_epoch=None):
+            epochs.append(k)
+            return real_run_epoch(fed, k, on_epoch=on_epoch)
+
+        def copy(bundle):
+            if any(bundle is sent for sent in dispatched):
+                copies[epochs[-1]] += 1
+            return real_copy(bundle)
+
+        def round_row(uploads):
+            uids = [uid for uid, _ in uploads]
+            take = extractor.borrow_hidden_weights if borrowed else extractor.extract_hidden_weights
+            dispatched.append(take(fed.users[0].pair.student))
+            return [(uid, dispatched[-1]) for uid in uids]
+
+        monkeypatch.setattr(Federation, "_run_epoch", run_epoch)
+        monkeypatch.setattr(WeightBundle, "copy", copy)
+        monkeypatch.setitem(strategies.ROUNDS, "efdls", (round_row, "load_teacher"))
+        datasets = [(f"w{i}", "synthetic") for i in range(3)]
+        fed = Federation(toy_config(n_tot=3, fles=3, datasets=datasets, transport=transport))
+        _, ledger = fed.run()
+        assert epochs == [1, 2, 3] and len(dispatched) == 3
+        assert len(ledger) == 2 * 3 * 3
+        assert dict(copies) == ({1: 1, 2: 1} if borrowed else {})
+        student = model_arrays(fed.users[0].pair.student)
+        for user in fed.users:
+            for key, arr in extractor.hidden_arrays(user.pair.teacher).items():
+                assert not any(np.shares_memory(arr, s) for s in student.values()), key
+                # in-process a teacher keeps the bundle that went out
+                assert np.shares_memory(arr, dispatched[1].arrays[key]) == \
+                    (transport == "inproc" and not borrowed), key
+
     @pytest.mark.parametrize("strategy", ["fedavg", "fkd"])
     def test_a_mean_beyond_float32_is_refused_naming_the_user_and_epoch(self, monkeypatch,
                                                                         strategy):

@@ -96,6 +96,30 @@ class TestConv1d:
                 assert abs(fd - gflat[i]) < 1e-6 * max(1.0, abs(fd))
 
 
+class TestBlocks:
+    """``_blocks`` is the one rule for walking items through a budget: the
+    conv column blocks, the row-product blocks, the init draws, predict's
+    rows and the Gram screen's columns."""
+
+    @given(count=st.integers(0, 400), item_size=st.integers(0, 5000),
+           budget=st.integers(1, 1 << 16))
+    @settings(max_examples=300, deadline=None)
+    def test_spans_cover_the_items_in_order_each_as_many_as_fit(self, count, item_size, budget):
+        spans = nncore._blocks(count, item_size, budget)
+        if count == 0:
+            assert spans == [(0, 0)]
+            return
+        assert spans[0][0] == 0 and spans[-1][1] == count
+        assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+        for lo, hi in spans:
+            assert hi > lo
+            # within the budget, unless a single item alone exceeds it
+            assert (hi - lo) * item_size <= budget or hi - lo == 1
+        if item_size > 0:
+            # every span but the last takes as many items as fit
+            assert all((hi - lo + 1) * item_size > budget for lo, hi in spans[:-1])
+
+
 class TestBatchNorm:
     def test_constant_batch_maps_to_beta(self):
         layer = init_batchnorm(1)

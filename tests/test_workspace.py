@@ -190,7 +190,8 @@ class TestColumnBlocks:
         batch, length = 16, 256
         layer, x, gout = conv_case(k, c_in, c_out, batch, length, kernel_dtype=dtype,
                                    dtype=dtype)
-        blocks = nncore._blocks(batch, c_in * k * length * np.dtype(dtype).itemsize)
+        blocks = nncore._blocks(batch, c_in * k * length * np.dtype(dtype).itemsize,
+                                nncore._COL_BLOCK_BYTES)
         assert (len(blocks) > 1) == (c_in > 1)
         split, whole = self.compare(monkeypatch, layer, obl_ordered(x), obl_ordered(gout),
                                     nncore._COL_BLOCK_BYTES)
@@ -215,7 +216,8 @@ class TestColumnBlocks:
     @pytest.mark.parametrize("k", [9, 5, 3])
     def test_blocks_of_one_series(self, monkeypatch, k, length, dtype):
         monkeypatch.setattr(nncore, "_COL_BLOCK_BYTES", 1)
-        assert nncore._blocks(7, 6 * k * length) == [(i, i + 1) for i in range(7)]
+        assert nncore._blocks(7, 6 * k * length, nncore._COL_BLOCK_BYTES) == \
+            [(i, i + 1) for i in range(7)]
         TestTextbookConv().check(*conv_case(k, 6, 10, 7, length, kernel_dtype=dtype,
                                             seed=length, dtype=dtype))
 
