@@ -112,7 +112,7 @@ def _run_into(config: federation.FederationConfig, out_dir: str, force: bool) ->
     bundle_bytes = next((e.nbytes for e in ledger.entries), None)
     expected = None
     if bundle_bytes is not None:
-        expected = federation.comm_overhead(bundle_bytes, config.fles, config.n_conn)
+        expected = federation.expected_ledger_total(config, bundle_bytes)
     per_user = {name: float(acc) for name, acc in
                 zip(report.table.datasets, report.table.values[:, 0])}
     final_loss = {report.table.datasets[user.user_id]: user.last_report.total

@@ -339,18 +339,14 @@ def load_hidden_weights(model: FeatureExtractor, bundle: WeightBundle) -> Featur
     return model
 
 
-def clone_model(model: FeatureExtractor, hidden: WeightBundle | None = None) -> FeatureExtractor:
-    """Independent deep copy of the model.
-
-    Given a bundle ``hidden``, the copy's hidden arrays are the bundle's own
-    arrays instead, as read-only views: this is how a teacher is made from
-    its student. Only an array whose dtype is not the model's is cast, into
-    a read-only array of the clone's own. So the clone holds the bundle's
+def clone_model(model: FeatureExtractor, hidden: WeightBundle) -> FeatureExtractor:
+    """Deep copy of the model whose hidden arrays are the bundle ``hidden``'s
+    own arrays, as read-only views: this is how a teacher is made from its
+    student. Only an array whose dtype is not the model's is cast, into a
+    read-only array of the clone's own. So the clone holds the bundle's
     values only while nothing writes to them, and clones made from one
     bundle share its memory. Nothing is built unless the whole bundle
     fits."""
-    if hidden is None:
-        return copy.deepcopy(model)
     targets = hidden_arrays(model)
     check_bundle(hidden, targets)
     # deepcopy takes an object found in its memo as that object's copy

@@ -247,11 +247,19 @@ def select_connected(n_tot: int, conn_ratio: float, seed: int, epoch: int | None
 
 def comm_overhead(bw: int, fles: int, n_conn: int) -> int:
     """Total bytes moved by a run: one upload and one download of ``bw``
-    bytes per connected user per epoch. An efdls run with one connected user
-    sends no downloads and so moves half of this."""
+    bytes per connected user per epoch. ``expected_ledger_total`` adds the
+    one exception."""
     if bw <= 0 or fles <= 0 or n_conn <= 0:
         raise ValueError("comm_overhead needs positive bw, fles and n_conn")
     return 2 * bw * fles * n_conn
+
+
+def expected_ledger_total(config: FederationConfig, bw: int) -> int:
+    """The ledger total of a communicating run of ``config`` with bundles of
+    ``bw`` bytes: ``comm_overhead``, but half of it for efdls with one
+    connected user, who has no partner and is sent no download."""
+    total = comm_overhead(bw, config.fles, config.n_conn)
+    return total // 2 if config.strategy == "efdls" and config.n_conn == 1 else total
 
 
 # ---------------------------------------------------------------------------

@@ -93,23 +93,15 @@ def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
 
 
 def win_tie_lose(table: AccuracyTable):
-    """Per-algorithm win/tie/lose counts over the table's datasets."""
+    """Per-algorithm win/tie/lose counts over the table's datasets, from one
+    [datasets, algorithms] matrix of the cells at their row's maximum."""
     if len(table.algorithms) < 2:
         raise ValueError("win/tie/lose needs at least 2 algorithms to compare")
-    win = {a: 0 for a in table.algorithms}
-    tie = {a: 0 for a in table.algorithms}
-    lose = {a: 0 for a in table.algorithms}
-    for row in table.values:
-        top = row.max()
-        at_top = np.abs(row - top) <= ACC_EQ_TOL
-        for j, a in enumerate(table.algorithms):
-            if not at_top[j]:
-                lose[a] += 1
-            elif at_top.sum() == 1:
-                win[a] += 1
-            else:
-                tie[a] += 1
-    return win, tie, lose
+    at_top = np.abs(table.values - table.values.max(axis=1, keepdims=True)) <= ACC_EQ_TOL
+    alone = at_top.sum(axis=1, keepdims=True) == 1
+    counts = ((at_top & alone).sum(axis=0), (at_top & ~alone).sum(axis=0),
+              (~at_top).sum(axis=0))
+    return tuple({a: int(c[j]) for j, a in enumerate(table.algorithms)} for c in counts)
 
 
 def win_tie_lose_best(table: AccuracyTable) -> dict:

@@ -18,9 +18,8 @@ backward has run.
 
 Four ops can instead write their result over an array that dies as they
 run, which the caller names: ``batchnorm_forward(out=...)`` (its input, dead
-once centered), ``batchnorm_backward(consume=True)`` (the cached ``xhat`` of
-the standard form, which becomes the input gradient, or the literal form's
-cached centered input, which takes a product), ``relu_backward(into=...)``
+once centered), ``batchnorm_backward(consume=True)`` (the cached ``xhat``,
+which becomes the input gradient), ``relu_backward(into=...)``
 (its upstream gradient or the forward's output) and
 ``global_avg_pool_backward(add_to=...)`` (an upstream gradient of the pooled
 input, which it adds into). The array must have the fresh result's dtype;
@@ -137,6 +136,9 @@ class BatchNormLayer:
       experiments. Its tracked running statistic is the summed-squared
       deviation itself, so inference applies the same normalization the
       training mode used.
+
+    Both forms run one code path; they differ only in the denominator
+    (``_denominator``) and in one divisor of the backward.
     """
 
     alpha: np.ndarray
@@ -471,6 +473,15 @@ def sum_squares(a: np.ndarray) -> float:
     return total
 
 
+def _denominator(layer: BatchNormLayer, stat: np.ndarray) -> np.ndarray:
+    """The per-channel denominator D of the layer's form from its second
+    statistic: sqrt(var + BN_ZETA) (standard) or sqrt(S) + BN_ZETA
+    (literal, S the summed squared deviation)."""
+    if layer.literal_form:
+        return np.sqrt(stat) + BN_ZETA
+    return np.sqrt(stat + BN_ZETA)
+
+
 def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
                       update_running: bool | None = None, want_cache: bool = False, *,
                       out: np.ndarray | None = None):
@@ -479,16 +490,21 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
     into the running statistics); inference mode uses the running statistics
     only. Temporaries that no cache keeps live in scratch.
 
-    Training mode centers the input by its row means and takes the second
+    Training mode centers the input by its row means, takes the second
     statistic from one row reduction of the centered values with themselves
-    (``_channel_dot``): the variance in the standard form, which then
-    normalizes the centered values in place into ``xhat``, and the summed
-    squared deviation in the literal one. A cached ``xhat`` or centered
-    input is the only full-size array allocated besides the output. Without
-    a cache the input is centered into the output itself, which is then
-    normalized, scaled and shifted in place, so no other full-size array is
-    made (unless the output's dtype is not the centered values', which then
-    take a fresh array).
+    (``_channel_dot``: the summed squared deviation S, divided by the n
+    entries of a row into the variance in the standard form) and
+    normalizes the centered values in place into ``xhat = centered / D``,
+    D from ``_denominator``. A cached ``xhat`` is the only full-size array
+    allocated besides the output. Without a cache the input is centered
+    into the output itself, which is then normalized, scaled and shifted in
+    place, so no other full-size array is made (unless the output's dtype
+    is not the centered values', which then take a fresh array).
+
+    The training cache also keeps the divisor of the backward's
+    ``xhat * g_alpha`` term: n in the standard form, and delta / D in the
+    literal one, with delta = sqrt(S) floored at the dtype's smallest
+    normal number so a constant channel keeps finite gradients.
 
     The output is written into ``out`` when given, else into a fresh array.
     ``out=x`` is allowed, since ``x`` is dead once centered; the network
@@ -512,44 +528,33 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
         return np.subtract(x, _per_channel(mu), out=held)
 
     if training:
+        n = x.shape[0] * x.shape[2]
         # overflow here is converted into NumericError by the finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
             mu = _rows(x).mean(axis=1)
             if not np.isfinite(mu).all():
                 raise NumericError("non-finite batch statistics in batchnorm")
-            # a cached form keeps the centered values: as they are (literal),
-            # or normalized in place into xhat (standard)
             centered = center(mu)
-            if layer.literal_form:
-                sumsq = _channel_dot(centered, centered)
-                delta = np.sqrt(sumsq)
-                denom = delta + BN_ZETA
-                out = np.multiply(alpha, centered, out=out)
-                out /= _per_channel(denom)
-                out += beta
-                stat = sumsq
-                cache = ("literal", centered, delta, denom)
-            else:
-                var = _channel_dot(centered, centered) / (x.shape[0] * x.shape[2])
-                inv = 1.0 / np.sqrt(var + BN_ZETA)
-                xhat = np.multiply(centered, _per_channel(inv), out=centered)
-                out = np.multiply(alpha, xhat, out=out)
-                out += beta
-                stat = var
-                cache = ("standard", xhat, inv)
+            stat = _channel_dot(centered, centered)
+            if not layer.literal_form:
+                stat = stat / n
+            inv = 1.0 / _denominator(layer, stat)
+            xhat = np.multiply(centered, _per_channel(inv), out=centered)
+            out = np.multiply(alpha, xhat, out=out)
+            out += beta
         if not np.isfinite(stat).all():
             raise NumericError("non-finite batch statistics in batchnorm")
+        divisor = n
+        if layer.literal_form:
+            divisor = np.maximum(np.sqrt(stat), np.finfo(stat.dtype).tiny) * inv
+        cache = ("training", xhat, inv, divisor)
         if update_running:
             m = BN_MOMENTUM
             layer.running_mean = m * layer.running_mean + (1.0 - m) * mu
             layer.running_var = m * layer.running_var + (1.0 - m) * stat
     else:
         mu = layer.running_mean
-        if layer.literal_form:
-            denom = np.sqrt(layer.running_var) + BN_ZETA
-        else:
-            denom = np.sqrt(layer.running_var + BN_ZETA)
-        scale = 1.0 / denom
+        scale = 1.0 / _denominator(layer, layer.running_var)
         centered = center(mu)
         out = np.multiply(alpha, centered, out=out)
         out *= _per_channel(scale)
@@ -563,56 +568,36 @@ def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, training: bool,
 
 def batchnorm_backward(gout: np.ndarray, layer: BatchNormLayer, cache, *,
                        consume: bool = False):
-    """Gradients through training-mode batch normalization.
+    """Gradients through training-mode batch normalization, exact in both
+    forms.
 
-    Returns (g_input, g_alpha, g_beta), with g_beta = sum(g) a row
-    reduction. Both normalization modes are exact. The standard form takes
-    g_alpha = sum(g * xhat) and builds
+    Returns (g_input, g_alpha, g_beta), with g_alpha = sum(g * xhat) and
+    g_beta = sum(g) row reductions, and builds
 
-        dL/dx = alpha * inv * (g - xhat * g_alpha / n - g_beta / n)
+        dL/dx = alpha * inv * (g - xhat * g_alpha / divisor - g_beta / n)
 
-    in one output array. With ``consume`` that array is the cached ``xhat``
-    itself, overwritten once both reductions have read it, when its dtype
-    is the result's; the cache is then spent and must not be used again.
-    The literal form uses
-
-        dL/dx_k = alpha * [ (g_k - mean(g)) / D - c_k * sum(g*c) / (delta * D^2) ]
-
-    with c the centered input, delta the root summed-squared deviation and
-    D = delta + BN_ZETA. It builds g_input in a fresh array, and the
-    product c_k * coef, with ``consume``, over the cached ``c`` when its
-    dtype is the result's, else in a fresh one. Every other temporary lives
-    in scratch.
+    in one output array, inv = 1 / D and the divisor from the cache: n in
+    the standard form, delta / D in the literal one (its printed gradient
+    with the centered input written as xhat * D). With ``consume`` that
+    array is the cached ``xhat`` itself, overwritten once both reductions
+    have read it, when its dtype is the result's; the cache is then spent
+    and must not be used again. Every other temporary lives in scratch.
     """
     if cache is None:
         raise GradientStateError("batchnorm_backward called without a cached forward")
     _require_3d(gout, "batchnorm upstream gradient")
-    kind = cache[0]
+    if cache[0] != "training":
+        raise GradientStateError("batchnorm_backward needs a training-mode cache")
+    _, xhat, inv, divisor = cache
     n = gout.shape[0] * gout.shape[2]
     g_beta = _rows(gout).sum(axis=1)
-    if kind == "standard":
-        _, xhat, inv = cache
-        g_alpha = _channel_dot(gout, xhat)
-        dtype = np.result_type(gout, xhat)
-        g_input = xhat if consume and xhat.dtype == dtype else _activation(gout.shape, dtype)
-        np.multiply(xhat, _per_channel(g_alpha / n), out=g_input)
-        np.subtract(gout, g_input, out=g_input)
-        g_input -= _per_channel(g_beta / n)
-        g_input *= _per_channel(layer.alpha * inv)
-    elif kind == "literal":
-        _, centered, delta, denom = cache
-        s_gc = _channel_dot(gout, centered)
-        g_alpha = s_gc / denom
-        delta_safe = np.maximum(delta, np.finfo(gout.dtype).tiny)
-        coef = s_gc / (delta_safe * denom * denom)
-        dtype = np.result_type(gout, centered, coef)
-        g_input = np.subtract(gout, _per_channel(g_beta / n), out=_activation(gout.shape, dtype))
-        g_input /= _per_channel(denom)
-        g_input -= np.multiply(centered, _per_channel(coef), out=(
-            centered if consume and centered.dtype == dtype else _activation(gout.shape, dtype)))
-        g_input *= _per_channel(layer.alpha)
-    else:
-        raise GradientStateError("batchnorm_backward needs a training-mode cache")
+    g_alpha = _channel_dot(gout, xhat)
+    dtype = np.result_type(gout, xhat)
+    g_input = xhat if consume and xhat.dtype == dtype else _activation(gout.shape, dtype)
+    np.multiply(xhat, _per_channel(g_alpha / divisor), out=g_input)
+    np.subtract(gout, g_input, out=g_input)
+    g_input -= _per_channel(g_beta / n)
+    g_input *= _per_channel(layer.alpha * inv)
     return g_input, g_alpha, g_beta
 
 

@@ -60,16 +60,24 @@ class TestRun:
         assert (tmp_path / "a" / "summary.json").read_bytes() == \
             (tmp_path / "b" / "summary.json").read_bytes()
 
-    def test_efdls_summary_ledger_matches_overhead_formula(self, tmp_path):
-        cfg = write_config(tmp_path, strategy="efdls", n_tot=4, fles=3,
-                           datasets=[{"name": f"w{i}", "path": "synthetic"} for i in range(4)])
+    # (n_tot, conn_ratio, fles, bundles moved): one upload and one download
+    # per connected user per epoch, but a lone connected user has no partner
+    # and is sent no download
+    @pytest.mark.parametrize("n_tot,conn_ratio,fles,moved", [(4, 1.0, 3, 2 * 3 * 4),
+                                                             (2, 0.5, 2, 2)],
+                             ids=["all-connected", "lone-user"])
+    def test_efdls_summary_ledger_matches_overhead_formula(self, tmp_path, n_tot, conn_ratio,
+                                                           fles, moved):
+        cfg = write_config(tmp_path, strategy="efdls", n_tot=n_tot, conn_ratio=conn_ratio,
+                           fles=fles, datasets=[{"name": f"w{i}", "path": "synthetic"}
+                                                for i in range(n_tot)])
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         summary = read_json(out / "summary.json")
         comm = summary["comm"]
         assert comm["total_bytes"] == comm["expected_total_bytes"]
-        assert comm["total_bytes"] == 2 * comm["bundle_bytes"] * 3 * 4
-        assert len(summary["per_user"]) == 4
+        assert comm["total_bytes"] == moved * comm["bundle_bytes"]
+        assert len(summary["per_user"]) == n_tot
 
     def test_overwrite_refused_without_force(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -232,6 +232,18 @@ class TestBackwardComposition:
         err = nncore.finite_diff_gradcheck(m, x, loss, epsilon=1e-5)
         assert err < 1e-4
 
+    def test_literal_float32_step_on_a_constant_channel_has_finite_gradients(self):
+        # one series of length 1: every batch-norm channel is constant, its
+        # summed squared deviation 0, and the float32 step must stay finite
+        m = mini_model(num_classes=3, seed=66, bn_paper_literal=True, dtype=np.float32)
+        x = np.full((1, 1, 1), 0.7, dtype=np.float32)
+        trace, cache = m.forward(x, training=True, want_cache=True)
+        grads = m.backward(cache, fbst.SupervisedLoss(np.array([1])).output_grads(trace))
+        assert all(np.isfinite(g).all() for g in grads.values())
+        params = m.parameters()
+        nncore.adam_step(params, grads, nncore.AdamState.for_params(params))
+        assert all(np.isfinite(p).all() for p in params.values())
+
     def test_inference_mode_backward_matches_finite_differences(self):
         # frozen-statistics path: parameters still get exact gradients
         m = mini_model(num_classes=3, seed=50)
@@ -258,17 +270,17 @@ class TestBackwardComposition:
 
 
 # Which of a student step's activations are alive as each backward op starts:
-# o_i is block i's output and c_i the array its batch-norm cache holds (xhat
-# in the standard form, the centered input in the literal one). A ReLU
-# gradient is written over its incoming gradient, so o_i dies with its ReLU
-# backward, and a standard-form batch-norm input gradient over xhat, so xhat
-# lives on as the gradient until the conv backward after it has run.
+# o_i is block i's output and c_i the array its batch-norm cache holds (xhat,
+# in either form). A ReLU gradient is written over its incoming gradient, so
+# o_i dies with its ReLU backward, and a training-mode batch-norm input
+# gradient over xhat, so xhat lives on as the gradient until the conv
+# backward after it has run.
 STANDARD_LIVENESS = [
     ("relu", "o1 o2 o3 c1 c2 c3"), ("bn", "o1 o2 c1 c2 c3"), ("conv", "o1 o2 c1 c2 c3"),
     ("relu", "o1 o2 c1 c2"), ("bn", "o1 c1 c2"), ("conv", "o1 c1 c2"),
     ("relu", "o1 c1"), ("bn", "c1"), ("conv", "c1"), ("end", ""),
 ]
-# a literal or inference-mode cache is read, not written: it dies with its op
+# an inference-mode cache is read, not written: it dies with its op
 FRESH_GRADIENT_LIVENESS = [
     ("relu", "o1 o2 o3 c1 c2 c3"), ("bn", "o1 o2 c1 c2 c3"), ("conv", "o1 o2 c1 c2"),
     ("relu", "o1 o2 c1 c2"), ("bn", "o1 c1 c2"), ("conv", "o1 c1"),
@@ -328,7 +340,7 @@ class TestConsumedCache:
 
     @pytest.mark.parametrize("training,literal,expected", [
         (True, False, STANDARD_LIVENESS),
-        (True, True, FRESH_GRADIENT_LIVENESS),
+        (True, True, STANDARD_LIVENESS),
         (False, False, FRESH_GRADIENT_LIVENESS),
     ], ids=["standard", "literal", "inference"])
     def test_each_activation_dies_at_its_last_reader(self, monkeypatch, training, literal,
@@ -459,14 +471,6 @@ class TestHiddenArrays:
 
 
 class TestCloneModel:
-    def test_plain_clone_is_an_independent_copy(self):
-        model = mini_model(seed=60)
-        clone = extractor.clone_model(model)
-        held = model_arrays(model)
-        for key, arr in model_arrays(clone).items():
-            assert arr.tobytes() == held[key].tobytes(), key
-            assert not np.shares_memory(arr, held[key]), key
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_clone_with_a_bundle_holds_the_bundle_and_the_models_classifier(self, dtype):
         model = mini_model(seed=61, dtype=dtype)

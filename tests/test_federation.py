@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import struct
@@ -20,8 +21,8 @@ from efdls.extractor import WeightBundle
 from efdls.fbst import ConfigError
 from efdls.federation import (
     CommLedger, Federation, FederationConfig, MalformedMessageError, SocketTransport,
-    comm_overhead, decode_weight_message, encode_weight_message, run_federation,
-    select_connected,
+    comm_overhead, decode_weight_message, encode_weight_message, expected_ledger_total,
+    run_federation, select_connected,
 )
 
 
@@ -446,6 +447,7 @@ class TestRunFederation:
             bw = uploads[0].nbytes
             assert all(e.nbytes == bw for e in ledger.entries)
             assert ledger.total_bytes() == comm_overhead(bw, fles, n_tot)
+            assert ledger.total_bytes() == expected_ledger_total(config, bw)
 
     def test_lone_efdls_user_sends_no_downloads(self):
         # one connected user has no partner: the one exception to the
@@ -459,6 +461,7 @@ class TestRunFederation:
         bw = ledger.entries[0].nbytes
         assert ledger.total_bytes() == bw * config.fles
         assert 2 * ledger.total_bytes() == comm_overhead(bw, config.fles, config.n_conn)
+        assert ledger.total_bytes() == expected_ledger_total(config, bw)
 
     @pytest.mark.parametrize("strategy", ["efdls", "fkd", "fedavg"])
     def test_ledger_symmetry_per_epoch(self, strategy):
@@ -1621,7 +1624,7 @@ class InitTimeClonePair(fbst.FBSTPair):
 
     def __init__(self, student):
         self.student = student
-        self.init_clone = extractor.clone_model(student)
+        self.init_clone = copy.deepcopy(student)
         self.loaded = False
 
     @property
@@ -1753,7 +1756,7 @@ class CopyingTeacherPair(fbst.FBSTPair):
 
     def load_teacher(self, bundle):
         if self.teacher is None:
-            self.teacher = extractor.clone_model(self.student)
+            self.teacher = copy.deepcopy(self.student)
         extractor.load_hidden_weights(self.teacher, bundle)
 
 

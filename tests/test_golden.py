@@ -1,10 +1,11 @@
 """The golden runs of ``golden_runs.py`` reproduce their committed records:
 the ledger exactly, accuracies within one test row, losses and array norms
-within GOLDEN_RTOL relative."""
+within GOLDEN_RTOL relative, or a run's own ``RTOLS`` entry."""
 
 import pytest
 
-from golden_runs import CONFIGS, GOLDEN_RTOL, load_golden, measure, pinned_values, write_tsv_sets
+from golden_runs import (CONFIGS, GOLDEN_RTOL, RTOLS, load_golden, measure, pinned_values,
+                         write_tsv_sets)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,7 @@ def test_run_matches_its_golden_record(name, tsv_root):
             f"user {uid} accuracy moved by more than one test row"
         assert (user["teacher_norms"] is None) == (pinned["teacher_norms"] is None)
     got, want = pinned_values(record), pinned_values(golden)
+    rtol = RTOLS.get(name, GOLDEN_RTOL)
     assert got.keys() == want.keys()
     for key, value in want.items():
-        assert got[key] == pytest.approx(value, rel=GOLDEN_RTOL, abs=1e-12), key
+        assert got[key] == pytest.approx(value, rel=rtol, abs=1e-12), key

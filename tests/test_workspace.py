@@ -719,11 +719,14 @@ class TestInPlaceForms:
     @pytest.mark.parametrize("g_layout", ["c", "obl"])
     @pytest.mark.parametrize("x_layout", ["c", "obl"])
     @pytest.mark.parametrize("channels", [128, 256])
-    def test_standard_batchnorm_backward_over_xhat(self, channels, x_layout, g_layout, dtype):
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_standard_batchnorm_backward_over_xhat(self, literal, channels, x_layout, g_layout,
+                                                   dtype):
+        # both forms write the input gradient over the consumed xhat
         rng = np.random.default_rng(channels + 1)
         x = paper_activation(rng, channels, dtype, x_layout, scale=3.0, shift=1.0)
         gout = paper_activation(rng, channels, dtype, g_layout)
-        layer = bn_layer(channels, False, dtype=dtype)
+        layer = bn_layer(channels, literal, dtype=dtype)
         _, cache = nncore.batchnorm_forward(x, layer, training=True, update_running=False,
                                             want_cache=True)
         fresh = nncore.batchnorm_backward(gout, layer, cache)
@@ -762,24 +765,3 @@ class TestInPlaceForms:
         folded = nncore.global_avg_pool_backward(g, length, add_to=other)
         assert folded is other
         assert_bitwise(folded, expected)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("layout", ["c", "obl"])
-@pytest.mark.parametrize("channels", [128, 256])
-def test_literal_batchnorm_backward_over_its_centered_input(channels, layout, dtype):
-    # the literal form's product of the centered input and its coefficient
-    # is written over the consumed cache, and the gradients keep their bits
-    rng = np.random.default_rng(channels + 2)
-    x = paper_activation(rng, channels, dtype, layout, scale=3.0, shift=1.0)
-    gout = paper_activation(rng, channels, dtype, layout)
-    layer = bn_layer(channels, True, dtype=dtype)
-    _, cache = nncore.batchnorm_forward(x, layer, training=True, update_running=False,
-                                        want_cache=True)
-    fresh = nncore.batchnorm_backward(gout, layer, cache)
-    centered = cache[1].copy()
-    consumed = nncore.batchnorm_backward(gout, layer, cache, consume=True)
-    for got, want in zip(consumed, fresh):
-        assert_bitwise(got, want)
-    assert not np.array_equal(cache[1], centered)
-    assert_cbl(consumed[0])
